@@ -55,7 +55,6 @@ from .strategy import (
     classify_configuration,
     cutter_move,
     marker_move,
-    refined_marker_move,
 )
 
 __all__ = [
@@ -88,7 +87,6 @@ __all__ = [
     "play_game",
     "precedes",
     "read_trace",
-    "refined_marker_move",
     "segment_potential",
     "split_cycle",
     "start_history",

@@ -14,23 +14,28 @@ Four drivers, one per claim:
   ``floor(4*g0/3 + 7/3)`` or exits to the cops game at
   ``floor(4*g0/3 - 1/3)`` with genus one.
 
-Every ply of every explored play is audited: value rises by exactly one,
-potentials move the right way, and the marker's bindings survive an
-independent re-classification.  Budget exhaustion yields the distinct
-verdict ``inconclusive``, never a silent pass.
+The three verifiers share one depth-first search, ``_search``; each
+driver supplies only the audit that expands a node into its children.
+Every explored state passes ``validate`` and every ply is audited: value
+rises by exactly one, potentials move the right way, and the marker's
+bindings survive an independent re-classification.  A failure carries a
+witness, the ply records from the root to the failing ply, rebuilt from
+parent links.  Budget exhaustion yields the distinct verdict
+``inconclusive``, never a silent pass.  A negative starting genus, or a
+seeded game below genus one, raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
-from .core import GameState, MarkedState, empty_state, enumerate_marker_moves, value
+from .core import CutterReply, GameState, MarkedState, empty_state, enumerate_marker_moves, validate, value
 from .equivalence import History, canonical_key, legal_replies, start_history
-from .potential import state_potential
+from .potential import component_potential, positive_component_sum, state_potential
 from .strategy import (
     BoundingPhase,
     CAP_CONFIGS,
@@ -147,8 +152,82 @@ def ply_record(ply: int, mover: Optional[str], marked: Optional[MarkedState],
     }
 
 
-class _BudgetExceeded(Exception):
-    pass
+class _Stop(Exception):
+    """Ends a search with a verdict; ``node`` is the last ply of the witness."""
+
+    def __init__(self, failure: str, node: Optional["_Node"] = None, verdict: str = FAIL):
+        super().__init__(failure)
+        self.failure, self.node, self.verdict = failure, node, verdict
+
+
+@dataclass
+class _Node:
+    """One explored state, linked to the node it was reached from."""
+
+    state: GameState
+    hist: History
+    phase: object
+    record: dict
+    depth: int = 0
+    parent: Optional["_Node"] = None
+
+    @classmethod
+    def root(cls, state: GameState, phase: object = None) -> "_Node":
+        return cls(state, start_history(state), phase, ply_record(0, None, None, None, state))
+
+    def child(self, marked: MarkedState, reply: CutterReply) -> "_Node":
+        nxt, depth = reply.next, self.depth + 1
+        record = ply_record(depth, "cutter", marked, reply.kind, nxt)
+        return _Node(nxt, self.hist.extended(nxt), None, record, depth, self)
+
+    def witness(self) -> list:
+        records, node = [], self
+        while node is not None:
+            records.append(node.record)
+            node = node.parent
+        return records[::-1]
+
+
+def _search(report: VerificationReport, roots: Iterable[_Node], budget: SearchBudget,
+            expand: Callable[[_Node], list]) -> VerificationReport:
+    """Depth-first search from each root in turn, shared by the verifiers.
+
+    Every popped node is counted against the state budget, raises the
+    running maximum value and must pass ``validate``; ``expand`` runs the
+    driver's own audit and returns the children to push.  A ``_Stop``
+    becomes the report's verdict, its witness rebuilt from parent links.
+    """
+    try:
+        for root in roots:
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                report.states_explored += 1
+                if report.states_explored > budget.max_states:
+                    report.details["frontier"] = len(stack) + 1
+                    raise _Stop("state budget exhausted", verdict=INCONCLUSIVE)
+                report.max_value_seen = max(report.max_value_seen, value(node.state))
+                violation = validate(node.state)
+                if violation is not None:
+                    raise _Stop(f"invalid state ({violation.rule}): {violation.detail}", node)
+                stack.extend(expand(node))
+    except _Stop as stop:
+        report.verdict, report.failure = stop.verdict, stop.failure
+        report.witness = None if stop.node is None else stop.node.witness()
+        return report
+    report.verdict = PASS
+    return report
+
+
+def _start(g0: int, refined: bool = False) -> GameState:
+    """The starting state: empty, or the seeded game's four-cycle."""
+    if g0 < 0:
+        raise ValueError(f"starting genus must be non-negative, got {g0}")
+    if not refined:
+        return empty_state(g0)
+    if g0 < 1:
+        raise ValueError(f"the seeded game needs starting genus at least one, got {g0}")
+    return GameState(((0, 1, 0, 2),), genus=g0 - 1, initial_genus=g0, next_label=3)
 
 
 def _phase_name(phase) -> str:
@@ -169,8 +248,6 @@ def _check_bounding_state(state: GameState, phase: BoundingPhase, refined: bool)
     independent = classify_configuration(active, state, allow_pseudo=refined)
     if independent != phase.config:
         return f"classifier saw configuration {independent}, strategy claims {phase.config}"
-    from .potential import component_potential, positive_component_sum
-
     for ci in range(len(state.cycles)):
         if ci not in active and component_potential(state, ci) > 0:
             return f"passive cycle {ci} has positive potential"
@@ -183,107 +260,73 @@ def _check_bounding_state(state: GameState, phase: BoundingPhase, refined: bool)
 
 
 def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationReport:
+    root = _start(g0, refined)
     bound = refined_value_bound(g0) if refined else marker_value_bound(g0)
     mode = "refined" if refined else "marker_bound"
     report = VerificationReport(g0=g0, mode=mode, bound=bound, budget=budget)
     strat = MarkerStrategy(refined=refined)
     if refined:
-        if g0 < 1:
-            report.verdict = FAIL
-            report.failure = "the seeded game needs starting genus at least one"
-            return report
-        root = GameState(((0, 1, 0, 2),), genus=g0 - 1, initial_genus=g0, next_label=3)
         seed_p = state_potential(root)
         report.details["seed_potential"] = f"{seed_p.numerator}/{seed_p.denominator}"
         report.details["switch_bound"] = switch_value_bound(g0)
-    else:
-        root = empty_state(g0)
     max_depth = budget.resolved_depth(bound)
 
-    def fail(msg: str, trace: tuple) -> None:
-        report.verdict = FAIL
-        report.failure = msg
-        report.witness = list(trace)
-
-    stack = [(root, start_history(root), strat.initial_phase(root), (ply_record(0, None, None, None, root),))]
-    while stack:
-        state, hist, phase, trace = stack.pop()
-        report.states_explored += 1
-        if report.states_explored > budget.max_states:
-            report.verdict = INCONCLUSIVE
-            report.failure = "state budget exhausted"
-            report.details["frontier"] = len(stack) + 1
-            return report
-        v = value(state)
-        report.max_value_seen = max(report.max_value_seen, v)
-        report.details["max_ply_depth"] = max(report.details.get("max_ply_depth", 0), len(trace) - 1)
+    def expand(node: _Node) -> list:
+        state, phase, v = node.state, node.phase, value(node.state)
+        report.details["max_ply_depth"] = max(report.details.get("max_ply_depth", 0), node.depth)
         if v > bound:
-            fail(f"value {v} exceeds bound {bound}", trace)
-            return report
-        if len(trace) - 1 > max_depth:
-            report.verdict = INCONCLUSIVE
-            report.failure = "depth budget exhausted"
-            return report
+            raise _Stop(f"value {v} exceeds bound {bound}", node)
+        if node.depth > max_depth:
+            raise _Stop("depth budget exhausted", verdict=INCONCLUSIVE)
         if isinstance(phase, BoundingPhase):
             msg = _check_bounding_state(state, phase, refined)
             if msg is not None:
-                fail(msg, trace)
-                return report
+                raise _Stop(msg, node)
         try:
             marked = strat.mark(phase, state)
         except StrategyError as exc:
-            fail(f"marking failed in {_phase_name(phase)}: {exc}", trace)
-            return report
-        legal = legal_replies(hist, marked)
+            raise _Stop(f"marking failed in {_phase_name(phase)}: {exc}", node) from exc
+        legal = legal_replies(node.hist, marked)
         if not legal:
             report.terminal_plays += 1
-            continue
+            return []
         expected = strat.expected(phase)
         p_now = state_potential(state)
+        children = []
         for reply in legal:
-            step = trace + (ply_record(len(trace), "cutter", marked, reply.kind, reply.next),)
+            child = node.child(marked, reply)
             if reply.kind not in expected:
-                fail(f"{_phase_name(phase)} met an unexpected kind-{reply.kind} reply", step)
-                return report
+                raise _Stop(f"{_phase_name(phase)} met an unexpected kind-{reply.kind} reply", child)
             if value(reply.next) != v + 1:
-                fail("value did not increase by one", step)
-                return report
+                raise _Stop("value did not increase by one", child)
             try:
                 nxt = strat.advance(phase, state, reply)
             except (StrategyError, KeyError) as exc:
-                fail(f"transition from {_phase_name(phase)} on kind {reply.kind}: {exc}", step)
-                return report
+                raise _Stop(f"transition from {_phase_name(phase)} on kind {reply.kind}: {exc}", child) from exc
             if isinstance(phase, BoundingPhase):
-                report.transitions_seen[(phase.config, reply.kind)] = (
-                    report.transitions_seen.get((phase.config, reply.kind), 0) + 1
-                )
+                arrow = (phase.config, reply.kind)
+                report.transitions_seen[arrow] = report.transitions_seen.get(arrow, 0) + 1
                 if state_potential(reply.next) < p_now:
-                    fail("potential decreased during the bounding phase", step)
-                    return report
+                    raise _Stop("potential decreased during the bounding phase", child)
             if isinstance(phase, SeedPhase) and state_potential(reply.next) < p_now:
-                fail("potential decreased after the seed split", step)
-                return report
+                raise _Stop("potential decreased after the seed split", child)
             if isinstance(nxt, SwitchToCops):
                 report.terminal_plays += 1
                 report.max_value_seen = max(report.max_value_seen, nxt.value)
-                report.details.setdefault("switches", 0)
-                report.details["switches"] += 1
+                report.details["switches"] = report.details.get("switches", 0) + 1
                 if nxt.genus != 1 or nxt.value > switch_value_bound(g0):
-                    fail(
-                        f"switch to cops at value {nxt.value}, genus {nxt.genus}",
-                        step,
-                    )
-                    return report
+                    raise _Stop(f"switch to cops at value {nxt.value}, genus {nxt.genus}", child)
                 continue
             if isinstance(nxt, BoundingPhase) and isinstance(phase, BoundingPhase) and nxt.config == 2 and phase.config == 1 and refined and reply.next.genus == 4:
                 report.details["rebinds"] = report.details.get("rebinds", 0) + 1
             if isinstance(nxt, BoundingPhase) and not isinstance(phase, BoundingPhase):
-                if state_potential(reply.next) < Fraction(-5):
-                    fail("potential below -5 at the end of the preparatory phase", step)
-                    return report
-            stack.append((reply.next, hist.extended(reply.next), nxt, step))
-    report.verdict = PASS
-    return report
+                if state_potential(reply.next) < -5:
+                    raise _Stop("potential below -5 at the end of the preparatory phase", child)
+            child.phase = nxt
+            children.append(child)
+        return children
+
+    return _search(report, [_Node.root(root, strat.initial_phase(root))], budget, expand)
 
 
 def verify_marker_bound(g0: int, budget: Optional[SearchBudget] = None) -> VerificationReport:
@@ -306,79 +349,50 @@ def verify_cutter_bound(g0: int, budget: Optional[SearchBudget] = None) -> Verif
     the threshold value before the cutter runs out of legal replies, and
     the potential must never rise.
     """
+    root = _Node.root(_start(g0))
     budget = budget or SearchBudget()
     threshold = cutter_value_threshold(g0)
     report = VerificationReport(g0=g0, mode="cutter_bound", bound=threshold, budget=budget)
     max_depth = budget.resolved_depth(threshold)
 
-    def fail(msg: str, trace: tuple) -> None:
-        report.verdict = FAIL
-        report.failure = msg
-        report.witness = list(trace)
-
-    def step_play(state, hist, marked, trace):
-        """One cutter response; returns (next state tuple) or None on failure."""
-        legal = legal_replies(hist, marked)
-        if not legal:
+    def respond(node: _Node, marked: MarkedState) -> _Node:
+        """The cutter's audited reply to one mark."""
+        if not legal_replies(node.hist, marked):
             report.terminal_plays += 1
-            fail(f"game ended at value {value(state)} below threshold {threshold}", trace)
-            return None
-        reply, anomaly = cutter_move(hist, marked)
-        nxt = reply.next
-        step = trace + (ply_record(len(trace), "cutter", marked, reply.kind, nxt),)
+            raise _Stop(f"game ended at value {value(node.state)} below threshold {threshold}", node)
+        reply, anomaly = cutter_move(node.hist, marked)
+        child = node.child(marked, reply)
         if anomaly:
-            fail("cutter had no potential-non-increasing reply", step)
-            return None
-        if state_potential(nxt) > state_potential(state):
-            fail("potential increased under the cutter strategy", step)
-            return None
-        if value(nxt) != value(state) + 1:
-            fail("value did not increase by one", step)
-            return None
-        return nxt, hist.extended(nxt), step
+            raise _Stop("cutter had no potential-non-increasing reply", child)
+        if state_potential(child.state) > state_potential(node.state):
+            raise _Stop("potential increased under the cutter strategy", child)
+        if value(child.state) != value(node.state) + 1:
+            raise _Stop("value did not increase by one", child)
+        return child
 
-    root = empty_state(g0)
-    if budget.marker_sampling == "exhaustive":
-        stack = [(root, start_history(root), (ply_record(0, None, None, None, root),))]
-        while stack:
-            state, hist, trace = stack.pop()
-            report.states_explored += 1
-            if report.states_explored > budget.max_states:
-                report.verdict = INCONCLUSIVE
-                report.failure = "state budget exhausted"
-                return report
-            report.max_value_seen = max(report.max_value_seen, value(state))
-            if value(state) >= threshold:
-                report.terminal_plays += 1
-                continue
-            if len(trace) - 1 > max_depth:
-                report.verdict = INCONCLUSIVE
-                report.failure = "depth budget exhausted"
-                return report
-            for marked in enumerate_marker_moves(state):
-                out = step_play(state, hist, marked, trace)
-                if out is None:
-                    return report
-                stack.append(out)
-    else:
-        rng = random.Random(budget.seed)
-        for _ in range(budget.sample_plays):
-            state, hist, trace = root, start_history(root), (ply_record(0, None, None, None, root),)
-            while value(state) < threshold:
-                report.states_explored += 1
-                if report.states_explored > budget.max_states:
-                    report.verdict = INCONCLUSIVE
-                    report.failure = "state budget exhausted"
-                    return report
-                marked = rng.choice(enumerate_marker_moves(state))
-                out = step_play(state, hist, marked, trace)
-                if out is None:
-                    return report
-                state, hist, trace = out
-                report.max_value_seen = max(report.max_value_seen, value(state))
+    def exhaustive(node: _Node) -> list:
+        if value(node.state) >= threshold:
             report.terminal_plays += 1
-    report.verdict = PASS
-    return report
+            return []
+        if node.depth > max_depth:
+            raise _Stop("depth budget exhausted", verdict=INCONCLUSIVE)
+        return [respond(node, marked) for marked in enumerate_marker_moves(node.state)]
+
+    rng = random.Random(budget.seed)
+
+    def sampled(node: _Node) -> list:
+        # a play counts only the states the cutter moves from, so a child
+        # at the threshold ends it unpushed; every child's value is seen
+        child = respond(node, rng.choice(enumerate_marker_moves(node.state)))
+        report.max_value_seen = max(report.max_value_seen, value(child.state))
+        if value(child.state) < threshold:
+            return [child]
+        report.terminal_plays += 1
+        return []
+
+    if budget.marker_sampling == "exhaustive":
+        return _search(report, [root], budget, exhaustive)
+    return _search(report, itertools.repeat(root, budget.sample_plays), budget, sampled)
 
 
 def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool = True) -> Union[int, str]:
@@ -402,7 +416,7 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
             return memo[key]
         counter["states"] += 1
         if counter["states"] > budget.max_states:
-            raise _BudgetExceeded()
+            raise _Stop("state budget exhausted", verdict=INCONCLUSIVE)
         result = False
         for marked in enumerate_marker_moves(state):
             legal = legal_replies(hist, marked)
@@ -418,12 +432,12 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
             memo[key] = result
         return result
 
-    root = empty_state(g0)
+    root = _start(g0)
     try:
         for t in range(marker_value_bound(g0) + 1):
             if can_cap(root, start_history(root), t, {}):
                 return t
-    except _BudgetExceeded:
+    except _Stop:
         return INCONCLUSIVE
     return INCONCLUSIVE
 
@@ -441,12 +455,9 @@ def play_game(
     ``marker``/``cutter`` are ``"auto"`` (the packaged strategies) or
     ``"random"`` (uniform legal choices from the given seed).
     """
+    state = _start(g0, refined)
     rng = random.Random(seed)
     strat = MarkerStrategy(refined=refined) if marker == "auto" else None
-    if refined:
-        state = GameState(((0, 1, 0, 2),), genus=g0 - 1, initial_genus=g0, next_label=3)
-    else:
-        state = empty_state(g0)
     hist = start_history(state)
     phase = strat.initial_phase(state) if strat else None
     records = [ply_record(0, None, None, None, state)]

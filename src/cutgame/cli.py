@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 = pass, 1 = fail (a bound was violated), 2 = inconclusive
-(budget exhausted), 64 = usage error.  Every run echoes its resolved
+(budget exhausted), 64 = usage error or bad input (a negative genus, a
+seeded game below genus one, malformed graph6, an unreadable file), with
+one ``error:`` line on stderr.  Every run echoes its resolved
 configuration, seeds included; JSON is the stable output format, text is
 for humans only.
 """
@@ -120,7 +122,14 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    try:
+        return _run(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
+
+def _run(args) -> int:
     if args.command == "verify-marker":
         budget = SearchBudget(max_states=args.budget_states)
         report = verify_marker_bound(args.g0, budget)

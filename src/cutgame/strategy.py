@@ -418,18 +418,22 @@ class MarkerStrategy:
         handler = _HANDLERS.get((phase.config, reply.kind))
         if handler is None:
             raise StrategyError(f"configuration {phase.config} cannot absorb a kind-{reply.kind} reply")
-        return handler(phase, state, reply)
+        actives, var_labels = handler(phase, state, reply)
+        return BoundingPhase(TEMPLATES[phase.config].arrows[reply.kind], actives, var_labels)
 
 
-# Handlers assemble the next configuration's bindings from the reply's
-# provenance.  ``state`` is the pre-reply state throughout.
+# Handlers assemble the bindings of the configuration that the template's
+# arrow names, from the reply's provenance.  ``state`` is the pre-reply
+# state throughout.
+
+Bindings = tuple[tuple[ActiveCycle, ...], tuple[tuple[int, int], ...]]  # (actives, var_labels)
 
 
 def _maps(reply: CutterReply) -> tuple[dict[Edge, Edge], dict[int, int]]:
     return reply.edge_map_dict(), reply.cycle_map()
 
 
-def _h1_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h1_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     old = phase.actives[0]
     c1, c2 = reply.derived
@@ -438,10 +442,10 @@ def _h1_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Boundin
     _, n_binding = _translate_nesting(old.pos[1], old.cycle, reply, emap, cmap)
     c0 = ActiveCycle(c1, (0, "U"), (f[1], u_new))
     c1b = ActiveCycle(c2, (0, "N"), (fp[1], n_binding))
-    return BoundingPhase(2, (c0, c1b), ((0, reply.new_label),))
+    return ((c0, c1b), ((0, reply.new_label),))
 
 
-def _h1_bc(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h1_bc(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     old = phase.actives[0]
     chain = _unwrap_chain(old.pos[1])
@@ -453,7 +457,7 @@ def _h1_bc(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Boundi
                         _translate_inner(chain, reply, emap, cmap))
     xtzt, un = _activated_support(chain_t, reply.next, labels)
     pair = ActiveCycle(kept, ("U", "U"), (u_new, f[1]))
-    return BoundingPhase(10, (un, _as_var(xtzt, 0), pair), ((0, _t_label(reply.next, xtzt)),))
+    return ((un, _as_var(xtzt, 0), pair), ((0, _t_label(reply.next, xtzt)),))
 
 
 def _translate_inner(chain: NestChain, reply: CutterReply, emap, cmap) -> Nesting:
@@ -470,7 +474,7 @@ def _t_label(state: GameState, xtzt: ActiveCycle) -> int:
     return state.cycles[xtzt.cycle][xtzt.pos[0]]
 
 
-def _h2_d(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h2_d(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     c0, c1 = phase.actives
     amalgam = reply.derived[0]
@@ -480,10 +484,10 @@ def _h2_d(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Boundin
     _, s1 = emap[(c1.cycle, c1.pos[0])]
     _, nb = _translate_nesting(c1.pos[1], c1.cycle, reply, emap, cmap)
     active = ActiveCycle(amalgam, ("N", 0, 1, 0, "U", 1), (nb, s1, f[1], s0, u, fp[1]))
-    return BoundingPhase(3, (active,), ((0, phase.var(0)), (1, reply.new_label)))
+    return ((active,), ((0, phase.var(0)), (1, reply.new_label)))
 
 
-def _h3_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h3_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     (old,) = phase.actives
     c1, c2 = reply.derived
@@ -496,10 +500,10 @@ def _h3_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Boundin
     _, nb = _translate_nesting(old.pos[0], old.cycle, reply, emap, cmap)
     abac = ActiveCycle(c1, (0, 1, 0, 2), (a1, b1, a2, f[1]))
     ncub = ActiveCycle(c2, ("N", 2, "U", 1), (nb, fp[1], u, b2))
-    return BoundingPhase(4, (abac, ncub), ((0, phase.var(0)), (1, phase.var(1)), (2, reply.new_label)))
+    return ((abac, ncub), ((0, phase.var(0)), (1, phase.var(1)), (2, reply.new_label)))
 
 
-def _h4_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h4_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     abac, ncub = phase.actives
     c1, c2 = reply.derived
@@ -512,10 +516,10 @@ def _h4_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Boundin
     xz_cycle = cmap[abac.cycle]
     chain = NestChain(run=(b_edge, fp[1], c_edge), xz_cycle=xz_cycle, y_cycle=c1, inner=inner)
     active = ActiveCycle(c2, ("U", "N"), (u, chain))
-    return BoundingPhase(1, (active,), ())
+    return ((active,), ())
 
 
-def _h4_bc(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h4_bc(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     abac, ncub = phase.actives
     kept = reply.derived[0]
@@ -530,14 +534,13 @@ def _h4_bc(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Boundi
     _, b_edge = emap[(ncub.cycle, ncub.pos[3])]
     abac_t = _translate_active(abac, reply, emap, cmap)
     ucub = ActiveCycle(kept, ("U", 2, "U", 1), (fp[1], c_edge, u, b_edge))
-    return BoundingPhase(
-        5,
+    return (
         (abac_t, ucub, _as_var(xtzt, 3), un),
         ((0, phase.var(0)), (1, phase.var(1)), (2, phase.var(2)), (3, _t_label(reply.next, xtzt))),
     )
 
 
-def _h5_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h5_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     abac, ucub, dudu, un = phase.actives
     c1, c2 = reply.derived
@@ -551,18 +554,18 @@ def _h5_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Boundin
     keep = [_translate_active(ac, reply, emap, cmap) for ac in (abac, ucub, un)]
     vars_ = dict(phase.var_labels)
     vars_[4] = reply.new_label
-    return BoundingPhase(6, (keep[0], keep[1], keep[2], pair, dude), tuple(sorted(vars_.items())))
+    return ((keep[0], keep[1], keep[2], pair, dude), tuple(sorted(vars_.items())))
 
 
-def _h6_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h6_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     abac, ucub, un, _pair, _dude = phase.actives
     keep = [_translate_active(ac, reply, emap, cmap) for ac in (abac, ucub, un)]
     vars_ = {v: l for v, l in phase.var_labels if v in (0, 1, 2)}
-    return BoundingPhase(7, tuple(keep), tuple(sorted(vars_.items())))
+    return (tuple(keep), tuple(sorted(vars_.items())))
 
 
-def _h7_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h7_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     abac, ucub, un = phase.actives
     c1, c2 = reply.derived
@@ -577,16 +580,16 @@ def _h7_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Boundin
     dcub = ActiveCycle(c2, (3, 2, "U", 1), (fp[1], c_edge, u_second, b_edge))
     vars_ = dict(phase.var_labels)
     vars_[3] = reply.new_label
-    return BoundingPhase(8, (abac_t, un_t, du, dcub), tuple(sorted(vars_.items())))
+    return ((abac_t, un_t, du, dcub), tuple(sorted(vars_.items())))
 
 
-def _h8_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h8_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     un = phase.actives[1]
-    return BoundingPhase(1, (_translate_active(un, reply, emap, cmap),), ())
+    return ((_translate_active(un, reply, emap, cmap),), ())
 
 
-def _h8_bc(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h8_bc(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     abac, un, du, dcub = phase.actives
     kept = reply.derived[0]
@@ -598,17 +601,17 @@ def _h8_bc(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Boundi
     auau = ActiveCycle(abac_t.cycle, (0, "U", 0, "U"), abac_t.pos)
     uu1 = ActiveCycle(du_t.cycle, ("U", "U"), du_t.pos)
     uu2 = ActiveCycle(kept, ("U", "U"), (u_kept, f[1]))
-    return BoundingPhase(9, (un_t, auau, uu1, uu2), ((0, phase.var(0)),))
+    return ((un_t, auau, uu1, uu2), ((0, phase.var(0)),))
 
 
-def _h9_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h9_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     un, auau, _split, other = phase.actives
     keep = [_translate_active(ac, reply, emap, cmap) for ac in (un, auau, other)]
-    return BoundingPhase(10, tuple(keep), ((0, phase.var(0)),))
+    return (tuple(keep), ((0, phase.var(0)),))
 
 
-def _h10_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h10_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     un, auau, uu = phase.actives
     c1, c2 = reply.derived
@@ -621,20 +624,20 @@ def _h10_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Boundi
     uu_t = _translate_active(uu, reply, emap, cmap)
     bu = ActiveCycle(c1, (1, "U"), (f[1], u1))
     abau = ActiveCycle(c2, (0, 1, 0, "U"), (a1, fp[1], a2, u2))
-    return BoundingPhase(11, (un_t, uu_t, bu, abau), ((0, phase.var(0)), (1, reply.new_label)))
+    return ((un_t, uu_t, bu, abau), ((0, phase.var(0)), (1, reply.new_label)))
 
 
-def _h11_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h11_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     un, uu, _bu, _abau = phase.actives
     keep = [_translate_active(ac, reply, emap, cmap) for ac in (un, uu)]
-    return BoundingPhase(12, tuple(keep), ())
+    return (tuple(keep), ())
 
 
-def _h12_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
+def _h12_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
     emap, cmap = _maps(reply)
     un = phase.actives[0]
-    return BoundingPhase(1, (_translate_active(un, reply, emap, cmap),), ())
+    return ((_translate_active(un, reply, emap, cmap),), ())
 
 
 _HANDLERS = {
@@ -657,6 +660,9 @@ _HANDLERS = {
     (11, "A"): _h11_a,
     (12, "A"): _h12_a,
 }
+
+if set(_HANDLERS) != {(cfg, kind) for cfg, t in TEMPLATES.items() for kind in t.arrows}:
+    raise StrategyError("transition handlers do not match the templates' arrows")
 
 
 # ---------------------------------------------------------------------------
@@ -875,8 +881,3 @@ def marker_move(phase: Phase, state: GameState, refined: bool = False) -> tuple[
     (reply kind to successor phase or configuration id)."""
     strat = MarkerStrategy(refined=refined)
     return strat.mark(phase, state), strat.expected(phase)
-
-
-def refined_marker_move(phase: Phase, state: GameState) -> tuple[MarkedState, dict]:
-    """Seeded-game variant of :func:`marker_move`."""
-    return marker_move(phase, state, refined=True)

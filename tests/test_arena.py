@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
+from cutgame import arena
 from cutgame.arena import (
     SearchBudget,
     cutter_value_threshold,
@@ -18,6 +20,8 @@ from cutgame.arena import (
     verify_marker_bound,
     verify_refined,
 )
+from cutgame.core import value
+from cutgame.equivalence import canonical_key
 
 ALLOWED_TRANSITIONS = {
     (1, "A"), (1, "B"), (1, "C"),
@@ -127,6 +131,103 @@ def test_play_random_vs_random_reproducible():
     a = play_game(2, marker="random", cutter="random", seed=9)
     b = play_game(2, marker="random", cutter="random", seed=9)
     assert a == b
+
+
+_BUDGET = {"marker_sampling": "exhaustive", "max_depth": None, "max_states": 2000000, "sample_plays": 10000, "seed": 0}
+_REPORT = {"details": {}, "failure": None, "opponent_model": "restricted-cutter", "terminal_plays": 0,
+           "transitions_seen": {}, "verdict": "pass", "witness": None}
+
+# whole reports as the verifiers wrote them before their searches shared one loop
+GOLDEN = {
+    "marker g0=3": (lambda: verify_marker_bound(3), {
+        "bound": 7, "details": {"max_ply_depth": 7}, "g0": 3, "max_value_seen": 7,
+        "mode": "marker_bound", "states_explored": 78, "terminal_plays": 20,
+        "transitions_seen": {"1-A": 12, "1-B": 2, "2-D": 12, "3-A": 6, "4-A": 2}}),
+    "refined g0=4": (lambda: verify_refined(4), {
+        "bound": 7, "details": {"max_ply_depth": 1, "seed_potential": "-3/1", "switch_bound": 5, "switches": 1},
+        "g0": 4, "max_value_seen": 5, "mode": "refined", "states_explored": 2, "terminal_plays": 1,
+        "transitions_seen": {"1-A": 1}}),
+    "cutter exhaustive g0=1": (lambda: verify_cutter_bound(1), {
+        "bound": 4, "g0": 1, "max_value_seen": 4, "mode": "cutter_bound", "states_explored": 2552,
+        "terminal_plays": 2414}),
+    "cutter sampled g0=2": (
+        lambda: verify_cutter_bound(2, SearchBudget(marker_sampling="random", sample_plays=200, seed=42)), {
+            "bound": 5, "budget": dict(_BUDGET, marker_sampling="random", sample_plays=200, seed=42),
+            "g0": 2, "max_value_seen": 5, "mode": "cutter_bound", "states_explored": 1000, "terminal_plays": 200}),
+    "marker g0=2 max_states=3": (lambda: verify_marker_bound(2, SearchBudget(max_states=3)), {
+        "bound": 6, "budget": dict(_BUDGET, max_states=3), "details": {"frontier": 4, "max_ply_depth": 2},
+        "failure": "state budget exhausted", "g0": 2, "max_value_seen": 2, "mode": "marker_bound",
+        "states_explored": 4, "transitions_seen": {"1-A": 1}, "verdict": "inconclusive"}),
+    "marker g0=3 max_depth=2": (lambda: verify_marker_bound(3, SearchBudget(max_depth=2)), {
+        "bound": 7, "budget": dict(_BUDGET, max_depth=2), "details": {"max_ply_depth": 3},
+        "failure": "depth budget exhausted", "g0": 3, "max_value_seen": 3, "mode": "marker_bound",
+        "states_explored": 4, "transitions_seen": {"1-A": 1}, "verdict": "inconclusive"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_matches_golden(name):
+    run, fields = GOLDEN[name]
+    expected = {**_REPORT, "budget": _BUDGET, **fields}
+    assert run().to_json() == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("attr, shift, run", [
+    ("marker_value_bound", -1, lambda: verify_marker_bound(3)),
+    ("refined_value_bound", -1, lambda: verify_refined(3)),
+    ("cutter_value_threshold", 1, lambda: verify_cutter_bound(1)),
+    ("cutter_value_threshold", 1,
+     lambda: verify_cutter_bound(0, SearchBudget(marker_sampling="random", sample_plays=20, seed=3))),
+], ids=["marker", "refined", "cutter-exhaustive", "cutter-sampled"])
+def test_witness_runs_from_root_to_failing_ply(monkeypatch, attr, shift, run):
+    original = getattr(arena, attr)
+    monkeypatch.setattr(arena, attr, lambda g0: original(g0) + shift)
+    report = run()
+    assert report.verdict == "fail"
+    plies = [rec["ply"] for rec in report.witness]
+    values = [rec["value"] for rec in report.witness]
+    assert len(plies) > 2
+    assert plies == list(range(len(plies)))
+    assert values == list(range(values[0], values[0] + len(values)))
+    assert report.witness[0]["mover"] is None
+    assert all(rec["mover"] == "cutter" for rec in report.witness[1:])
+
+
+def test_explored_states_are_validated(monkeypatch):
+    """A reply whose state puts one label on three edges fails the run."""
+    real = arena.cutter_move
+    improper = []
+
+    def cutter_move(history, marked):
+        reply, anomaly = real(history, marked)
+        state = reply.next
+        if value(state) < 2:
+            return reply, anomaly
+        first = state.cycles[0]
+        first += (first[0],) * (3 - state.label_counts()[first[0]])
+        bad = dataclasses.replace(state, cycles=(first,) + state.cycles[1:])
+        improper.append(str(canonical_key(bad)))
+        return dataclasses.replace(reply, next=bad), anomaly
+
+    monkeypatch.setattr(arena, "cutter_move", cutter_move)
+    report = verify_cutter_bound(0)
+    assert report.verdict == "fail"
+    assert "properness" in report.failure and "3 edges" in report.failure
+    assert report.witness[-1]["canonical_key"] in improper
+    assert [rec["ply"] for rec in report.witness] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_marker_bound(-1),
+    lambda: verify_cutter_bound(-1),
+    lambda: exact_value(-1),
+    lambda: play_game(-1),
+    lambda: verify_refined(0),
+    lambda: play_game(0, refined=True),
+], ids=["marker", "cutter", "exact", "play", "refined", "play-refined"])
+def test_bad_genus_raises(call):
+    with pytest.raises(ValueError, match="genus"):
+        call()
 
 
 def test_ply_record_fields():

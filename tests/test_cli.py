@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from cutgame.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, dispatch
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "corpus")
@@ -82,3 +84,26 @@ def test_usage_errors():
     assert dispatch(["no-such-command"]) == EXIT_USAGE
     assert dispatch(["verify-marker"]) == EXIT_USAGE  # missing --g0
     assert dispatch(["cop-number", "--k-max", "2"]) == EXIT_USAGE  # no graph source
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-marker", "--g0", "-1"],
+    ["verify-cutter", "--g0", "-1"],
+    ["exact-value", "--g0", "-1"],
+    ["verify-refined", "--g0", "0"],
+    ["play", "--g0", "0", "--refined"],
+    ["genus", "--g6", "!!"],
+    ["genus", "--graph", "{tmp}/blank.g6"],
+    ["cop-number", "--graph", "{tmp}/missing.g6"],
+    ["check-corpus", "--dir", "{tmp}/missing"],
+], ids=["marker-negative", "cutter-negative", "exact-negative", "refined-zero", "play-refined-zero",
+        "bad-graph6", "no-graph6-line", "missing-graph", "missing-dir"])
+def test_bad_input_exits_64(argv, tmp_path, capsys):
+    with open(os.path.join(tmp_path, "blank.g6"), "w") as fh:
+        fh.write("\n\n")
+    code = dispatch([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
