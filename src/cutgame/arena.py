@@ -178,7 +178,17 @@ class _Node:
     def child(self, marked: MarkedState, reply: CutterReply) -> "_Node":
         nxt, depth = reply.next, self.depth + 1
         record = ply_record(depth, "cutter", marked, reply.kind, nxt)
-        return _Node(nxt, self.hist.extended(nxt), None, record, depth, self)
+        return _Node(nxt, self.hist.extended(nxt), None, record, depth, self).validated()
+
+    def validated(self) -> "_Node":
+        violation = validate(self.state)
+        if violation is not None:
+            raise _Stop(f"invalid state ({violation.rule}): {violation.detail}", self)
+        return self
+
+    def check_depth(self, max_depth: int) -> None:
+        if self.depth > max_depth:
+            raise _Stop("depth budget exhausted", verdict=INCONCLUSIVE)
 
     def witness(self) -> list:
         records, node = [], self
@@ -192,14 +202,15 @@ def _search(report: VerificationReport, roots: Iterable[_Node], budget: SearchBu
             expand: Callable[[_Node], list]) -> VerificationReport:
     """Depth-first search from each root in turn, shared by the verifiers.
 
-    Every popped node is counted against the state budget, raises the
-    running maximum value and must pass ``validate``; ``expand`` runs the
-    driver's own audit and returns the children to push.  A ``_Stop``
+    Each root must pass ``validate`` (every child does so where
+    ``_Node.child`` builds it); every popped node is counted against the
+    state budget and raises the running maximum value; ``expand`` runs
+    the driver's own audit and returns the children to push.  A ``_Stop``
     becomes the report's verdict, its witness rebuilt from parent links.
     """
     try:
         for root in roots:
-            stack = [root]
+            stack = [root.validated()]
             while stack:
                 node = stack.pop()
                 report.states_explored += 1
@@ -207,9 +218,6 @@ def _search(report: VerificationReport, roots: Iterable[_Node], budget: SearchBu
                     report.details["frontier"] = len(stack) + 1
                     raise _Stop("state budget exhausted", verdict=INCONCLUSIVE)
                 report.max_value_seen = max(report.max_value_seen, value(node.state))
-                violation = validate(node.state)
-                if violation is not None:
-                    raise _Stop(f"invalid state ({violation.rule}): {violation.detail}", node)
                 stack.extend(expand(node))
     except _Stop as stop:
         report.verdict, report.failure = stop.verdict, stop.failure
@@ -276,8 +284,7 @@ def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationRep
         report.details["max_ply_depth"] = max(report.details.get("max_ply_depth", 0), node.depth)
         if v > bound:
             raise _Stop(f"value {v} exceeds bound {bound}", node)
-        if node.depth > max_depth:
-            raise _Stop("depth budget exhausted", verdict=INCONCLUSIVE)
+        node.check_depth(max_depth)
         if isinstance(phase, BoundingPhase):
             msg = _check_bounding_state(state, phase, refined)
             if msg is not None:
@@ -374,8 +381,7 @@ def verify_cutter_bound(g0: int, budget: Optional[SearchBudget] = None) -> Verif
         if value(node.state) >= threshold:
             report.terminal_plays += 1
             return []
-        if node.depth > max_depth:
-            raise _Stop("depth budget exhausted", verdict=INCONCLUSIVE)
+        node.check_depth(max_depth)
         return [respond(node, marked) for marked in enumerate_marker_moves(node.state)]
 
     rng = random.Random(budget.seed)
@@ -383,6 +389,7 @@ def verify_cutter_bound(g0: int, budget: Optional[SearchBudget] = None) -> Verif
     def sampled(node: _Node) -> list:
         # a play counts only the states the cutter moves from, so a child
         # at the threshold ends it unpushed; every child's value is seen
+        node.check_depth(max_depth)
         child = respond(node, rng.choice(enumerate_marker_moves(node.state)))
         report.max_value_seen = max(report.max_value_seen, value(child.state))
         if value(child.state) < threshold:

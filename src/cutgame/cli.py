@@ -1,11 +1,12 @@
 """Command-line surface.
 
 Exit codes: 0 = pass, 1 = fail (a bound was violated), 2 = inconclusive
-(budget exhausted), 64 = usage error or bad input (a negative genus, a
-seeded game below genus one, malformed graph6, an unreadable file), with
-one ``error:`` line on stderr.  Every run echoes its resolved
-configuration, seeds included; JSON is the stable output format, text is
-for humans only.
+(a state, rotation-system or pursuit-position budget was exhausted;
+``genus`` and ``cop-number`` print one ``inconclusive:`` line on stderr),
+64 = usage error or bad input (a negative genus, a seeded game below
+genus one, malformed graph6, an unreadable file), with one ``error:``
+line on stderr.  Every run echoes its resolved configuration, seeds
+included; JSON is the stable output format, text is for humans only.
 """
 
 from __future__ import annotations
@@ -188,11 +189,14 @@ def _run(args) -> int:
         return EXIT_PASS
 
     if args.command == "cop-number":
-        from .graphs import cop_number
+        from .graphs import StateSpaceError, cop_number
 
         g = _load_graph(args)
         try:
             k = cop_number(g, args.k_max)
+        except StateSpaceError as exc:
+            print(f"inconclusive: {exc}", file=sys.stderr)
+            return EXIT_INCONCLUSIVE
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAIL

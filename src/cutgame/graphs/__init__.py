@@ -15,7 +15,7 @@ from .graph import (
 )
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .guarding import GeodesicGuard, GuardReport, guard_geodesic, verify_guarding
-from .pursuit import PursuitPosition, StateSpaceError, cop_number, cop_win
+from .pursuit import StateSpaceError, cop_number, cop_win
 
 __all__ = [
     "BoundReport",
@@ -25,7 +25,6 @@ __all__ = [
     "Graph",
     "Graph6Error",
     "GuardReport",
-    "PursuitPosition",
     "RotationBudgetError",
     "StateSpaceError",
     "bfs_distances",

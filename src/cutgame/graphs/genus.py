@@ -3,7 +3,8 @@
 A rotation system (a cyclic order of incident darts at each vertex)
 determines an embedding; tracing the face orbits and applying Euler's
 formula ``V - E + F = 2 - 2g`` gives its genus.  The minimum over all
-rotation systems is the graph's genus.  The sweep fixes one dart per
+rotation systems is the graph's genus.  The sweep
+(``cutgame.kernels.genus_sweep``, pure Python) fixes one dart per
 vertex, permutes the rest, and stops early once the lower bound from
 edge counts and planarity is met.
 """

@@ -1,16 +1,16 @@
 """Exact cop numbers by retrograde analysis of the pursuit game.
 
 Positions are (cop multiset, robber vertex, side to move).  Capture
-positions seed the win set; the attractor kernel then iterates: a
-cop-move position is winning when some joint cop move wins, a
-robber-move position when every robber option loses.  The cops choose
-their placement first and move first, and may share vertices.
+positions seed the win set; ``cutgame.kernels.attractor`` (pure Python)
+then iterates over flat successor lists: a cop-move position is winning
+when some joint cop move wins, a robber-move position when every robber
+option loses.  The cops choose their placement first and move first,
+and may share vertices.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from ..kernels import attractor
 from .graph import Graph, is_connected
@@ -18,16 +18,6 @@ from .graph import Graph, is_connected
 
 class StateSpaceError(RuntimeError):
     """The position space exceeds the configured budget."""
-
-
-@dataclass(frozen=True)
-class PursuitPosition:
-    cops: tuple[int, ...]  # sorted multiset
-    robber: int
-    to_move: str  # "cops" | "robber"
-
-    def captured(self) -> bool:
-        return self.robber in self.cops
 
 
 def _cop_multisets(n: int, k: int) -> list[tuple[int, ...]]:
@@ -47,29 +37,33 @@ def cop_win_positions(g: Graph, k: int, max_positions: int = 5_000_000) -> tuple
     if total > max_positions:
         raise StateSpaceError(f"{total} positions exceed the budget {max_positions}")
     index: dict[tuple[tuple[int, ...], int, int], int] = {}
-    positions: list[tuple[tuple[int, ...], int, int]] = []
     for cops in multisets:
         for r in range(g.n):
             for side in (0, 1):  # 0 = cops to move, 1 = robber to move
-                index[(cops, r, side)] = len(positions)
-                positions.append((cops, r, side))
-    kinds = bytearray(len(positions))
-    wins = bytearray(len(positions))
+                index[(cops, r, side)] = len(index)
+    kinds = bytearray((0, 1)) * (total // 2)  # the cops need one winning move, the robber all
+    wins = bytearray(total)
     indptr = [0]
     succs: list[int] = []
-    for cops, r, side in positions:
-        kinds[len(indptr) - 1] = 0 if side == 0 else 1
-        if r in cops:
-            wins[len(indptr) - 1] = 1
+    # (cops, r, side) sits at index[(cops, 0, 0)] + 2 * r + side.  The
+    # successor lists hold the index's own int objects (``ids``), so the
+    # millions of entries share them instead of each boxing a new int
+    ids = list(index.values())
+    for cops in multisets:
+        base = index[(cops, 0, 0)]
+        # row r: the robber-to-move positions after each joint cop move,
+        # built once per multiset rather than once per robber vertex
+        turns = [index[(mv, 0, 1)] for mv in sorted(_joint_moves(g, cops))]
+        rows = list(zip(*(ids[t:t + 2 * g.n:2] for t in turns)))
+        for r in range(g.n):
+            if r in cops:
+                wins[base + 2 * r] = wins[base + 2 * r + 1] = 1
+                indptr += (len(succs), len(succs))
+                continue
+            succs.extend(rows[r])
             indptr.append(len(succs))
-            continue
-        if side == 0:
-            for mv in sorted(_joint_moves(g, cops)):
-                succs.append(index[(mv, r, 1)])
-        else:
-            for r2 in tuple(g.neighbours(r)) + (r,):
-                succs.append(index[(cops, r2, 0)])
-        indptr.append(len(succs))
+            succs.extend(ids[base + 2 * r2] for r2 in tuple(g.neighbours(r)) + (r,))
+            indptr.append(len(succs))
     wins = attractor(kinds, indptr, succs, wins)
     return index, wins
 

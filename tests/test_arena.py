@@ -94,6 +94,8 @@ def test_budget_exhaustion_is_inconclusive():
     assert report.verdict == "inconclusive"
     report = verify_cutter_bound(1, SearchBudget(max_states=3))
     assert report.verdict == "inconclusive"
+    report = verify_cutter_bound(2, SearchBudget(marker_sampling="random", sample_plays=30, max_depth=1))
+    assert report.verdict == "inconclusive" and report.failure == "depth budget exhausted"
     assert exact_value(1, SearchBudget(max_states=3)) == "inconclusive"
 
 
@@ -194,7 +196,8 @@ def test_witness_runs_from_root_to_failing_ply(monkeypatch, attr, shift, run):
 
 
 def test_explored_states_are_validated(monkeypatch):
-    """A reply whose state puts one label on three edges fails the run."""
+    """A reply whose state puts one label on three edges fails the run,
+    also as the last, unpushed state of a sampled play."""
     real = arena.cutter_move
     improper = []
 
@@ -210,11 +213,12 @@ def test_explored_states_are_validated(monkeypatch):
         return dataclasses.replace(reply, next=bad), anomaly
 
     monkeypatch.setattr(arena, "cutter_move", cutter_move)
-    report = verify_cutter_bound(0)
-    assert report.verdict == "fail"
-    assert "properness" in report.failure and "3 edges" in report.failure
-    assert report.witness[-1]["canonical_key"] in improper
-    assert [rec["ply"] for rec in report.witness] == [0, 1, 2]
+    for budget in (None, SearchBudget(marker_sampling="random", sample_plays=50, seed=1)):
+        report = verify_cutter_bound(0, budget)
+        assert report.verdict == "fail"
+        assert "properness" in report.failure and "3 edges" in report.failure
+        assert report.witness[-1]["canonical_key"] in improper
+        assert [rec["ply"] for rec in report.witness] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("call", [

@@ -107,3 +107,17 @@ def test_bad_input_exits_64(argv, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cop_number_over_position_budget_exits_2(tmp_path, capsys):
+    from cutgame.graphs import cycle_graph, emit_graph6
+
+    path = os.path.join(tmp_path, "c300.g6")
+    with open(path, "w") as fh:
+        fh.write(emit_graph6(cycle_graph(300)) + "\n")
+    code = dispatch(["cop-number", "--graph", path, "--k-max", "2"])  # two cops: 27M positions
+    captured = capsys.readouterr()
+    assert code == EXIT_INCONCLUSIVE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("inconclusive: ")

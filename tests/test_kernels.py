@@ -1,63 +1,11 @@
-import random
-
-import pytest
-
-from cutgame import _kernels_py
 from cutgame.graphs.genus import _darts
-from cutgame.graphs.graph import complete_bipartite, complete_graph, cycle_graph, petersen_graph
-from cutgame.kernels import BACKEND
-
-try:
-    from cutgame import _kernels as _compiled
-except ImportError:
-    _compiled = None
-
-needs_ext = pytest.mark.skipif(_compiled is None, reason="compiled kernels not built")
-
-
-def test_backend_selected():
-    assert BACKEND in ("python", "cython")
-
-
-@needs_ext
-def test_genus_sweep_parity_full():
-    for g in (complete_graph(4), complete_graph(5), complete_bipartite(2, 3), petersen_graph()):
-        degrees, vd, rev = _darts(g)
-        assert _compiled.genus_sweep(degrees, vd, rev, -1, 10**8) == _kernels_py.genus_sweep(
-            degrees, vd, rev, -1, 10**8
-        )
-
-
-@needs_ext
-def test_genus_sweep_parity_budget_and_early_stop():
-    degrees, vd, rev = _darts(complete_graph(5))
-    for lb, budget in ((-1, 100), (1, 10**8), (0, 500)):
-        assert _compiled.genus_sweep(degrees, vd, rev, lb, budget) == _kernels_py.genus_sweep(
-            degrees, vd, rev, lb, budget
-        )
-
-
-@needs_ext
-def test_attractor_parity_random():
-    rng = random.Random(5)
-    for _ in range(30):
-        n = rng.randint(1, 80)
-        kinds = bytes(rng.randint(0, 1) for _ in range(n))
-        indptr = [0]
-        succs = []
-        for _ in range(n):
-            for _ in range(rng.randint(0, 5)):
-                succs.append(rng.randrange(n))
-            indptr.append(len(succs))
-        wins = bytearray(1 if rng.random() < 0.15 else 0 for _ in range(n))
-        a = _compiled.attractor(kinds, indptr, succs, bytearray(wins))
-        b = _kernels_py.attractor(kinds, indptr, succs, bytearray(wins))
-        assert bytes(a) == bytes(b)
+from cutgame.graphs.graph import cycle_graph
+from cutgame.kernels import attractor, genus_sweep
 
 
 def test_python_sweep_counts_systems():
     degrees, vd, rev = _darts(cycle_graph(5))
-    best, checked, swept = _kernels_py.genus_sweep(degrees, vd, rev, -1, 10**6)
+    best, checked, swept = genus_sweep(degrees, vd, rev, -1, 10**6)
     assert best == 0 and checked == 1 and swept  # one rotation system only
 
 
@@ -66,7 +14,7 @@ def test_attractor_fixpoint_chain():
     kinds = bytes([0, 0, 0])
     indptr = [0, 1, 2, 2]
     succs = [1, 2]
-    wins = _kernels_py.attractor(kinds, indptr, succs, bytearray([0, 0, 1]))
+    wins = attractor(kinds, indptr, succs, bytearray([0, 0, 1]))
     assert list(wins) == [1, 1, 1]
 
 
@@ -75,8 +23,8 @@ def test_attractor_and_or_semantics():
     kinds = bytes([0, 1, 0])
     indptr = [0, 1, 3, 3]
     succs = [2, 0, 2]
-    wins = _kernels_py.attractor(kinds, indptr, succs, bytearray([0, 0, 1]))
+    wins = attractor(kinds, indptr, succs, bytearray([0, 0, 1]))
     assert list(wins) == [1, 1, 1]
     # flip the seed: nobody wins
-    wins = _kernels_py.attractor(kinds, indptr, succs, bytearray([0, 0, 0]))
+    wins = attractor(kinds, indptr, succs, bytearray([0, 0, 0]))
     assert list(wins) == [0, 0, 0]
