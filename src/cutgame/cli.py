@@ -1,12 +1,14 @@
 """Command-line surface.
 
 Exit codes: 0 = pass, 1 = fail (a bound was violated), 2 = inconclusive
-(a state, rotation-system or pursuit-position budget was exhausted;
-``genus`` and ``cop-number`` print one ``inconclusive:`` line on stderr),
-64 = usage error or bad input (a negative genus, a seeded game below
-genus one, malformed graph6, an unreadable file), with one ``error:``
-line on stderr.  Every run echoes its resolved configuration, seeds
-included; JSON is the stable output format, text is for humans only.
+(a state, genus-search node or pursuit-position budget was exhausted,
+or the cop number lies above ``--k-max``; ``genus`` and ``cop-number``
+print one ``inconclusive:`` line on stderr), 64 = usage error or bad
+input (a negative genus, a seeded game below genus one, ``--k-max``
+below one, a disconnected graph for an oracle, malformed graph6, an
+unreadable file), with one ``error:`` line on stderr.  Every run
+echoes its resolved configuration, seeds included; JSON is the stable
+output format, text is for humans only.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cutgame",
         description="Boundary-cutting game verifiers and the cops-and-robbers graph suite.",
     )
-    parser.add_argument("--budget-states", type=int, default=2_000_000, help="state exploration budget")
+    parser.add_argument("--budget-states", type=int, default=2_000_000,
+                        help="state exploration budget (search nodes for genus)")
     parser.add_argument("--out", type=str, default=None, help="write the JSON report to this path")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--g6", type=str, help="graph6 string")
     p.add_argument("--k-max", type=int, default=4)
 
-    p = sub.add_parser("genus", help="exact orientable genus by rotation sweep")
+    p = sub.add_parser("genus", help="exact orientable genus by rotation-system search")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", type=str)
     src.add_argument("--g6", type=str)
@@ -189,17 +192,14 @@ def _run(args) -> int:
         return EXIT_PASS
 
     if args.command == "cop-number":
-        from .graphs import StateSpaceError, cop_number
+        from .graphs import CopNumberAboveError, StateSpaceError, cop_number
 
         g = _load_graph(args)
         try:
             k = cop_number(g, args.k_max)
-        except StateSpaceError as exc:
+        except (StateSpaceError, CopNumberAboveError) as exc:
             print(f"inconclusive: {exc}", file=sys.stderr)
             return EXIT_INCONCLUSIVE
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
         payload = {"mode": "cop_number", "n": g.n, "edges": g.edge_count(), "k_max": args.k_max, "cop_number": k}
         _emit(args, payload, str(k))
         return EXIT_PASS

@@ -15,10 +15,11 @@ from .graph import (
 )
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .guarding import GeodesicGuard, GuardReport, guard_geodesic, verify_guarding
-from .pursuit import StateSpaceError, cop_number, cop_win
+from .pursuit import CopNumberAboveError, StateSpaceError, cop_number, cop_win
 
 __all__ = [
     "BoundReport",
+    "CopNumberAboveError",
     "CorpusEntry",
     "GenusResult",
     "GeodesicGuard",

@@ -3,7 +3,7 @@
 A corpus directory holds ``*.g6`` files, one graph6 line per graph.  An
 optional sidecar ``<stem>.json`` carries a list of per-line objects
 ``{"name", "declared_genus", "expected_cop_number"}``.  Graphs whose
-rotation count exceeds the sweep budget must declare their genus.
+genus search exceeds its budget must declare their genus.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bounds import check_bounds
-from .genus import genus_exact, rotation_system_count
+from .genus import RotationBudgetError, genus_exact
 from .graph import Graph
 from .graph6 import emit_graph6, parse_graph6
 from .pursuit import cop_number
@@ -129,9 +129,10 @@ def check_corpus(
 ) -> CorpusReport:
     """Run the cop and genus oracles over a corpus and check every bound.
 
-    The genus is computed exactly when the rotation sweep fits the
-    budget and cross-checked against any declared value; over-budget
-    graphs must declare theirs (the report marks them ``declared``).
+    The genus is computed exactly when the search fits the budget of
+    ``max_systems`` nodes and cross-checked against any declared value;
+    over-budget graphs must declare theirs (the report marks them
+    ``declared``).
     """
     report = CorpusReport()
     for entry in entries:
@@ -149,8 +150,17 @@ def check_corpus(
             report.ok = False
             report.entries.append(item)
             continue
-        if rotation_system_count(entry.graph) <= max_systems:
+        try:
             genus = genus_exact(entry.graph, max_systems).genus
+        except RotationBudgetError:
+            if entry.declared_genus is None:
+                item["error"] = "rotation budget exceeded and no declared genus"
+                report.ok = False
+                report.entries.append(item)
+                continue
+            item["genus"] = genus = entry.declared_genus
+            item["genus_source"] = "declared"
+        else:
             item["genus"] = genus
             item["genus_source"] = "exact"
             if entry.declared_genus is not None and genus != entry.declared_genus:
@@ -158,15 +168,6 @@ def check_corpus(
                 report.ok = False
                 report.entries.append(item)
                 continue
-        elif entry.declared_genus is not None:
-            genus = entry.declared_genus
-            item["genus"] = genus
-            item["genus_source"] = "declared"
-        else:
-            item["error"] = "rotation budget exceeded and no declared genus"
-            report.ok = False
-            report.entries.append(item)
-            continue
         bounds = check_bounds(entry.name, genus, cop)
         item["bounds"] = bounds.to_dict()
         if not bounds.ok:

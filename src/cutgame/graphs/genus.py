@@ -3,10 +3,11 @@
 A rotation system (a cyclic order of incident darts at each vertex)
 determines an embedding; tracing the face orbits and applying Euler's
 formula ``V - E + F = 2 - 2g`` gives its genus.  The minimum over all
-rotation systems is the graph's genus.  The sweep
-(``cutgame.kernels.genus_sweep``, pure Python) fixes one dart per
-vertex, permutes the rest, and stops early once the lower bound from
-edge counts and planarity is met.
+rotation systems is the graph's genus.  The search
+(``cutgame.kernels.genus_sweep``, pure Python) starts at the lower
+bound from edge counts and planarity and tries each genus in turn,
+building rotation systems one face at a time and cutting every partial
+system that can no longer close enough faces.
 """
 
 from __future__ import annotations
@@ -21,11 +22,15 @@ from .graph import Graph, is_connected
 
 
 class RotationBudgetError(RuntimeError):
-    """Too many rotation systems for an exact sweep."""
+    """The genus search ran out of its node budget."""
 
 
 @dataclass(frozen=True)
 class GenusResult:
+    """``systems_checked`` counts the search's nodes (choices among two
+    or more rotation successors); ``swept_all`` says whether the search
+    had to refute the lower bound, i.e. the genus exceeds it."""
+
     genus: int
     systems_checked: int
     swept_all: bool
@@ -71,37 +76,34 @@ def genus_lower_bound(g: Graph) -> int:
 
 
 def genus_exact(g: Graph, max_systems: int = 10_000_000) -> GenusResult:
-    """Exact genus by exhaustive rotation sweep with early stopping.
+    """Exact genus by branch-and-bound search from the lower bound up.
 
-    Raises :class:`RotationBudgetError` when the rotation count exceeds
-    ``max_systems`` and the lower bound was not reached first; callers
-    with larger graphs must declare the genus in corpus metadata.
+    Raises :class:`RotationBudgetError` when the search needs more than
+    ``max_systems`` nodes; callers with larger graphs must declare the
+    genus in corpus metadata.
     """
     if not is_connected(g):
         raise ValueError("genus sweep needs a connected graph")
     if g.edge_count() == 0:
-        return GenusResult(0, 0, True, 0)
+        return GenusResult(0, 0, False, 0)
     lb = genus_lower_bound(g)
     degrees, vertex_darts, rev = _darts(g)
-    best, checked, swept_all = genus_sweep(degrees, vertex_darts, rev, lb, max_systems)
-    if best <= lb:
-        return GenusResult(best, checked, swept_all, lb)
-    if not swept_all:
+    genus, checked, complete = genus_sweep(degrees, vertex_darts, rev, lb, max_systems)
+    if not complete:
         raise RotationBudgetError(
-            f"{rotation_system_count(g)} rotation systems exceed the budget {max_systems}"
+            f"the genus search needs more than {max_systems} nodes (genus at least {genus})"
         )
-    return GenusResult(best, checked, swept_all, lb)
+    return GenusResult(genus, checked, genus > lb, lb)
 
 
 def embedding_exists(g: Graph, genus: int, max_systems: int = 10_000_000) -> bool:
     """Whether some rotation system embeds ``g`` with at most ``genus``
-    handles (an upper-bound witness that stops at the first hit)."""
+    handles (an upper-bound witness: the search tries that one target
+    and stops at the first hit)."""
     if g.edge_count() == 0:
         return genus >= 0
     degrees, vertex_darts, rev = _darts(g)
-    best, _, swept_all = genus_sweep(degrees, vertex_darts, rev, genus, max_systems)
-    if best <= genus:
-        return True
-    if not swept_all:
+    found, _, complete = genus_sweep(degrees, vertex_darts, rev, genus, max_systems, max_genus=genus)
+    if not complete:
         raise RotationBudgetError("budget exhausted before finding an embedding")
-    return False
+    return found <= genus

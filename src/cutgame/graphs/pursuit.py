@@ -20,6 +20,12 @@ class StateSpaceError(RuntimeError):
     """The position space exceeds the configured budget."""
 
 
+class CopNumberAboveError(ValueError):
+    """No winning strategy with up to ``k_max`` cops: the cop number
+    lies beyond the search.  A ``ValueError``, as this outcome was
+    before it had its own type."""
+
+
 def _cop_multisets(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(n), k))
 
@@ -82,8 +88,15 @@ def cop_win(g: Graph, k: int, max_positions: int = 5_000_000) -> bool:
 
 
 def cop_number(g: Graph, k_max: int, max_positions: int = 5_000_000) -> int:
-    """Least ``k <= k_max`` with a winning cop strategy."""
+    """Least ``k <= k_max`` with a winning cop strategy.
+
+    Raises :class:`CopNumberAboveError` when no ``k`` up to ``k_max``
+    wins, and a plain ``ValueError`` for bad input (``k_max`` below one,
+    a disconnected graph).
+    """
+    if k_max < 1:
+        raise ValueError("at least one cop is required")
     for k in range(1, k_max + 1):
         if cop_win(g, k, max_positions):
             return k
-    raise ValueError(f"no winning strategy with up to {k_max} cops")
+    raise CopNumberAboveError(f"no winning strategy with up to {k_max} cops")

@@ -121,3 +121,25 @@ def test_cop_number_over_position_budget_exits_2(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("inconclusive: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cop-number", "--g6", "C?"],
+    ["cop-number", "--g6", "C~", "--k-max", "0"],
+], ids=["disconnected", "k-max-zero"])
+def test_cop_number_bad_input_exits_64(argv, capsys):
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cop_number_above_k_max_exits_2(capsys):
+    code = dispatch(["cop-number", "--g6", "IheA@GUAo", "--k-max", "2"])  # Petersen needs 3
+    captured = capsys.readouterr()
+    assert code == EXIT_INCONCLUSIVE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("inconclusive: ")

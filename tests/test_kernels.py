@@ -1,12 +1,85 @@
-from cutgame.graphs.genus import _darts
-from cutgame.graphs.graph import cycle_graph
+import random
+
+import pytest
+
+from cutgame.graphs import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    embedding_exists,
+    genus_exact,
+    genus_lower_bound,
+    petersen_graph,
+    toroidal_grid,
+)
+from cutgame.graphs.genus import _darts, rotation_system_count
 from cutgame.kernels import attractor, genus_sweep
+from reference_genus import reference_genus_sweep
+
+KNOWN_GENERA = [
+    ("K7", complete_graph(7), 1),
+    ("K8", complete_graph(8), 2),
+    ("K4,4", complete_bipartite(4, 4), 1),
+    ("K4,5", complete_bipartite(4, 5), 2),
+    ("K5,5", complete_bipartite(5, 5), 3),
+    ("petersen", petersen_graph(), 1),
+    ("torus3x4", toroidal_grid(3, 4), 1),
+    ("torus4x4", toroidal_grid(4, 4), 1),
+    ("torus6x6", toroidal_grid(6, 6), 1),
+]
 
 
-def test_python_sweep_counts_systems():
-    degrees, vd, rev = _darts(cycle_graph(5))
-    best, checked, swept = genus_sweep(degrees, vd, rev, -1, 10**6)
-    assert best == 0 and checked == 1 and swept  # one rotation system only
+@pytest.mark.parametrize("g, genus", [case[1:] for case in KNOWN_GENERA],
+                         ids=[case[0] for case in KNOWN_GENERA])
+def test_known_genus_with_witness_pair(g, genus):
+    assert genus_exact(g).genus == genus
+    assert embedding_exists(g, genus)
+    assert not embedding_exists(g, genus - 1)
+
+
+def _random_connected(rng: random.Random, n: int) -> Graph:
+    """A random spanning tree on shuffled labels plus up to ``2n`` more edges."""
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = {tuple(sorted((order[rng.randrange(i)], order[i]))) for i in range(1, n)}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
+    pairs |= set(rng.sample(others, rng.randint(0, min(len(others), 2 * n))))
+    return Graph.from_edges(n, pairs)
+
+
+def test_search_matches_reference_sweep():
+    rng = random.Random(2005)
+    graphs = [complete_graph(2)]
+    while len(graphs) < 320:
+        g = _random_connected(rng, rng.randint(3, 8))
+        if rotation_system_count(g) <= 200_000:
+            graphs.append(g)
+    genera = {}
+    for g in graphs:
+        degrees, vertex_darts, rev = _darts(g)
+        lb = genus_lower_bound(g)
+        expected = reference_genus_sweep(degrees, vertex_darts, rev, lb, 200_001)[0]
+        genus, _, complete = genus_sweep(degrees, vertex_darts, rev, lb, 10**7)
+        assert complete and genus == expected, sorted(tuple(sorted(e)) for e in g.edges)
+        genera[genus] = genera.get(genus, 0) + 1
+    trees = sum(g.edge_count() == g.n - 1 for g in graphs)
+    with_leaves = sum(any(g.degree(v) == 1 for v in range(g.n)) for g in graphs)
+    assert trees >= 10 and with_leaves >= 50 and genera.get(1, 0) >= 10
+
+
+def test_search_stops_at_max_genus():
+    # K8 has genus 2: capped at target 0, the search refutes it and stops
+    degrees, vertex_darts, rev = _darts(complete_graph(8))
+    genus, _, complete = genus_sweep(degrees, vertex_darts, rev, 0, 10**6, max_genus=0)
+    assert (genus, complete) == (1, True)
+    genus, _, complete = genus_sweep(degrees, vertex_darts, rev, 0, 10**6)
+    assert (genus, complete) == (2, True)
+
+
+def test_deep_graphs_do_not_overflow_stack():
+    assert genus_exact(cycle_graph(2000)).genus == 0
+    assert genus_exact(toroidal_grid(12, 12)).genus == 1
 
 
 def test_attractor_fixpoint_chain():
