@@ -54,7 +54,6 @@ from .strategy import (
     SwitchToCops,
     classify_configuration,
     cutter_move,
-    marker_move,
 )
 
 __all__ = [
@@ -83,7 +82,6 @@ __all__ = [
     "label_status",
     "legal_replies",
     "mark_relation",
-    "marker_move",
     "play_game",
     "precedes",
     "read_trace",

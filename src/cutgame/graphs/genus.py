@@ -12,7 +12,6 @@ system that can no longer close enough faces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -35,13 +34,6 @@ class GenusResult:
     systems_checked: int
     swept_all: bool
     lower_bound: int
-
-
-def rotation_system_count(g: Graph) -> int:
-    total = 1
-    for v in range(g.n):
-        total *= math.factorial(max(0, g.degree(v) - 1))
-    return total
 
 
 def _darts(g: Graph) -> tuple[list[int], list[list[int]], list[int]]:
@@ -100,6 +92,8 @@ def embedding_exists(g: Graph, genus: int, max_systems: int = 10_000_000) -> boo
     """Whether some rotation system embeds ``g`` with at most ``genus``
     handles (an upper-bound witness: the search tries that one target
     and stops at the first hit)."""
+    if not is_connected(g):
+        raise ValueError("genus sweep needs a connected graph")
     if g.edge_count() == 0:
         return genus >= 0
     degrees, vertex_darts, rev = _darts(g)

@@ -874,10 +874,3 @@ def cutter_move(history: History, marked: MarkedState) -> tuple[CutterReply, boo
         return pick, False
     worst = min(legal, key=lambda r: (p_next(r), rank[r.kind], -value(r.next)))
     return worst, True
-
-
-def marker_move(phase: Phase, state: GameState, refined: bool = False) -> tuple[MarkedState, dict]:
-    """The marker's mark for this phase plus the expected reply table
-    (reply kind to successor phase or configuration id)."""
-    strat = MarkerStrategy(refined=refined)
-    return strat.mark(phase, state), strat.expected(phase)

@@ -2,12 +2,16 @@
 
 ``cutgame.kernels.genus_sweep`` replaced this lexicographic sweep with a
 branch-and-bound search; the tests keep it as the slow path that the
-search must agree with.
+search must agree with, and ``rotation_system_count`` to pick graphs
+small enough for it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+
+from cutgame.graphs.graph import Graph
 
 
 def reference_genus_sweep(degrees: list[int], vertex_darts: list[list[int]], rev: list[int],
@@ -59,3 +63,11 @@ def reference_genus_sweep(degrees: list[int], vertex_darts: list[list[int]], rev
             if best <= lower_bound:
                 return best, checked, False
     return best, checked, True
+
+
+def rotation_system_count(g: Graph) -> int:
+    """How many rotation systems ``g`` has: the product of (degree - 1)!."""
+    total = 1
+    for v in range(g.n):
+        total *= math.factorial(max(0, g.degree(v) - 1))
+    return total

@@ -263,6 +263,15 @@ def test_marker_bound_full_depth():
 
 
 @pytest.mark.slow
+def test_marker_bound_ten_and_eleven():
+    for g0, states, top in ((10, 1415, 16), (11, 1942, 18)):
+        report = verify_marker_bound(g0)
+        assert report.verdict == "pass", (g0, report.failure)
+        assert (report.states_explored, report.max_value_seen) == (states, top)
+        assert top <= marker_value_bound(g0)
+
+
+@pytest.mark.slow
 def test_refined_rebind_full_game():
     report = verify_refined(7)
     assert report.verdict == "pass", report.failure

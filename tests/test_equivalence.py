@@ -1,22 +1,38 @@
 import random
+from typing import Optional
 
 import pytest
 
+from cutgame import equivalence
+from cutgame.arena import exact_value, verify_marker_bound, verify_refined
 from cutgame.core import GameState, MarkedState, cutter_replies, empty_state, enumerate_marker_moves
 from cutgame.equivalence import (
     History,
+    _canonical_shape,
+    _shape_precedes,
     canonical_key,
     contract_edge,
-    equivalence_witness,
     equivalent,
     legal_replies,
     precedes,
-    reductions,
     reply_loses_label,
     start_history,
 )
 
 from fuzz import random_marked, random_state
+from reference_legality import reductions, reference_canonical_shape, reference_shape_precedes
+
+
+def equivalence_witness(a: GameState, b: GameState) -> Optional[dict[int, int]]:
+    """A label bijection mapping ``a`` onto ``b``, or None if inequivalent."""
+    if a.genus != b.genus:
+        return None
+    shape_a, ren_a = _canonical_shape(a.cycles)
+    shape_b, ren_b = _canonical_shape(b.cycles)
+    if shape_a != shape_b:
+        return None
+    inv_b = {v: k for k, v in ren_b.items()}
+    return {lab: inv_b[idx] for lab, idx in ren_a.items()}
 
 
 def test_contract_examples():
@@ -207,3 +223,100 @@ def test_history_keys():
     h2 = h.extended(s1)
     assert h2.current is s1
     assert len(h2.keys) == 2
+
+
+# -- cross-checks against the enumerating reference (tests/reference_legality.py)
+
+def _realises(cycles, renaming: dict[int, int], shape) -> bool:
+    """Whether ``renaming`` is a bijection onto the key's indices that
+    turns ``cycles`` into the key's cycles, up to rotation and order."""
+    labels = {lab for cyc in cycles for lab in cyc}
+    if set(renaming) != labels or sorted(renaming.values()) != list(range(len(labels))):
+        return False
+
+    def least_rotation(cyc):
+        return min(cyc[r:] + cyc[:r] for r in range(len(cyc)))
+
+    renamed = sorted(least_rotation(tuple(renaming[lab] for lab in cyc)) for cyc in cycles)
+    return renamed == sorted(least_rotation(piece[1:]) for piece in shape)
+
+
+def _record_calls(monkeypatch, name: str) -> set:
+    """Record the distinct arguments of every call of ``equivalence.<name>``."""
+    seen: set = set()
+    original = getattr(equivalence, name)
+
+    def recording(*args):
+        seen.add(args)
+        return original(*args)
+
+    monkeypatch.setattr(equivalence, name, recording)
+    return seen
+
+
+def test_matcher_agrees_with_reference_on_harvested_pairs(monkeypatch):
+    pairs = _record_calls(monkeypatch, "_shape_precedes")
+    for g0 in range(8):
+        verify_marker_bound(g0)
+    for g0 in range(1, 8):
+        verify_refined(g0)
+    for g0 in range(3):
+        exact_value(g0)
+    assert len(pairs) > 2_000
+    for cand, earl in pairs:
+        expected = reference_shape_precedes(cand, earl)
+        assert _shape_precedes.__wrapped__(cand, earl) == expected, (cand, earl)
+
+
+def _canonical_cycles(state: GameState) -> tuple[tuple[int, ...], ...]:
+    return tuple(piece[1:] for piece in _canonical_shape(state.cycles)[0])
+
+
+def test_matcher_agrees_with_reference_on_random_pairs():
+    rng = random.Random(23)
+    answers = {True: 0, False: 0}
+    for i in range(10_000):
+        earlier = random_state(rng, max_labels=5)
+        if i % 2 or earlier.edge_count() == 0:
+            candidate = random_state(rng, max_labels=4)
+        else:
+            # a contraction of the earlier state, relabelled: mostly true,
+            # false where the random relabelling is not a bijection
+            candidate = earlier
+            for _ in range(rng.randint(0, candidate.edge_count() - 1)):
+                candidate = contract_edge(candidate, rng.choice(list(candidate.edges())))
+            labels = sorted({lab for cyc in candidate.cycles for lab in cyc})
+            if i % 4:
+                image = rng.sample(range(len(labels) + 1), len(labels))
+            else:
+                image = [rng.randrange(len(labels) + 1) for _ in labels]
+            mapping = dict(zip(labels, image))
+            candidate = GameState(
+                tuple(tuple(mapping[lab] for lab in cyc) for cyc in candidate.cycles),
+                candidate.genus, candidate.initial_genus, candidate.next_label,
+            )
+        cand, earl = _canonical_cycles(candidate), _canonical_cycles(earlier)
+        expected = reference_shape_precedes(cand, earl)
+        assert _shape_precedes.__wrapped__(cand, earl) == expected, (cand, earl)
+        answers[expected] += 1
+    assert min(answers.values()) > 2_000, answers
+
+
+def test_canonical_shape_agrees_with_reference_on_marker_states(monkeypatch):
+    equivalence._cached_shape.cache_clear()
+    inputs = _record_calls(monkeypatch, "_canonical_shape")
+    assert verify_marker_bound(9).verdict == "pass"
+    assert len(inputs) > 1_000
+    for (cycles,) in inputs:
+        shape, renaming = _canonical_shape(cycles)
+        assert shape == reference_canonical_shape(cycles)[0], cycles
+        assert _realises(cycles, renaming, shape), cycles
+
+
+def test_canonical_shape_agrees_with_reference_on_random_states():
+    rng = random.Random(29)
+    for _ in range(10_000):
+        cycles = random_state(rng, max_labels=8).cycles
+        shape, renaming = _canonical_shape(cycles)
+        assert shape == reference_canonical_shape(cycles)[0], cycles
+        assert _realises(cycles, renaming, shape), cycles

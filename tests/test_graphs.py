@@ -23,8 +23,9 @@ from cutgame.graphs import (
     petersen_graph,
     toroidal_grid,
 )
-from cutgame.graphs.genus import RotationBudgetError, rotation_system_count
+from cutgame.graphs.genus import RotationBudgetError
 from cutgame.graphs.pursuit import cop_win_positions
+from reference_genus import rotation_system_count
 
 
 def test_cop_number_examples():
@@ -142,6 +143,17 @@ def test_genus_disconnected_rejected():
     assert not is_connected(g)
     with pytest.raises(ValueError):
         genus_exact(g)
+
+
+def test_embedding_exists_disconnected_rejected():
+    # two disjoint K5s have genus 2, but their faces meet the connected
+    # Euler count for genus 1
+    k5 = complete_graph(5)
+    two = Graph.from_edges(10, [(u + s, v + s) for s in (0, 5) for u, v in k5.edge_pairs()])
+    with pytest.raises(ValueError):
+        embedding_exists(two, 1)
+    with pytest.raises(ValueError):
+        embedding_exists(Graph.from_edges(3, []), 0)
 
 
 def test_bound_check_examples():

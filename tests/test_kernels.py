@@ -13,9 +13,9 @@ from cutgame.graphs import (
     petersen_graph,
     toroidal_grid,
 )
-from cutgame.graphs.genus import _darts, rotation_system_count
+from cutgame.graphs.genus import _darts
 from cutgame.kernels import attractor, genus_sweep
-from reference_genus import reference_genus_sweep
+from reference_genus import reference_genus_sweep, rotation_system_count
 
 KNOWN_GENERA = [
     ("K7", complete_graph(7), 1),

@@ -17,9 +17,15 @@ from cutgame.strategy import (
     SwitchToCops,
     classify_configuration,
     cutter_move,
-    marker_move,
     verify_bindings,
 )
+
+
+def marker_move(phase, state: GameState, refined: bool = False) -> tuple[MarkedState, dict]:
+    """The marker's mark for this phase plus the expected reply table
+    (reply kind to successor phase or configuration id)."""
+    strat = MarkerStrategy(refined=refined)
+    return strat.mark(phase, state), strat.expected(phase)
 
 
 def _config3_state(genus: int) -> tuple[GameState, BoundingPhase]:
