@@ -32,7 +32,6 @@ from .equivalence import (
 )
 from .potential import (
     Segment,
-    edge_potential,
     is_nesting_path,
     mark_relation,
     segment_potential,
@@ -72,7 +71,6 @@ __all__ = [
     "contract_edge",
     "cutter_move",
     "cutter_replies",
-    "edge_potential",
     "emit_trace",
     "empty_state",
     "enumerate_marker_moves",

@@ -81,6 +81,14 @@ class SearchBudget:
     sample_plays: int = 10_000
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.marker_sampling not in ("exhaustive", "random"):
+            raise ValueError(f"unknown marker sampling {self.marker_sampling!r}")
+        if self.marker_sampling == "random" and self.sample_plays < 1:
+            raise ValueError(f"a sampled run needs at least one play, got {self.sample_plays}")
+        if self.max_states < 0 or (self.max_depth or 0) < 0:
+            raise ValueError(f"budgets must be non-negative: {self}")
+
     def resolved_depth(self, natural_bound: int) -> int:
         return self.max_depth if self.max_depth is not None else natural_bound + 1
 

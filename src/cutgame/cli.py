@@ -4,9 +4,10 @@ Exit codes: 0 = pass, 1 = fail (a bound was violated), 2 = inconclusive
 (a state, genus-search node or pursuit-position budget was exhausted,
 or the cop number lies above ``--k-max``; ``genus`` and ``cop-number``
 print one ``inconclusive:`` line on stderr), 64 = usage error or bad
-input (a negative genus, a seeded game below genus one, ``--k-max``
-below one, a disconnected graph for an oracle, malformed graph6, an
-unreadable file), with one ``error:`` line on stderr.  Every run
+input (a negative genus or budget, a sampled run of fewer than one
+play, a seeded game below genus one, ``--k-max`` below one, a
+disconnected graph for an oracle, malformed graph6, an unreadable
+file), with one ``error:`` line on stderr.  Every run
 echoes its resolved configuration, seeds included; JSON is the stable
 output format, text is for humans only.
 """
@@ -134,6 +135,8 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
 
 
 def _run(args) -> int:
+    if args.budget_states < 0:
+        raise ValueError(f"--budget-states must be non-negative, got {args.budget_states}")
     if args.command == "verify-marker":
         budget = SearchBudget(max_states=args.budget_states)
         report = verify_marker_bound(args.g0, budget)

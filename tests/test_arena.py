@@ -234,6 +234,25 @@ def test_bad_genus_raises(call):
         call()
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(marker_sampling="random", sample_plays=0),
+    dict(marker_sampling="random", sample_plays=-2),
+    dict(marker_sampling="rnd"),
+    dict(max_states=-1),
+    dict(max_depth=-1),
+], ids=["no-plays", "negative-plays", "unknown-mode", "negative-states", "negative-depth"])
+def test_bad_budget_raises(kwargs):
+    """A sampled run of no plays would pass having explored nothing."""
+    with pytest.raises(ValueError):
+        verify_cutter_bound(2, SearchBudget(**kwargs))
+
+
+def test_zero_budgets_stay_valid():
+    assert verify_marker_bound(2, SearchBudget(max_states=0)).verdict == "inconclusive"
+    assert verify_marker_bound(2, SearchBudget(max_depth=0)).verdict == "inconclusive"
+    assert verify_cutter_bound(0, SearchBudget(sample_plays=0)).verdict == "pass"
+
+
 def test_ply_record_fields():
     from cutgame.core import empty_state
 

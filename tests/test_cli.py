@@ -109,6 +109,27 @@ def test_bad_input_exits_64(argv, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--budget-states", "-1", "verify-marker", "--g0", "2"],
+    ["--budget-states", "-1", "exact-value", "--g0", "1"],
+    ["--budget-states", "-5", "genus", "--g6", "D~{"],
+    ["--budget-states", "-1", "cop-number", "--g6", "C~"],
+    ["verify-cutter", "--g0", "2", "--sample", "-3"],
+], ids=["marker", "exact", "genus", "cop-number", "negative-sample"])
+def test_negative_budget_or_sample_exits_64(argv, capsys):
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_zero_budget_is_inconclusive(capsys):
+    assert dispatch(["--budget-states", "0", "verify-marker", "--g0", "2"]) == EXIT_INCONCLUSIVE
+    assert dispatch(["--budget-states", "0", "genus", "--g6", "D~{"]) == EXIT_INCONCLUSIVE
+
+
 def test_cop_number_over_position_budget_exits_2(tmp_path, capsys):
     from cutgame.graphs import cycle_graph, emit_graph6
 

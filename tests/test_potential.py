@@ -3,19 +3,27 @@ from fractions import Fraction
 
 import pytest
 
-from cutgame.core import GameState, empty_state
+from cutgame import arena
+from cutgame.core import GameState, empty_state, split_cycle
 from cutgame.equivalence import canonical_key
 from cutgame.potential import (
     Segment,
     component_potential,
-    edge_potential,
     is_nesting_path,
     mark_relation,
+    positive_component_sum,
     segment_potential,
     state_potential,
 )
 
 from fuzz import nesting_state, random_state
+from reference_potential import (
+    edge_potential,
+    reference_component_potential,
+    reference_positive_component_sum,
+    reference_segment_potential,
+    reference_state_potential,
+)
 
 SEED = GameState(((0, 1, 0, 2),), 2, 3, 3)
 
@@ -121,3 +129,68 @@ def test_component_potential_matches_segment():
             assert component_potential(state, ci) == segment_potential(
                 Segment.whole_cycle(state, ci), state
             )
+
+
+def _assert_matches_reference(state):
+    """State, component and positive-sum potentials, and every arc of
+    every vertex pair, against the Fraction path."""
+    assert state_potential(state) == reference_state_potential(state), state
+    assert positive_component_sum(state) == reference_positive_component_sum(state), state
+    for ci, cyc in enumerate(state.cycles):
+        assert component_potential(state, ci) == reference_component_potential(state, ci), (state, ci)
+        for v in range(len(cyc)):
+            for w in range(len(cyc)):
+                for arc in split_cycle(cyc, v, w):
+                    seg = Segment(ci, tuple(arc))
+                    assert segment_potential(seg, state) == reference_segment_potential(seg, state), (state, seg)
+
+
+def test_integer_potential_matches_reference_on_random_states():
+    rng = random.Random(37)
+    for _ in range(10_000):
+        _assert_matches_reference(random_state(rng, max_labels=8, max_genus=4))
+
+
+def test_integer_potential_matches_reference_on_explored_states(monkeypatch):
+    """Every state the marker and refined verifiers build, with the
+    potentials the search itself cached on it."""
+    explored = []
+    real = arena.validate
+
+    def validate(state):
+        explored.append(state)
+        return real(state)
+
+    monkeypatch.setattr(arena, "validate", validate)
+    assert arena.verify_marker_bound(7).verdict == "pass"
+    for g0 in range(1, 8):
+        assert arena.verify_refined(g0).verdict == "pass"
+    assert len(explored) > 500
+    for state in explored:
+        _assert_matches_reference(state)
+
+
+def test_cached_potential_equals_fresh_computation():
+    rng = random.Random(41)
+    for _ in range(500):
+        state = random_state(rng, max_labels=8, max_genus=4)
+        first = state_potential(state)
+        comps = [component_potential(state, ci) for ci in range(len(state.cycles))]
+        assert state_potential(state) is first  # computed once, then read
+        fresh = GameState(state.cycles, state.genus, state.initial_genus, state.next_label)
+        assert fresh == state and hash(fresh) == hash(state)
+        assert state_potential(fresh) == first
+        assert [component_potential(fresh, ci) for ci in range(len(fresh.cycles))] == comps
+        assert positive_component_sum(fresh) == positive_component_sum(state)
+
+
+def test_closed_segments_match_reference():
+    """Only the whole cycle in order reads the cached component table."""
+    rng = random.Random(43)
+    for _ in range(2000):
+        state = random_state(rng, max_labels=8, max_genus=4)
+        for ci, cyc in enumerate(state.cycles):
+            order = list(range(len(cyc)))
+            for positions in (order, order[1:] + order[:1], order[::-1], rng.sample(order, len(order))):
+                seg = Segment(ci, tuple(positions), closed=True)
+                assert segment_potential(seg, state) == reference_segment_potential(seg, state), (state, seg)
