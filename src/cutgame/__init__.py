@@ -15,7 +15,6 @@ from .core import (
     cutter_replies,
     empty_state,
     enumerate_marker_moves,
-    label_status,
     split_cycle,
     validate,
     value,
@@ -24,7 +23,6 @@ from .equivalence import (
     CanonicalKey,
     History,
     canonical_key,
-    contract_edge,
     equivalent,
     legal_replies,
     precedes,
@@ -33,7 +31,6 @@ from .equivalence import (
 from .potential import (
     Segment,
     is_nesting_path,
-    mark_relation,
     segment_potential,
     state_potential,
 )
@@ -68,7 +65,6 @@ __all__ = [
     "VerificationReport",
     "canonical_key",
     "classify_configuration",
-    "contract_edge",
     "cutter_move",
     "cutter_replies",
     "emit_trace",
@@ -77,9 +73,7 @@ __all__ = [
     "equivalent",
     "exact_value",
     "is_nesting_path",
-    "label_status",
     "legal_replies",
-    "mark_relation",
     "play_game",
     "precedes",
     "read_trace",

@@ -26,11 +26,6 @@ Edge = tuple[int, int]  # same addressing: (cycle_index, edge_position)
 
 ReplyKind = Literal["A", "B", "C", "D"]
 
-UNIQUELY_APPEARING = "uniquely_appearing"
-ISOLATED_TWICE = "isolated_twice"
-SPLIT_ACROSS_CYCLES = "split_across_cycles"
-ABSENT = "absent"
-
 
 @dataclass(frozen=True)
 class GameState:
@@ -72,19 +67,12 @@ def empty_state(g0: int) -> GameState:
 
 
 def value(state: GameState) -> int:
-    """Number of distinct labels present in the state."""
-    return len({lab for cyc in state.cycles for lab in cyc})
-
-
-def label_status(state: GameState, label: int) -> str:
-    """Classify how a label occurs: on one edge, twice on one cycle,
-    on two different cycles, or not at all."""
-    hits = [ci for ci, cyc in enumerate(state.cycles) for lab in cyc if lab == label]
-    if not hits:
-        return ABSENT
-    if len(hits) == 1:
-        return UNIQUELY_APPEARING
-    return ISOLATED_TWICE if hits[0] == hits[1] else SPLIT_ACROSS_CYCLES
+    """Number of distinct labels present in the state, counted on first
+    use and kept in the state's ``__dict__``."""
+    v = vars(state).get("_value")
+    if v is None:
+        v = vars(state)["_value"] = len({lab for cyc in state.cycles for lab in cyc})
+    return v
 
 
 def uniquely_appearing_labels(state: GameState) -> set[int]:
@@ -92,30 +80,28 @@ def uniquely_appearing_labels(state: GameState) -> set[int]:
     return {lab for lab, n in counts.items() if n == 1}
 
 
-@dataclass(frozen=True)
 class MarkedState:
     """A game state with the marker's chosen pair of points.
 
     ``v`` and ``w`` are vertex references or ``None`` for a dummy point.
     ``same_dummy`` distinguishes one dummy chosen twice from two distinct
-    dummies; it may only be set when both points are dummies.
+    dummies; it may only be set when both points are dummies.  Marks are
+    built by the thousand and never compared, so this is a plain class.
     """
 
-    state: GameState
-    v: Optional[Vertex]
-    w: Optional[Vertex]
-    same_dummy: bool = False
+    __slots__ = ("state", "v", "w", "same_dummy")
 
-    def __post_init__(self) -> None:
-        if self.same_dummy and not (self.v is None and self.w is None):
+    def __init__(self, state: GameState, v: Optional[Vertex], w: Optional[Vertex], same_dummy: bool = False):
+        if same_dummy and not (v is None and w is None):
             raise ValueError("same_dummy requires both marks to be dummies")
-        for p in (self.v, self.w):
+        for p in (v, w):
             if p is not None:
                 ci, pos = p
-                if not (0 <= ci < len(self.state.cycles)):
+                if not (0 <= ci < len(state.cycles)):
                     raise ValueError(f"mark references missing cycle {ci}")
-                if not (0 <= pos < len(self.state.cycles[ci])):
+                if not (0 <= pos < len(state.cycles[ci])):
                     raise ValueError(f"mark references missing vertex {p}")
+        self.state, self.v, self.w, self.same_dummy = state, v, w, same_dummy
 
     def same_component(self) -> bool:
         if self.v is None and self.w is None:
@@ -183,16 +169,6 @@ class CutterReply:
     new_edges: tuple[Edge, ...]
     bar_genus: Optional[int] = None
     bar_components: Optional[tuple[int, ...]] = None
-
-    def edge_map_dict(self) -> dict[Edge, Edge]:
-        return dict(self.edge_map)
-
-    def cycle_map(self) -> dict[int, int]:
-        """Where each surviving old cycle index landed in ``next``."""
-        out: dict[int, int] = {}
-        for (oci, _), (nci, _) in self.edge_map:
-            out.setdefault(oci, nci)
-        return out
 
 
 def _surviving_indices(n_cycles: int, removed: tuple[int, ...]) -> list[int]:
@@ -329,10 +305,13 @@ def cutter_replies(marked: MarkedState, unrestricted: bool = False) -> list[Cutt
     ]
 
 
-@dataclass(frozen=True)
 class Violation:
-    rule: str
-    detail: str
+    """The first rule a state breaks, and how."""
+
+    __slots__ = ("rule", "detail")
+
+    def __init__(self, rule: str, detail: str):
+        self.rule, self.detail = rule, detail
 
 
 def validate(state: GameState) -> Optional[Violation]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import CutterReply, Edge, GameState, MarkedState, cutter_replies, value
+from .core import CutterReply, GameState, MarkedState, cutter_replies, value
 
 
 @dataclass(frozen=True)
@@ -37,22 +37,6 @@ class CanonicalKey:
     def __str__(self) -> str:
         cycles = "|".join(",".join(map(str, cyc[1:])) for cyc in self.shape)
         return f"g{self.genus}#{cycles}"
-
-
-def contract_edge(state: GameState, edge: Edge) -> GameState:
-    """Contract one edge, merging its endpoints.  Contracting a loop
-    deletes its vertex and drops the resulting empty component."""
-    ci, pos = edge
-    if not (0 <= ci < len(state.cycles)) or not (0 <= pos < len(state.cycles[ci])):
-        raise ValueError(f"edge {edge} not in state")
-    cyc = state.cycles[ci]
-    rest = cyc[:pos] + cyc[pos + 1 :]
-    cycles = list(state.cycles)
-    if rest:
-        cycles[ci] = rest
-    else:
-        del cycles[ci]
-    return GameState(tuple(cycles), state.genus, state.initial_genus, state.next_label)
 
 
 # A partial ordering of the canonical-form search is a tuple
@@ -380,11 +364,15 @@ def precedes(candidate: GameState, earlier: GameState) -> bool:
     return _shape_precedes(cand_cycles, earl_cycles)
 
 
-@dataclass(frozen=True)
 class History:
-    """The states of one play, oldest first, current state last."""
+    """The states of one play, oldest first, current state last; ``top``
+    is the largest value among them."""
 
-    states: tuple[GameState, ...]
+    __slots__ = ("states", "top")
+
+    def __init__(self, states: tuple[GameState, ...], top: Optional[int] = None):
+        self.states = states
+        self.top = max(map(value, states)) if top is None else top
 
     @property
     def keys(self) -> tuple[CanonicalKey, ...]:
@@ -395,7 +383,7 @@ class History:
         return self.states[-1]
 
     def extended(self, state: GameState) -> "History":
-        return History(self.states + (state,))
+        return History(self.states + (state,), max(self.top, value(state)))
 
 
 def start_history(state: GameState) -> History:
@@ -412,22 +400,11 @@ def legal_replies(history: History, marked: MarkedState) -> list[CutterReply]:
     """
     if history.current is not marked.state and canonical_key(history.current) != canonical_key(marked.state):
         raise ValueError("history does not end at the marked state")
-    max_seen = max(value(s) for s in history.states)
     out = []
     for reply in cutter_replies(marked):
-        if value(reply.next) > max_seen:
+        if value(reply.next) > history.top:
             out.append(reply)
         elif not any(precedes(reply.next, s) for s in reversed(history.states)):
             out.append(reply)
     return out
 
-
-def reply_loses_label(parent: GameState, reply: CutterReply) -> bool:
-    """Whether some label of ``parent`` is absent from the reply's state.
-
-    Along value-monotone histories this is exactly restricted-cutter
-    illegality for kinds B and C, and kinds A and D never lose a label;
-    the test suite checks that equivalence against ``legal_replies``."""
-    parent_labels = {lab for cyc in parent.cycles for lab in cyc}
-    next_labels = {lab for cyc in reply.next.cycles for lab in cyc}
-    return not parent_labels <= next_labels

@@ -14,18 +14,12 @@ starts at -8), once per state and cached on it; the API returns Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import GameState, split_cycle
-
-GATHERS = "gathers"
-SEPARATES = "separates"
-NEITHER = "neither"
+from .core import GameState
 
 
-@dataclass(frozen=True)
 class Segment:
     """A contiguous run of edges on one cycle.
 
@@ -34,9 +28,10 @@ class Segment:
     path keeps ``closed=False`` so its two end edges do not touch.
     """
 
-    cycle: int
-    positions: tuple[int, ...]
-    closed: bool = False
+    __slots__ = ("cycle", "positions", "closed")
+
+    def __init__(self, cycle: int, positions: tuple[int, ...], closed: bool = False):
+        self.cycle, self.positions, self.closed = cycle, positions, closed
 
     @staticmethod
     def whole_cycle(state: GameState, ci: int) -> "Segment":
@@ -171,34 +166,3 @@ def is_nesting_path(segment: Segment, state: GameState, allow_pseudo: bool = Fal
                 return True
     return False
 
-
-def mark_relation(state: GameState, ci: int, v_pos: int, w_pos: int, labels: tuple[int, ...]) -> str:
-    """Classify a vertex pair against one or two labels of its cycle.
-
-    The pair *gathers* a label when all its edges sit on one of the two
-    arcs; it *separates* two labels when each arc holds exactly one of
-    them.
-    """
-    cyc = state.cycles[ci]
-    for lab in labels:
-        if lab not in cyc:
-            raise ValueError(f"label {lab} absent from cycle {ci}")
-    p, q = split_cycle(cyc, v_pos, w_pos)
-    side_p = {cyc[i] for i in p}
-    side_q = {cyc[i] for i in q}
-
-    def gathered(lab: int) -> bool:
-        return not (lab in side_p and lab in side_q)
-
-    if len(labels) == 1:
-        return GATHERS if gathered(labels[0]) else NEITHER
-    a, b = labels
-    if gathered(a) and gathered(b):
-        a_side = a in side_p
-        b_side = b in side_p
-        if a_side != b_side:
-            return SEPARATES
-        return GATHERS
-    if gathered(a) or gathered(b):
-        return GATHERS
-    return NEITHER

@@ -24,7 +24,6 @@ preferring whichever reply class the potential accounting licenses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -43,23 +42,29 @@ from .potential import Segment, _cycle_matches_xtzt, is_nesting_path, segment_po
 
 # ---------------------------------------------------------------------------
 # nesting-path bindings
+#
+# The binding, phase and template types of this module are plain classes:
+# they are built per ply or once, and never compared or hashed.
 
 
-@dataclass(frozen=True)
 class NestUnique:
     """A nesting path that is a single uniquely appearing edge."""
 
-    pos: int
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: int):
+        self.pos = pos
 
 
-@dataclass(frozen=True)
 class NestPseudo:
     """A pseudo edge: run (x, m, x) with x isolated on the host cycle."""
 
-    run: tuple[int, int, int]
+    __slots__ = ("run",)
+
+    def __init__(self, run: tuple[int, int, int]):
+        self.run = run
 
 
-@dataclass(frozen=True)
 class NestChain:
     """A three-edge nesting path with its supporting passive cycles.
 
@@ -68,10 +73,10 @@ class NestChain:
     other y-edge plus ``inner``, a nesting path on that cycle.
     """
 
-    run: tuple[int, int, int]
-    xz_cycle: int
-    y_cycle: int
-    inner: "Nesting"
+    __slots__ = ("run", "xz_cycle", "y_cycle", "inner")
+
+    def __init__(self, run: tuple[int, int, int], xz_cycle: int, y_cycle: int, inner: "Nesting"):
+        self.run, self.xz_cycle, self.y_cycle, self.inner = run, xz_cycle, y_cycle, inner
 
 
 Nesting = Union[NestUnique, NestPseudo, NestChain]
@@ -87,14 +92,15 @@ def nesting_positions(binding: Nesting) -> tuple[int, ...]:
 Atom = Union[str, int]  # "U", "N", or a shared-label variable
 
 
-@dataclass(frozen=True)
 class Template:
-    cycles: tuple[tuple[Atom, ...], ...]
-    mark: tuple[tuple[int, int], tuple[int, int]]  # (cycle, atom) for v and w
-    arrows: dict
+    """A configuration: its active cycles' atoms, the (cycle, atom) pair
+    the marker marks, and the successor configuration per reply kind."""
 
-    def __hash__(self) -> int:  # arrows excluded
-        return hash((self.cycles, self.mark))
+    __slots__ = ("cycles", "mark", "arrows")
+
+    def __init__(self, cycles: tuple[tuple[Atom, ...], ...], mark: tuple[tuple[int, int], tuple[int, int]],
+                 arrows: dict[str, int]):
+        self.cycles, self.mark, self.arrows = cycles, mark, arrows
 
 
 TEMPLATES: dict[int, Template] = {
@@ -121,7 +127,6 @@ ACTIVE_SUM_CAP = Fraction(5)
 CAP_CONFIGS = {5, 9}
 
 
-@dataclass(frozen=True)
 class ActiveCycle:
     """One active component bound to a template cycle.
 
@@ -129,9 +134,10 @@ class ActiveCycle:
     atoms, a :class:`Nesting` binding for "N" atoms.
     """
 
-    cycle: int
-    atoms: tuple[Atom, ...]
-    pos: tuple
+    __slots__ = ("cycle", "atoms", "pos")
+
+    def __init__(self, cycle: int, atoms: tuple[Atom, ...], pos: tuple):
+        self.cycle, self.atoms, self.pos = cycle, atoms, pos
 
     def mark_vertex(self, atom_idx: int) -> Vertex:
         p = self.pos[atom_idx]
@@ -140,33 +146,43 @@ class ActiveCycle:
         return (self.cycle, nesting_positions(p)[0])
 
 
-@dataclass(frozen=True)
 class BoundingPhase:
-    config: int
-    actives: tuple[ActiveCycle, ...]
-    var_labels: tuple[tuple[int, int], ...]  # (variable, label)
+    """A configuration of the automaton, its active cycles bound, and the
+    label of each shared-label variable as (variable, label) pairs."""
+
+    __slots__ = ("config", "actives", "var_labels")
+
+    def __init__(self, config: int, actives: tuple[ActiveCycle, ...], var_labels: tuple[tuple[int, int], ...]):
+        self.config, self.actives, self.var_labels = config, actives, var_labels
 
     def var(self, v: int) -> int:
         return dict(self.var_labels)[v]
 
 
-@dataclass(frozen=True)
 class PreparatoryPhase:
-    non_a_replies: int = 0
+    """Before the automaton: ``non_a_replies`` counts the cutter's replies
+    that declined to burn genus."""
+
+    __slots__ = ("non_a_replies",)
+
+    def __init__(self, non_a_replies: int = 0):
+        self.non_a_replies = non_a_replies
 
 
-@dataclass(frozen=True)
 class SeedPhase:
     """Refined opening: about to mark the lone uniquely appearing edge of
     the four-cycle seed whose split is forced."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class SwitchToCops:
     """Refined-game verdict: hand the pursuit back to three fresh cops."""
 
-    value: int
-    genus: int
+    __slots__ = ("value", "genus")
+
+    def __init__(self, value: int, genus: int):
+        self.value, self.genus = value, genus
 
 
 class StrategyError(Exception):
@@ -260,7 +276,6 @@ def _activated_support(chain: NestChain, state: GameState, labels: tuple[int, in
 # the marker strategy
 
 
-@dataclass
 class MarkerStrategy:
     """Deterministic marker play: preparatory phase plus the automaton.
 
@@ -270,7 +285,8 @@ class MarkerStrategy:
     shows up at genus one and re-anchoring the pseudo edge at genus four.
     """
 
-    refined: bool = False
+    def __init__(self, refined: bool = False):
+        self.refined = refined
 
     def initial_phase(self, state: GameState) -> Phase:
         if self.refined:
@@ -363,7 +379,6 @@ class MarkerStrategy:
     def _advance_seed(self, reply: CutterReply) -> Phase:
         if reply.kind != "A":
             raise StrategyError("the seed split is forced to burn genus")
-        emap = reply.edge_map_dict()
         c2 = reply.derived[1]
         # the kept long side reads (x, u, x, new): u is the unique edge,
         # the (x, new, x) run becomes the pseudo edge
@@ -430,7 +445,9 @@ Bindings = tuple[tuple[ActiveCycle, ...], tuple[tuple[int, int], ...]]  # (activ
 
 
 def _maps(reply: CutterReply) -> tuple[dict[Edge, Edge], dict[int, int]]:
-    return reply.edge_map_dict(), reply.cycle_map()
+    """Where each surviving old edge landed in ``next``, and where each
+    old cycle's first surviving edge did."""
+    return dict(reply.edge_map), {oci: nci for (oci, _), (nci, _) in reversed(reply.edge_map)}
 
 
 def _h1_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:

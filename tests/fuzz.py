@@ -1,4 +1,6 @@
-"""Shared random generators and the potential-lemma fuzz drivers.
+"""Shared random generators, the potential-lemma fuzz drivers, and the
+paper's label and mark classifications (``label_status``,
+``mark_relation``), which only the tests read.
 
 The drivers return the number of cases actually checked so callers can
 enforce coverage floors; any violation raises AssertionError with the
@@ -360,3 +362,42 @@ def fuzz_no_choice(rng: random.Random, cases: int) -> int:
         assert kinds <= {"A"}, f"separating marks left kinds {kinds} on {state}"
         checked += 1
     return checked
+
+
+def label_status(state: GameState, label: int) -> str:
+    """Classify how a label occurs: on one edge, twice on one cycle,
+    on two different cycles, or not at all."""
+    hits = [ci for ci, cyc in enumerate(state.cycles) for lab in cyc if lab == label]
+    if not hits:
+        return "absent"
+    if len(hits) == 1:
+        return "uniquely_appearing"
+    return "isolated_twice" if hits[0] == hits[1] else "split_across_cycles"
+
+
+def mark_relation(state: GameState, ci: int, v_pos: int, w_pos: int, labels: tuple[int, ...]) -> str:
+    """Classify a vertex pair against one or two labels of its cycle.
+
+    The pair *gathers* a label when all its edges sit on one of the two
+    arcs; it *separates* two labels when each arc holds exactly one of
+    them.
+    """
+    cyc = state.cycles[ci]
+    for lab in labels:
+        if lab not in cyc:
+            raise ValueError(f"label {lab} absent from cycle {ci}")
+    p, q = split_cycle(cyc, v_pos, w_pos)
+    side_p = {cyc[i] for i in p}
+    side_q = {cyc[i] for i in q}
+
+    def gathered(lab: int) -> bool:
+        return not (lab in side_p and lab in side_q)
+
+    if len(labels) == 1:
+        return "gathers" if gathered(labels[0]) else "neither"
+    a, b = labels
+    if gathered(a) and gathered(b):
+        return "separates" if (a in side_p) != (b in side_p) else "gathers"
+    if gathered(a) or gathered(b):
+        return "gathers"
+    return "neither"

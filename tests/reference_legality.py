@@ -11,7 +11,11 @@ the code under test:
   renaming of the labels still visible;
 - ``reference_shape_precedes`` enumerates every contraction of the
   earlier collection whose cycle lengths fit the candidate's and
-  compares canonical forms.
+  compares canonical forms;
+- ``contract_edge`` contracts one edge, the step every reduction is
+  made of;
+- ``reply_loses_label`` is the label-loss rule that equals restricted
+  legality along value-monotone plays.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from cutgame.core import GameState
+from cutgame.core import CutterReply, Edge, GameState
 
 
 def reference_canonical_shape(
@@ -148,3 +152,30 @@ def reference_shape_precedes(cand_cycles: tuple[tuple[int, ...], ...], earl_cycl
             if _reference_shape(reduced) == target:
                 return True
     return False
+
+
+def reply_loses_label(parent: GameState, reply: CutterReply) -> bool:
+    """Whether some label of ``parent`` is absent from the reply's state.
+
+    Along value-monotone histories this is exactly restricted-cutter
+    illegality for kinds B and C, and kinds A and D never lose a label;
+    the test suite checks that equivalence against ``legal_replies``."""
+    parent_labels = {lab for cyc in parent.cycles for lab in cyc}
+    next_labels = {lab for cyc in reply.next.cycles for lab in cyc}
+    return not parent_labels <= next_labels
+
+
+def contract_edge(state: GameState, edge: Edge) -> GameState:
+    """Contract one edge, merging its endpoints.  Contracting a loop
+    deletes its vertex and drops the resulting empty component."""
+    ci, pos = edge
+    if not (0 <= ci < len(state.cycles)) or not (0 <= pos < len(state.cycles[ci])):
+        raise ValueError(f"edge {edge} not in state")
+    cyc = state.cycles[ci]
+    rest = cyc[:pos] + cyc[pos + 1 :]
+    cycles = list(state.cycles)
+    if rest:
+        cycles[ci] = rest
+    else:
+        del cycles[ci]
+    return GameState(tuple(cycles), state.genus, state.initial_genus, state.next_label)

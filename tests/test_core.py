@@ -9,11 +9,12 @@ from cutgame.core import (
     cutter_replies,
     empty_state,
     enumerate_marker_moves,
-    label_status,
     split_cycle,
     validate,
     value,
 )
+
+from fuzz import label_status, random_state
 
 SEED_CYCLE = GameState(cycles=((0, 1, 0, 2),), genus=2, initial_genus=3, next_label=3)
 
@@ -23,6 +24,16 @@ def test_value_examples():
     assert value(SEED_CYCLE) == 3
     two_loops = GameState(((7,), (7,)), 0, 0, 8)
     assert value(two_loops) == 1
+
+
+def test_value_is_counted_once_and_kept():
+    rng = random.Random(37)
+    for _ in range(2_000):
+        state = random_state(rng)
+        fresh = len({lab for cyc in state.cycles for lab in cyc})
+        assert value(state) == fresh
+        assert vars(state)["_value"] == fresh
+        assert value(state) == fresh
 
 
 def test_label_status_examples():

@@ -11,16 +11,21 @@ from cutgame.equivalence import (
     _canonical_shape,
     _shape_precedes,
     canonical_key,
-    contract_edge,
     equivalent,
     legal_replies,
     precedes,
-    reply_loses_label,
     start_history,
 )
 
 from fuzz import random_marked, random_state
-from reference_legality import reductions, reference_canonical_shape, reference_shape_precedes
+from reference_legality import (
+    contract_edge,
+    reductions,
+    reference_canonical_shape,
+    reference_shape_precedes,
+    reply_loses_label,
+)
+from reference_solver import reference_exact_value
 
 
 def equivalence_witness(a: GameState, b: GameState) -> Optional[dict[int, int]]:
@@ -225,6 +230,22 @@ def test_history_keys():
     assert len(h2.keys) == 2
 
 
+def test_history_top_is_the_largest_value():
+    rng = random.Random(41)
+    for _ in range(200):
+        state = random_state(rng)
+        hist = start_history(state)
+        for _ply in range(4):
+            assert hist.top == max(len({lab for cyc in s.cycles for lab in cyc}) for s in hist.states)
+            legal = legal_replies(hist, random_marked(rng, state))
+            if not legal:
+                break
+            state = rng.choice(legal).next
+            hist = hist.extended(state)
+    older = GameState(((0,), (1,)), 1, 1, 2)
+    assert History((older, GameState(((0,),), 1, 1, 2))).top == 2
+
+
 # -- cross-checks against the enumerating reference (tests/reference_legality.py)
 
 def _realises(cycles, renaming: dict[int, int], shape) -> bool:
@@ -262,6 +283,9 @@ def test_matcher_agrees_with_reference_on_harvested_pairs(monkeypatch):
         verify_refined(g0)
     for g0 in range(3):
         exact_value(g0)
+        # the solver builds replies only below the threshold, so the
+        # reference solver, which builds them everywhere, harvests too
+        reference_exact_value(g0)
     assert len(pairs) > 2_000
     for cand, earl in pairs:
         expected = reference_shape_precedes(cand, earl)

@@ -10,13 +10,12 @@ from cutgame.potential import (
     Segment,
     component_potential,
     is_nesting_path,
-    mark_relation,
     positive_component_sum,
     segment_potential,
     state_potential,
 )
 
-from fuzz import nesting_state, random_state
+from fuzz import mark_relation, nesting_state, random_state
 from reference_potential import (
     edge_potential,
     reference_component_potential,
