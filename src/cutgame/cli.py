@@ -6,10 +6,10 @@ or the cop number lies above ``--k-max``; ``genus`` and ``cop-number``
 print one ``inconclusive:`` line on stderr), 64 = usage error or bad
 input (a negative genus or budget, a sampled run of fewer than one
 play, a seeded game below genus one, ``--k-max`` below one, a
-disconnected graph for an oracle, malformed graph6, an unreadable
-file), with one ``error:`` line on stderr.  Every run
-echoes its resolved configuration, seeds included; JSON is the stable
-output format, text is for humans only.
+disconnected graph for an oracle, an empty graph for the cop oracle,
+malformed graph6, an unreadable file), with one ``error:`` line on
+stderr.  Every run echoes its resolved configuration, seeds included;
+JSON is the stable output format, text is for humans only.
 """
 
 from __future__ import annotations

@@ -1,16 +1,18 @@
-"""Exact cop numbers by retrograde analysis of the pursuit game.
+"""Exact cop numbers by retrograde analysis of the pursuit game
+(Berarducci & Intrigila, "On the cop number of a graph", 1993).
 
-Positions are (cop multiset, robber vertex, side to move).  Capture
-positions seed the win set; ``cutgame.kernels.attractor`` (pure Python)
-then iterates over flat successor lists: a cop-move position is winning
-when some joint cop move wins, a robber-move position when every robber
-option loses.  The cops choose their placement first and move first,
-and may share vertices.
+Positions are (cop multiset, robber vertex, side to move); the cops
+choose their placement first, move first and may share vertices.  Each
+cop multiset is one row of two robber-vertex masks, which
+``cutgame.kernels.attractor`` (pure Python) grows to the fixpoint.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from functools import reduce
+from operator import or_
 
 from ..kernels import attractor
 from .graph import Graph, is_connected
@@ -26,65 +28,56 @@ class CopNumberAboveError(ValueError):
     before it had its own type."""
 
 
-def _cop_multisets(n: int, k: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations_with_replacement(range(n), k))
+def _joint_moves(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The multisets of ``k`` cops in lexicographic order and, for each,
+    the rows one joint cop move away (each cop steps to a neighbour or
+    stays).  Built one cop at a time: ``P`` plus a largest cop ``c`` has
+    the moves ``Q + x`` for ``Q`` in ``J(P)`` and ``x`` in ``N[c]``, read
+    from a table of the rows ``Q + x``, so no product tuple is sorted.
+    """
+    closed = [(v,) + g.neighbours(v) for v in range(g.n)]
+    multisets, moves = [()], [[0]]  # no cops: one multiset, which stays
+    for j in range(1, k + 1):
+        bigger = list(itertools.combinations_with_replacement(range(g.n), j))
+        row = {cops: i for i, cops in enumerate(bigger)}
+        add = [[row[tuple(sorted(cops + (x,)))] for cops in multisets] for x in range(g.n)]
+        prefix = {cops: i for i, cops in enumerate(multisets)}
+        moves = [list({add[x][q] for x in closed[cops[-1]] for q in moves[prefix[cops[:-1]]]})
+                 for cops in bigger]
+        multisets = bigger
+    return multisets, moves
 
 
-def _joint_moves(g: Graph, cops: tuple[int, ...]) -> set[tuple[int, ...]]:
-    choices = [tuple(g.neighbours(c)) + (c,) for c in cops]
-    return {tuple(sorted(m)) for m in itertools.product(*choices)}
-
-
-def cop_win_positions(g: Graph, k: int, max_positions: int = 5_000_000) -> tuple[dict, bytearray]:
-    """Win set over all positions for ``k`` cops.  Returns the position
-    index map and win flags."""
-    multisets = _cop_multisets(g.n, k)
-    total = len(multisets) * g.n * 2
+def cop_win_positions(g: Graph, k: int, max_positions: int = 5_000_000,
+                      ) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """Win masks for ``k`` cops: ``(multisets, w0, w1)``, the cop
+    multisets in lexicographic order and, for the ``i``-th, the robber
+    vertices from which the cops win with the cops (``w0[i]``) and with
+    the robber (``w1[i]``) to move.  The budget counts positions:
+    multisets times vertices times two sides.
+    """
+    total = math.comb(g.n + k - 1, k) * g.n * 2
     if total > max_positions:
         raise StateSpaceError(f"{total} positions exceed the budget {max_positions}")
-    index: dict[tuple[tuple[int, ...], int, int], int] = {}
-    for cops in multisets:
-        for r in range(g.n):
-            for side in (0, 1):  # 0 = cops to move, 1 = robber to move
-                index[(cops, r, side)] = len(index)
-    kinds = bytearray((0, 1)) * (total // 2)  # the cops need one winning move, the robber all
-    wins = bytearray(total)
-    indptr = [0]
-    succs: list[int] = []
-    # (cops, r, side) sits at index[(cops, 0, 0)] + 2 * r + side.  The
-    # successor lists hold the index's own int objects (``ids``), so the
-    # millions of entries share them instead of each boxing a new int
-    ids = list(index.values())
-    for cops in multisets:
-        base = index[(cops, 0, 0)]
-        # row r: the robber-to-move positions after each joint cop move,
-        # built once per multiset rather than once per robber vertex
-        turns = [index[(mv, 0, 1)] for mv in sorted(_joint_moves(g, cops))]
-        rows = list(zip(*(ids[t:t + 2 * g.n:2] for t in turns)))
-        for r in range(g.n):
-            if r in cops:
-                wins[base + 2 * r] = wins[base + 2 * r + 1] = 1
-                indptr += (len(succs), len(succs))
-                continue
-            succs.extend(rows[r])
-            indptr.append(len(succs))
-            succs.extend(ids[base + 2 * r2] for r2 in tuple(g.neighbours(r)) + (r,))
-            indptr.append(len(succs))
-    wins = attractor(kinds, indptr, succs, wins)
-    return index, wins
+    multisets, moves = _joint_moves(g, k)
+    closed = [(1 << v) | sum(1 << u for u in g.neighbours(v)) for v in range(g.n)]
+    # with the robber to move the cops have won where they stand; with
+    # the cops to move, wherever one cop can step
+    w0 = [reduce(or_, (closed[c] for c in cops)) for cops in multisets]
+    w1 = [reduce(or_, (1 << c for c in cops)) for cops in multisets]
+    return (multisets, *attractor(moves, closed, w0, w1))
 
 
 def cop_win(g: Graph, k: int, max_positions: int = 5_000_000) -> bool:
     """Whether ``k`` cops catch the robber on ``g`` under optimal play."""
     if k < 1:
         raise ValueError("at least one cop is required")
+    if g.n == 0:
+        raise ValueError("the pursuit game needs a graph with at least one vertex")
     if not is_connected(g):
         raise ValueError("the pursuit game needs a connected graph")
-    index, wins = cop_win_positions(g, k, max_positions)
-    for cops in _cop_multisets(g.n, k):
-        if all(wins[index[(cops, r, 0)]] for r in range(g.n)):
-            return True
-    return False
+    _, w0, _ = cop_win_positions(g, k, max_positions)
+    return (1 << g.n) - 1 in w0
 
 
 def cop_number(g: Graph, k_max: int, max_positions: int = 5_000_000) -> int:
@@ -92,7 +85,7 @@ def cop_number(g: Graph, k_max: int, max_positions: int = 5_000_000) -> int:
 
     Raises :class:`CopNumberAboveError` when no ``k`` up to ``k_max``
     wins, and a plain ``ValueError`` for bad input (``k_max`` below one,
-    a disconnected graph).
+    a graph that is empty or disconnected).
     """
     if k_max < 1:
         raise ValueError("at least one cop is required")

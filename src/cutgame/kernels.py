@@ -1,12 +1,14 @@
 """Hot loops of the graph oracles: branch-and-bound genus search and
-win-set attractor.
+the pursuit game's win-mask attractor.
 
 ``graphs.genus`` and ``graphs.pursuit`` import these by name; both are
-plain Python over flat lists and byte arrays.
+plain Python, over flat dart lists and over robber-vertex bitmasks held
+in Python ints.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 
@@ -207,36 +209,38 @@ def _girth(adj: list[list[int]]) -> int:
     return best
 
 
-def attractor(kinds: bytes, indptr: list[int], succs: list[int], wins: bytearray) -> bytearray:
-    """Monotone win-set fixpoint over an AND/OR graph.
+def attractor(moves: list[list[int]], closed: list[int], w0: list[int],
+              w1: list[int]) -> tuple[list[int], list[int]]:
+    """Win masks of the pursuit game, one row per cop multiset.
 
-    ``kinds[i]`` is 0 for an OR position (one winning successor suffices)
-    and 1 for an AND position (all successors must win); positions with
-    no successors keep their initial flag.  Sweeps until stable.
+    ``w0[i]`` and ``w1[i]`` mask the robber vertices from which the cops
+    win at row ``i`` with the cops and with the robber to move;
+    ``closed[v]`` masks ``v`` and its neighbours, and ``moves[i]`` lists
+    the rows one joint cop move away (a symmetric relation).  A robber
+    to move at ``r`` loses when ``closed[r]`` lies in ``w0``, and each
+    bit a row's ``w1`` gains is OR-ed into ``w0`` of the rows in its
+    ``moves``; the seeds must already obey that second rule.  Rows whose
+    ``w0`` grew are revisited, first in first out, until none changes.
+    Both lists grow in place.
     """
-    n = len(kinds)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if wins[i]:
-                continue
-            lo, hi = indptr[i], indptr[i + 1]
-            if lo == hi:
-                continue
-            if kinds[i] == 0:
-                hit = False
-                for j in range(lo, hi):
-                    if wins[succs[j]]:
-                        hit = True
-                        break
-            else:
-                hit = True
-                for j in range(lo, hi):
-                    if not wins[succs[j]]:
-                        hit = False
-                        break
-            if hit:
-                wins[i] = 1
-                changed = True
-    return wins
+    full = (1 << len(closed)) - 1
+    todo = deque(range(len(moves)))
+    queued = bytearray(b"\x01") * len(moves)
+    while todo:
+        i = todo.popleft()
+        queued[i] = 0
+        missing, reach = full ^ w0[i], 0  # w1 = the complement of the union of closed[missing]
+        while missing:
+            low = missing & -missing
+            reach |= closed[low.bit_length() - 1]
+            missing ^= low
+        gained = full & ~reach & ~w1[i]
+        if gained:
+            w1[i] |= gained
+            for j in moves[i]:
+                if gained & ~w0[j]:
+                    w0[j] |= gained
+                    if not queued[j]:
+                        queued[j] = 1
+                        todo.append(j)
+    return w0, w1

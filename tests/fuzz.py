@@ -22,6 +22,7 @@ from cutgame.core import (
     value,
 )
 from cutgame.equivalence import legal_replies, start_history
+from cutgame.graphs import Graph
 from cutgame.potential import Segment, is_nesting_path, segment_potential, state_potential
 from reference_potential import edge_potential
 
@@ -47,6 +48,16 @@ def random_state(rng: random.Random, max_labels: int = 5, max_genus: int = 3) ->
     state = GameState(tuple(cycles), g, g0, n_labels)
     assert validate(state) is None
     return state
+
+
+def random_connected_graph(rng: random.Random, n: int) -> Graph:
+    """A random spanning tree on shuffled labels plus up to ``2n`` more edges."""
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = {tuple(sorted((order[rng.randrange(i)], order[i]))) for i in range(1, n)}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
+    pairs |= set(rng.sample(others, rng.randint(0, min(len(others), 2 * n))))
+    return Graph.from_edges(n, pairs)
 
 
 def random_marked(rng: random.Random, state: GameState) -> MarkedState:

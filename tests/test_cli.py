@@ -147,7 +147,8 @@ def test_cop_number_over_position_budget_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["cop-number", "--g6", "C?"],
     ["cop-number", "--g6", "C~", "--k-max", "0"],
-], ids=["disconnected", "k-max-zero"])
+    ["cop-number", "--g6", "?", "--k-max", "3"],
+], ids=["disconnected", "k-max-zero", "empty"])
 def test_cop_number_bad_input_exits_64(argv, capsys):
     code = dispatch(argv)
     captured = capsys.readouterr()

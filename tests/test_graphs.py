@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cutgame.graphs import (
+    CopNumberAboveError,
     Graph,
     StateSpaceError,
     bundled_corpus,
@@ -25,7 +26,9 @@ from cutgame.graphs import (
 )
 from cutgame.graphs.genus import RotationBudgetError
 from cutgame.graphs.pursuit import cop_win_positions
+from fuzz import random_connected_graph
 from reference_genus import rotation_system_count
+from reference_pursuit import joint_moves, reference_attractor, reference_cop_win_positions
 
 
 def test_cop_number_examples():
@@ -48,10 +51,7 @@ def test_trees_are_one_cop_win():
 
 def test_cop_win_monotone_in_k():
     for entry in bundled_corpus():
-        g = entry.graph
-        if g.n > 10:
-            continue
-        wins = [cop_win(g, k) for k in (1, 2, 3)]
+        wins = [cop_win(entry.graph, k) for k in (1, 2, 3)]
         for a, b in zip(wins, wins[1:]):
             assert (not a) or b
 
@@ -65,12 +65,10 @@ def test_cop_number_insufficient_budget():
 
 def test_attractor_sweep_order_independent():
     # randomized sweep orders must produce the same win set
-    from cutgame.kernels import attractor
-
     rng = random.Random(7)
     for _ in range(20):
         g = cycle_graph(rng.randint(4, 7))
-        index, wins = cop_win_positions(g, 1)
+        index, wins = reference_cop_win_positions(g, 1)
         # recompute with a shuffled position order
         items = list(index.items())
         rng.shuffle(items)
@@ -78,30 +76,61 @@ def test_attractor_sweep_order_independent():
         kinds = bytearray(len(items))
         seeds = bytearray(len(items))
         succ_lists: list[list[int]] = [[] for _ in items]
-        index2, _ = cop_win_positions(g, 1)
         # rebuild transitions directly from the shuffled keys
-        import itertools
-
         for new_i, ((cops, r, side), old_i) in enumerate(items):
             kinds[new_i] = 0 if side == 0 else 1
             if r in cops:
                 seeds[new_i] = 1
                 continue
             if side == 0:
-                choices = [tuple(g.neighbours(c)) + (c,) for c in cops]
-                for mv in {tuple(sorted(m)) for m in itertools.product(*choices)}:
-                    succ_lists[new_i].append(remap[index2[(mv, r, 1)]])
+                for mv in joint_moves(g, cops):
+                    succ_lists[new_i].append(remap[index[(mv, r, 1)]])
             else:
                 for r2 in tuple(g.neighbours(r)) + (r,):
-                    succ_lists[new_i].append(remap[index2[(cops, r2, 0)]])
+                    succ_lists[new_i].append(remap[index[(cops, r2, 0)]])
         indptr = [0]
         succs: list[int] = []
         for lst in succ_lists:
             succs.extend(lst)
             indptr.append(len(succs))
-        wins2 = attractor(bytes(kinds), indptr, succs, seeds)
+        wins2 = reference_attractor(bytes(kinds), indptr, succs, seeds)
         for (key, old_i) in items:
             assert wins[old_i] == wins2[remap[old_i]]
+
+
+def _pursuit_cross_check_graphs() -> list[tuple[str, Graph]]:
+    graphs = [(entry.name, entry.graph) for entry in bundled_corpus()]
+    graphs += [(f"torus{a}x{b}", toroidal_grid(a, b)) for a, b in ((3, 3), (3, 4), (4, 4))]
+    rng = random.Random(1993)
+    graphs += [(f"random{i}", random_connected_graph(rng, rng.randint(2, 10))) for i in range(64)]
+    return graphs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_mask_solver_matches_reference(k):
+    for name, g in _pursuit_cross_check_graphs():
+        multisets, w0, w1 = cop_win_positions(g, k)
+        index, wins = reference_cop_win_positions(g, k)
+        assert len(multisets) * g.n * 2 == len(index), name
+        for i, cops in enumerate(multisets):
+            for r in range(g.n):
+                assert w0[i] >> r & 1 == wins[index[(cops, r, 0)]], (name, cops, r)
+                assert w1[i] >> r & 1 == wins[index[(cops, r, 1)]], (name, cops, r)
+
+
+def test_toroidal_grids_need_three_cops():
+    # C_m x C_n with m, n >= 4 has cop number 3 (Neufeld & Nowakowski, 1998)
+    assert cop_number(toroidal_grid(5, 5), 3) == 3
+    assert cop_number(toroidal_grid(6, 6), 3) == 3
+
+
+def test_empty_graph_is_rejected():
+    empty = Graph.from_edges(0, [])
+    with pytest.raises(ValueError, match="at least one vertex") as info:
+        cop_number(empty, 3)
+    assert not isinstance(info.value, CopNumberAboveError)
+    with pytest.raises(ValueError, match="at least one vertex"):
+        cop_win(empty, 1)
 
 
 def test_genus_examples():

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from cutgame.graphs import (
-    Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -15,7 +14,9 @@ from cutgame.graphs import (
 )
 from cutgame.graphs.genus import _darts
 from cutgame.kernels import attractor, genus_sweep
+from fuzz import random_connected_graph
 from reference_genus import reference_genus_sweep, rotation_system_count
+from reference_pursuit import reference_attractor
 
 KNOWN_GENERA = [
     ("K7", complete_graph(7), 1),
@@ -38,21 +39,11 @@ def test_known_genus_with_witness_pair(g, genus):
     assert not embedding_exists(g, genus - 1)
 
 
-def _random_connected(rng: random.Random, n: int) -> Graph:
-    """A random spanning tree on shuffled labels plus up to ``2n`` more edges."""
-    order = list(range(n))
-    rng.shuffle(order)
-    pairs = {tuple(sorted((order[rng.randrange(i)], order[i]))) for i in range(1, n)}
-    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
-    pairs |= set(rng.sample(others, rng.randint(0, min(len(others), 2 * n))))
-    return Graph.from_edges(n, pairs)
-
-
 def test_search_matches_reference_sweep():
     rng = random.Random(2005)
     graphs = [complete_graph(2)]
     while len(graphs) < 320:
-        g = _random_connected(rng, rng.randint(3, 8))
+        g = random_connected_graph(rng, rng.randint(3, 8))
         if rotation_system_count(g) <= 200_000:
             graphs.append(g)
     genera = {}
@@ -87,7 +78,7 @@ def test_attractor_fixpoint_chain():
     kinds = bytes([0, 0, 0])
     indptr = [0, 1, 2, 2]
     succs = [1, 2]
-    wins = attractor(kinds, indptr, succs, bytearray([0, 0, 1]))
+    wins = reference_attractor(kinds, indptr, succs, bytearray([0, 0, 1]))
     assert list(wins) == [1, 1, 1]
 
 
@@ -96,8 +87,21 @@ def test_attractor_and_or_semantics():
     kinds = bytes([0, 1, 0])
     indptr = [0, 1, 3, 3]
     succs = [2, 0, 2]
-    wins = attractor(kinds, indptr, succs, bytearray([0, 0, 1]))
+    wins = reference_attractor(kinds, indptr, succs, bytearray([0, 0, 1]))
     assert list(wins) == [1, 1, 1]
     # flip the seed: nobody wins
-    wins = attractor(kinds, indptr, succs, bytearray([0, 0, 0]))
+    wins = reference_attractor(kinds, indptr, succs, bytearray([0, 0, 0]))
     assert list(wins) == [0, 0, 0]
+
+
+def test_attractor_masks_path_and_cycle():
+    # one cop, rows indexed by its vertex; seeds: w0 = closed[c], w1 = {c}
+    # path 0-1-2: the cop at the middle captures at once, so every row wins
+    closed = [0b011, 0b111, 0b110]
+    w0, w1 = attractor([[0, 1], [0, 1, 2], [1, 2]], closed, list(closed), [1, 2, 4])
+    assert w0 == w1 == [0b111] * 3
+    # 4-cycle: the robber keeps away from the cop, so nothing grows
+    closed = [0b1011, 0b0111, 0b1110, 0b1101]
+    moves = [[3, 0, 1], [0, 1, 2], [1, 2, 3], [2, 3, 0]]
+    w0, w1 = attractor(moves, closed, list(closed), [1, 2, 4, 8])
+    assert w0 == closed and w1 == [1, 2, 4, 8]
