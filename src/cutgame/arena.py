@@ -456,9 +456,10 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
         v = value(state)
         if v > t:
             return False
-        key = canonical_key(state)
-        if use_memo and key in memo:
-            return memo[key]
+        if use_memo:
+            key = canonical_key(state)
+            if key in memo:
+                return memo[key]
         counter["states"] += 1
         if counter["states"] > budget.max_states:
             raise _Stop("state budget exhausted", verdict=INCONCLUSIVE)

@@ -147,8 +147,6 @@ class CutterReply:
     Provenance fields record how the new state's cycles were assembled so
     that callers can trace every surviving edge:
 
-    * ``source_cycles``: the marked cycle index (and the second one for
-      kind D); dummies contribute ``None``.
     * ``path`` / ``path_prime``: edge positions of the two split arcs on
       their source cycles.
     * ``derived``: indices of the freshly assembled cycles in ``next``
@@ -161,14 +159,11 @@ class CutterReply:
     kind: ReplyKind
     new_label: int
     next: GameState
-    source_cycles: tuple[Optional[int], ...]
     path: tuple[int, ...]
     path_prime: tuple[int, ...]
     derived: tuple[int, ...]
     edge_map: tuple[tuple[Edge, Edge], ...]
     new_edges: tuple[Edge, ...]
-    bar_genus: Optional[int] = None
-    bar_components: Optional[tuple[int, ...]] = None
 
 
 def _surviving_indices(n_cycles: int, removed: tuple[int, ...]) -> list[int]:
@@ -181,17 +176,12 @@ def _assemble(
     removed: tuple[int, ...],
     new_cycles: list[list[tuple[Optional[Edge], int]]],
     new_genus: int,
-    marked: MarkedState,
     path: tuple[int, ...],
     path_prime: tuple[int, ...],
-    kept_components: Optional[tuple[int, ...]] = None,
-    bar_genus: Optional[int] = None,
 ) -> CutterReply:
     """Build the next state plus provenance.  ``new_cycles`` lists, per
     derived cycle, (source edge or None for a fresh edge, label)."""
     keep = _surviving_indices(len(state.cycles), removed)
-    if kept_components is not None:
-        keep = [ci for ci in keep if ci in kept_components]
     cycles: list[tuple[int, ...]] = [state.cycles[ci] for ci in keep]
     edge_map: list[tuple[Edge, Edge]] = []
     for nci, oci in enumerate(keep):
@@ -217,30 +207,18 @@ def _assemble(
         kind=kind,
         new_label=state.next_label,
         next=next_state,
-        source_cycles=tuple(p[0] if p is not None else None for p in (marked.v, marked.w)),
         path=path,
         path_prime=path_prime,
         derived=tuple(derived),
         edge_map=tuple(edge_map),
         new_edges=tuple(new_edges),
-        bar_genus=bar_genus,
-        bar_components=kept_components,
     )
 
 
-def _component_subsets(indices: list[int]) -> Iterator[tuple[int, ...]]:
-    for r in range(len(indices) + 1):
-        yield from itertools.combinations(indices, r)
-
-
-def cutter_replies(marked: MarkedState, unrestricted: bool = False) -> list[CutterReply]:
-    """All cutter replies to a marked state.
-
-    With the restricted convention (the default) the untouched cycles are
-    kept in full and the genus counter is left alone for kinds B and C.
-    ``unrestricted=True`` additionally generates the generalized variants:
-    any union of untouched components may be kept, and kinds B and C may
-    lower the genus counter to any value.
+def cutter_replies(marked: MarkedState) -> list[CutterReply]:
+    """All cutter replies to a marked state, under the restricted
+    convention: the untouched cycles are kept in full and the genus
+    counter is left alone for kinds B and C.
     """
     state = marked.state
     label = state.next_label
@@ -257,27 +235,15 @@ def cutter_replies(marked: MarkedState, unrestricted: bool = False) -> list[Cutt
         src = lambda p: None if ci is None else state.cycles[ci][p]  # noqa: E731
         c_hat_1 = [((ci, p), src(p)) for p in path] + [(None, label)]
         c_hat_2 = [((ci, p), src(p)) for p in path_prime] + [(None, label)]
-        survivors = _surviving_indices(len(state.cycles), removed)
-
         replies: list[CutterReply] = []
 
-        def emit(kind: ReplyKind, parts: list[list], genus: int, kept=None, bar_genus=None) -> None:
-            replies.append(
-                _assemble(state, kind, removed, parts, genus, marked, path, path_prime, kept, bar_genus)
-            )
+        def emit(kind: ReplyKind, parts: list[list], genus: int) -> None:
+            replies.append(_assemble(state, kind, removed, parts, genus, path, path_prime))
 
-        if unrestricted:
-            for kept in _component_subsets(survivors):
-                if state.genus >= 1:
-                    emit("A", [c_hat_1, c_hat_2], state.genus - 1, kept)
-                for bar_g in range(state.genus + 1):
-                    emit("B", [c_hat_1], bar_g, kept, bar_g)
-                    emit("C", [c_hat_2], bar_g, kept, bar_g)
-        else:
-            if state.genus >= 1:
-                emit("A", [c_hat_1, c_hat_2], state.genus - 1)
-            emit("B", [c_hat_1], state.genus)
-            emit("C", [c_hat_2], state.genus)
+        if state.genus >= 1:
+            emit("A", [c_hat_1, c_hat_2], state.genus - 1)
+        emit("B", [c_hat_1], state.genus)
+        emit("C", [c_hat_2], state.genus)
         return replies
 
     # Different components (a vertex may be a dummy, or both are distinct
@@ -301,7 +267,7 @@ def cutter_replies(marked: MarkedState, unrestricted: bool = False) -> list[Cutt
         q_edges = []
     amalgam = p_edges + [(None, label)] + q_edges + [(None, label)]
     return [
-        _assemble(state, "D", tuple(removed_list), [amalgam], state.genus, marked, path, path_prime)
+        _assemble(state, "D", tuple(removed_list), [amalgam], state.genus, path, path_prime)
     ]
 
 

@@ -2,8 +2,9 @@
 
 A corpus directory holds ``*.g6`` files, one graph6 line per graph.  An
 optional sidecar ``<stem>.json`` carries a list of per-line objects
-``{"name", "declared_genus", "expected_cop_number"}``.  Graphs whose
-genus search exceeds its budget must declare their genus.
+``{"name", "declared_genus", "expected_cop_number"}``: a string and two
+non-negative integers, each optional, the integers also nullable.
+Graphs whose genus search exceeds its budget must declare their genus.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ def load_corpus(directory: str) -> list[CorpusEntry]:
         meta = [{} for _ in lines]
         sidecar = os.path.join(directory, stem + ".json")
         if os.path.exists(sidecar):
-            with open(sidecar, "r", encoding="utf-8") as fh:
-                meta_list = json.load(fh)
-            for i, m in enumerate(meta_list[: len(lines)]):
+            for i, m in enumerate(_read_sidecar(sidecar)[: len(lines)]):
                 meta[i] = m
         for i, line in enumerate(lines):
             m = meta[i]
@@ -54,6 +53,25 @@ def load_corpus(directory: str) -> list[CorpusEntry]:
                 )
             )
     return entries
+
+
+def _read_sidecar(path: str) -> list[dict]:
+    """A sidecar's metadata objects; raises ValueError naming the file and
+    index of the first malformed entry."""
+    with open(path, "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    if not isinstance(meta, list):
+        raise ValueError(f"{path}: expected a list of objects, got {type(meta).__name__}")
+    for i, m in enumerate(meta):
+        if not isinstance(m, dict):
+            raise ValueError(f"{path}[{i}]: expected an object, got {type(m).__name__}")
+        if not isinstance(m.get("name", ""), str):
+            raise ValueError(f"{path}[{i}]: name must be a string, got {m['name']!r}")
+        for key in ("declared_genus", "expected_cop_number"):
+            v = m.get(key)
+            if v is not None and (type(v) is not int or v < 0):
+                raise ValueError(f"{path}[{i}]: {key} must be a non-negative integer or null, got {v!r}")
+    return meta
 
 
 def write_corpus(directory: str, entries: list[CorpusEntry], stem: str = "corpus") -> None:

@@ -12,6 +12,9 @@ starting genus.
 Configurations are templates over three kinds of atoms: a uniquely
 appearing edge (``"U"``), a nesting path (``"N"``), and shared labels
 (small integers, each occurring twice among the active cycles).  The
+automaton is one table, ``TEMPLATES``: each configuration's arrows name
+the next configuration and where each of its active cycles comes from,
+and ``MarkerStrategy._advance_bounding`` applies them.  The
 refinement for seeded games additionally lets a three-edge path whose
 outer label is isolated stand in for a uniquely appearing edge (a
 *pseudo edge*), re-anchoring it when the genus counter hits the two
@@ -94,32 +97,73 @@ Atom = Union[str, int]  # "U", "N", or a shared-label variable
 
 class Template:
     """A configuration: its active cycles' atoms, the (cycle, atom) pair
-    the marker marks, and the successor configuration per reply kind."""
+    the marker marks, and per reply kind the arrow it takes.
+
+    An arrow is ``(target, sources)`` with one source per cycle of the
+    target's ``cycles``, saying where that active cycle comes from:
+
+    * ``a``: active cycle ``a``, carried whole through the reply;
+    * a tuple with one entry per target atom, each entry one of
+      ``(a, i)``, atom ``i`` of active cycle ``a`` mapped through the
+      reply; ``"f"`` or ``"g"``, the reply's first or second new edge;
+      or ``("chain", run, a, (b, i))``, a three-edge nesting path whose
+      run entries are placed like atoms, whose (x, t, z, t) support is
+      active cycle ``a`` and whose inner path is atom ``i`` of active
+      cycle ``b``;
+    * ``("xz", a, i)`` or ``("y", a, i)``: a supporting cycle of the
+      nesting path at atom ``i`` of active cycle ``a``, which the reply
+      discarded; the (x, t, z, t) cycle reads (t, U, t, U) and the
+      y-cycle (U, N).
+
+    The new cycle of a placed source is where its atoms land.
+    """
 
     __slots__ = ("cycles", "mark", "arrows")
 
     def __init__(self, cycles: tuple[tuple[Atom, ...], ...], mark: tuple[tuple[int, int], tuple[int, int]],
-                 arrows: dict[str, int]):
+                 arrows: dict[str, tuple[int, tuple]]):
         self.cycles, self.mark, self.arrows = cycles, mark, arrows
 
 
 TEMPLATES: dict[int, Template] = {
-    1: Template((("U", "N"),), ((0, 0), (0, 1)), {"A": 2, "B": 10, "C": 10}),
-    2: Template(((0, "U"), (0, "N")), ((0, 0), (1, 1)), {"D": 3}),
-    3: Template((("N", 0, 1, 0, "U", 1),), ((0, 1), (0, 4)), {"A": 4}),
-    4: Template(((0, 1, 0, 2), ("N", 2, "U", 1)), ((1, 0), (1, 1)), {"A": 1, "B": 5, "C": 5}),
-    5: Template(((0, 1, 0, 2), ("U", 2, "U", 1), (3, "U", 3, "U"), ("U", "N")), ((2, 1), (2, 2)), {"A": 6}),
-    6: Template(
-        ((0, 1, 0, 2), ("U", 2, "U", 1), ("U", "N"), (4, "U"), (3, "U", 3, 4)),
-        ((4, 1), (4, 2)),
-        {"A": 7},
-    ),
-    7: Template(((0, 1, 0, 2), ("U", 2, "U", 1), ("U", "N")), ((1, 0), (1, 1)), {"A": 8}),
-    8: Template(((0, 1, 0, 2), ("U", "N"), (3, "U"), (3, 2, "U", 1)), ((3, 2), (3, 3)), {"A": 1, "B": 9, "C": 9}),
-    9: Template((("U", "N"), (0, "U", 0, "U"), ("U", "U"), ("U", "U")), ((2, 0), (2, 1)), {"A": 10}),
-    10: Template((("U", "N"), (0, "U", 0, "U"), ("U", "U")), ((1, 1), (1, 2)), {"A": 11}),
-    11: Template((("U", "N"), ("U", "U"), (1, "U"), (0, 1, 0, "U")), ((3, 3), (3, 0)), {"A": 12}),
-    12: Template((("U", "N"), ("U", "U")), ((1, 0), (1, 1)), {"A": 1}),
+    1: Template((("U", "N"),), ((0, 0), (0, 1)), {
+        "A": (2, (("f", (0, 0)), ("g", (0, 1)))),
+        "B": (10, (("y", 0, 1), ("xz", 0, 1), ((0, 0), "f"))),
+        "C": (10, (("y", 0, 1), ("xz", 0, 1), ((0, 0), "f"))),
+    }),
+    2: Template(((0, "U"), (0, "N")), ((0, 0), (1, 1)), {
+        "D": (3, (((1, 1), (1, 0), "g", (0, 0), (0, 1), "f"),)),
+    }),
+    3: Template((("N", 0, 1, 0, "U", 1),), ((0, 1), (0, 4)), {
+        "A": (4, (((0, 1), (0, 2), (0, 3), "f"), ((0, 0), "g", (0, 4), (0, 5)))),
+    }),
+    4: Template(((0, 1, 0, 2), ("N", 2, "U", 1)), ((1, 0), (1, 1)), {
+        "A": (1, (((1, 2), ("chain", ((1, 3), "g", (1, 1)), 0, (1, 0))),)),
+        "B": (5, (0, ("f", (1, 1), (1, 2), (1, 3)), ("xz", 1, 0), ("y", 1, 0))),
+        "C": (5, (0, ("f", (1, 1), (1, 2), (1, 3)), ("xz", 1, 0), ("y", 1, 0))),
+    }),
+    5: Template(((0, 1, 0, 2), ("U", 2, "U", 1), (3, "U", 3, "U"), ("U", "N")), ((2, 1), (2, 2)), {
+        "A": (6, (0, 1, 3, ("f", (2, 1)), ((2, 2), (2, 3), (2, 0), "g"))),
+    }),
+    6: Template(((0, 1, 0, 2), ("U", 2, "U", 1), ("U", "N"), (4, "U"), (3, "U", 3, 4)), ((4, 1), (4, 2)), {
+        "A": (7, (0, 1, 2)),
+    }),
+    7: Template(((0, 1, 0, 2), ("U", 2, "U", 1), ("U", "N")), ((1, 0), (1, 1)), {
+        "A": (8, (0, 2, ("f", (1, 0)), ("g", (1, 1), (1, 2), (1, 3)))),
+    }),
+    8: Template(((0, 1, 0, 2), ("U", "N"), (3, "U"), (3, 2, "U", 1)), ((3, 2), (3, 3)), {
+        "A": (1, (1,)),
+        "B": (9, (1, 0, 2, ((3, 2), "f"))),
+        "C": (9, (1, 0, 2, ((3, 2), "f"))),
+    }),
+    9: Template((("U", "N"), (0, "U", 0, "U"), ("U", "U"), ("U", "U")), ((2, 0), (2, 1)), {
+        "A": (10, (0, 1, 3)),
+    }),
+    10: Template((("U", "N"), (0, "U", 0, "U"), ("U", "U")), ((1, 1), (1, 2)), {
+        "A": (11, (0, 2, ("f", (1, 1)), ((1, 0), "g", (1, 2), (1, 3)))),
+    }),
+    11: Template((("U", "N"), ("U", "U"), (1, "U"), (0, 1, 0, "U")), ((3, 3), (3, 0)), {"A": (12, (0, 1))}),
+    12: Template((("U", "N"), ("U", "U")), ((1, 0), (1, 1)), {"A": (1, (0,))}),
 }
 
 # configurations whose positive active potentials sum to the cap
@@ -147,16 +191,13 @@ class ActiveCycle:
 
 
 class BoundingPhase:
-    """A configuration of the automaton, its active cycles bound, and the
-    label of each shared-label variable as (variable, label) pairs."""
+    """A configuration of the automaton and its active cycles, bound.  A
+    shared-label variable's label is the one its bound edges read."""
 
-    __slots__ = ("config", "actives", "var_labels")
+    __slots__ = ("config", "actives")
 
-    def __init__(self, config: int, actives: tuple[ActiveCycle, ...], var_labels: tuple[tuple[int, int], ...]):
-        self.config, self.actives, self.var_labels = config, actives, var_labels
-
-    def var(self, v: int) -> int:
-        return dict(self.var_labels)[v]
+    def __init__(self, config: int, actives: tuple[ActiveCycle, ...]):
+        self.config, self.actives = config, actives
 
 
 class PreparatoryPhase:
@@ -196,80 +237,51 @@ Phase = Union[PreparatoryPhase, SeedPhase, BoundingPhase]
 # binding translation through a reply
 
 
-def _translate_nesting(binding: Nesting, host: int, reply: CutterReply,
-                       emap: dict[Edge, Edge], cmap: dict[int, int]) -> tuple[int, Nesting]:
+def _translate_nesting(binding: Nesting, host: int, emap: dict[Edge, Edge],
+                       cmap: dict[int, int]) -> tuple[int, Nesting]:
     """Map a nesting binding through a reply.  Returns (new host, binding)."""
     if isinstance(binding, NestUnique):
         nci, npos = emap[(host, binding.pos)]
         return nci, NestUnique(npos)
-    if isinstance(binding, NestPseudo):
-        mapped = [emap[(host, p)] for p in binding.run]
-        hosts = {ci for ci, _ in mapped}
-        if len(hosts) != 1:
-            raise StrategyError("pseudo edge split across cycles")
-        return mapped[0][0], NestPseudo(tuple(p for _, p in mapped))
     mapped = [emap[(host, p)] for p in binding.run]
-    hosts = {ci for ci, _ in mapped}
-    if len(hosts) != 1:
-        raise StrategyError("nesting path split across cycles")
-    y_host, inner = _translate_nesting(binding.inner, binding.y_cycle, reply, emap, cmap)
-    return mapped[0][0], NestChain(
-        run=tuple(p for _, p in mapped),
-        xz_cycle=cmap[binding.xz_cycle],
-        y_cycle=y_host,
-        inner=inner,
-    )
+    if len({ci for ci, _ in mapped}) != 1:
+        what = "pseudo edge" if isinstance(binding, NestPseudo) else "nesting path"
+        raise StrategyError(f"{what} split across cycles")
+    run = tuple(p for _, p in mapped)
+    if isinstance(binding, NestPseudo):
+        return mapped[0][0], NestPseudo(run)
+    y_host, inner = _translate_nesting(binding.inner, binding.y_cycle, emap, cmap)
+    return mapped[0][0], NestChain(run, cmap[binding.xz_cycle], y_host, inner)
 
 
-def _translate_active(ac: ActiveCycle, reply: CutterReply,
-                      emap: dict[Edge, Edge], cmap: dict[int, int]) -> ActiveCycle:
-    new_pos = []
-    new_cycle: Optional[int] = None
-    for atom, p in zip(ac.atoms, ac.pos):
-        if isinstance(p, int):
-            nci, npos = emap[(ac.cycle, p)]
-            new_pos.append(npos)
-        else:
-            nci, nb = _translate_nesting(p, ac.cycle, reply, emap, cmap)
-            new_pos.append(nb)
-        if new_cycle is None:
-            new_cycle = nci
-        elif new_cycle != nci:
-            raise StrategyError("active cycle split unexpectedly")
-    assert new_cycle is not None
-    return ActiveCycle(new_cycle, ac.atoms, tuple(new_pos))
-
-
-def _unwrap_chain(binding: Nesting) -> NestChain:
-    if not isinstance(binding, NestChain):
-        raise StrategyError("discarded nesting path has no supporting cycles")
-    return binding
-
-
-def _xtzt_positions(cycle: tuple[int, ...], x: int, z: int) -> tuple[int, int, int, int]:
-    """Positions of (t, x, t, z) ordered as (var, U_x, var, U_z) start."""
-    n = len(cycle)
-    for r in range(n):
-        if cycle[r % n] == x and cycle[(r + 2) % n] == z and cycle[(r + 1) % n] == cycle[(r + 3) % n]:
-            return ((r + 1) % n, (r + 2) % n, (r + 3) % n, r % n)
-    raise StrategyError(f"no (x,t,z,t) reading with x={x}, z={z}")
-
-
-def _activated_support(chain: NestChain, state: GameState, labels: tuple[int, int, int]) -> tuple[ActiveCycle, ActiveCycle]:
-    """After a nesting path (x, y, z) is discarded, its two supporting
-    cycles become active: the (x, t, z, t) cycle as (t, U, t, U) and the
+def _support(source: tuple, phase: BoundingPhase, state: GameState, reply: CutterReply,
+             emap: dict[Edge, Edge], cmap: dict[int, int]) -> tuple[int, tuple]:
+    """(new cycle, positions) of a supporting cycle that becomes active
+    when the reply discards the nesting path (x, y, z) at ``source``:
+    the (x, t, z, t) cycle read as (t, U, t, U) from its first t, or the
     y-cycle as (U, N)."""
-    x, y, z = labels
-    xz = state.cycles[chain.xz_cycle]
-    p_t1, p_z, p_t2, p_x = _xtzt_positions(xz, x, z)
-    xtzt = ActiveCycle(chain.xz_cycle, ("VAR", "U", "VAR", "U"), (p_t1, p_z, p_t2, p_x))
-    inner_run = set(nesting_positions(chain.inner))
-    y_cyc = state.cycles[chain.y_cycle]
+    which, a, i = source
+    ac = phase.actives[a]
+    chain = ac.pos[i]
+    if not isinstance(chain, NestChain):
+        raise StrategyError("discarded nesting path has no supporting cycles")
+    x, y, z = (state.cycles[ac.cycle][p] for p in chain.run)
+    if which == "xz":
+        host = cmap[chain.xz_cycle]
+        cyc = reply.next.cycles[host]
+        n = len(cyc)
+        for r in range(n):
+            if cyc[r] == x and cyc[(r + 2) % n] == z and cyc[(r + 1) % n] == cyc[(r + 3) % n]:
+                return host, ((r + 1) % n, (r + 2) % n, (r + 3) % n, r)
+        raise StrategyError(f"no (x,t,z,t) reading with x={x}, z={z}")
+    host = cmap[chain.y_cycle]
+    _, inner = _translate_nesting(chain.inner, chain.y_cycle, emap, cmap)
+    inner_run = set(nesting_positions(inner))
+    y_cyc = reply.next.cycles[host]
     y_edge = [p for p in range(len(y_cyc)) if p not in inner_run]
     if len(y_edge) != 1 or y_cyc[y_edge[0]] != y:
         raise StrategyError("y-cycle is not one y-edge plus the nesting path")
-    un = ActiveCycle(chain.y_cycle, ("U", "N"), (y_edge[0], chain.inner))
-    return xtzt, un
+    return host, (y_edge[0], inner)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +325,7 @@ class MarkerStrategy:
             return {"A": phase, "B": nxt, "C": nxt}
         if isinstance(phase, SeedPhase):
             return {"A": 1}
-        return dict(TEMPLATES[phase.config].arrows)
+        return {kind: target for kind, (target, _) in TEMPLATES[phase.config].arrows.items()}
 
     def _prep_mark(self, state: GameState) -> MarkedState:
         uniq = uniquely_appearing_labels(state)
@@ -374,7 +386,7 @@ class MarkerStrategy:
         f_pos = reply.new_edges[0][1]
         u_pos = 1 - f_pos
         active = ActiveCycle(kept, ("U", "N"), (u_pos, NestUnique(f_pos)))
-        return BoundingPhase(1, (active,), ())
+        return BoundingPhase(1, (active,))
 
     def _advance_seed(self, reply: CutterReply) -> Phase:
         if reply.kind != "A":
@@ -390,7 +402,7 @@ class MarkerStrategy:
         u = u_pos[0]
         run = tuple((u + 1 + i) % 4 for i in range(3))
         active = ActiveCycle(c2, ("U", "N"), (u, NestPseudo(run)))
-        return BoundingPhase(1, (active,), ())
+        return BoundingPhase(1, (active,))
 
     def _rebind_pseudo(self, phase: BoundingPhase, state: GameState) -> BoundingPhase:
         host = phase.actives[1].cycle
@@ -425,261 +437,54 @@ class MarkerStrategy:
         rebound = NestPseudo((run[2], q_pos, run[0]))
         c0 = ActiveCycle(pci, (0, "U"), (pp, 1 - pp))
         c1 = ActiveCycle(host, (0, "N"), (mid_pos, rebound))
-        return BoundingPhase(2, (c0, c1), ((0, mid),))
+        return BoundingPhase(2, (c0, c1))
 
     # -- the transition table ---------------------------------------------
 
     def _advance_bounding(self, phase: BoundingPhase, state: GameState, reply: CutterReply) -> BoundingPhase:
-        handler = _HANDLERS.get((phase.config, reply.kind))
-        if handler is None:
+        """Apply the arrow of ``TEMPLATES`` for this reply's kind."""
+        arrow = TEMPLATES[phase.config].arrows.get(reply.kind)
+        if arrow is None:
             raise StrategyError(f"configuration {phase.config} cannot absorb a kind-{reply.kind} reply")
-        actives, var_labels = handler(phase, state, reply)
-        return BoundingPhase(TEMPLATES[phase.config].arrows[reply.kind], actives, var_labels)
+        target, sources = arrow
+        # where each surviving old edge landed, and where each old cycle's
+        # first surviving edge did
+        emap = dict(reply.edge_map)
+        cmap = {oci: nci for (oci, _), (nci, _) in reversed(reply.edge_map)}
 
+        def place(entry) -> tuple[int, object]:
+            """(new cycle, edge position or nesting binding) of one atom."""
+            if entry == "f" or entry == "g":
+                return reply.new_edges[entry == "g"]
+            if entry[0] == "chain":
+                _, run, a, (b, i) = entry
+                placed = [place(e) for e in run]
+                if len({ci for ci, _ in placed}) != 1:
+                    raise StrategyError("nesting path split across cycles")
+                inner_ac = phase.actives[b]
+                y_cycle, inner = _translate_nesting(inner_ac.pos[i], inner_ac.cycle, emap, cmap)
+                chain = NestChain(tuple(p for _, p in placed), cmap[phase.actives[a].cycle], y_cycle, inner)
+                return placed[0][0], chain
+            a, i = entry
+            ac = phase.actives[a]
+            p = ac.pos[i]
+            if isinstance(p, int):
+                return emap[(ac.cycle, p)]
+            return _translate_nesting(p, ac.cycle, emap, cmap)
 
-# Handlers assemble the bindings of the configuration that the template's
-# arrow names, from the reply's provenance.  ``state`` is the pre-reply
-# state throughout.
-
-Bindings = tuple[tuple[ActiveCycle, ...], tuple[tuple[int, int], ...]]  # (actives, var_labels)
-
-
-def _maps(reply: CutterReply) -> tuple[dict[Edge, Edge], dict[int, int]]:
-    """Where each surviving old edge landed in ``next``, and where each
-    old cycle's first surviving edge did."""
-    return dict(reply.edge_map), {oci: nci for (oci, _), (nci, _) in reversed(reply.edge_map)}
-
-
-def _h1_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    old = phase.actives[0]
-    c1, c2 = reply.derived
-    f, fp = reply.new_edges
-    _, u_new = emap[(old.cycle, old.pos[0])]
-    _, n_binding = _translate_nesting(old.pos[1], old.cycle, reply, emap, cmap)
-    c0 = ActiveCycle(c1, (0, "U"), (f[1], u_new))
-    c1b = ActiveCycle(c2, (0, "N"), (fp[1], n_binding))
-    return ((c0, c1b), ((0, reply.new_label),))
-
-
-def _h1_bc(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    old = phase.actives[0]
-    chain = _unwrap_chain(old.pos[1])
-    labels = tuple(state.cycles[old.cycle][p] for p in chain.run)
-    kept = reply.derived[0]
-    f = reply.new_edges[0]
-    _, u_new = emap[(old.cycle, old.pos[0])]
-    chain_t = NestChain(chain.run, cmap[chain.xz_cycle], cmap[chain.y_cycle],
-                        _translate_inner(chain, reply, emap, cmap))
-    xtzt, un = _activated_support(chain_t, reply.next, labels)
-    pair = ActiveCycle(kept, ("U", "U"), (u_new, f[1]))
-    return ((un, _as_var(xtzt, 0), pair), ((0, _t_label(reply.next, xtzt)),))
-
-
-def _translate_inner(chain: NestChain, reply: CutterReply, emap, cmap) -> Nesting:
-    _, inner = _translate_nesting(chain.inner, chain.y_cycle, reply, emap, cmap)
-    return inner
-
-
-def _as_var(ac: ActiveCycle, var: int) -> ActiveCycle:
-    atoms = tuple(var if a == "VAR" else a for a in ac.atoms)
-    return ActiveCycle(ac.cycle, atoms, ac.pos)
-
-
-def _t_label(state: GameState, xtzt: ActiveCycle) -> int:
-    return state.cycles[xtzt.cycle][xtzt.pos[0]]
-
-
-def _h2_d(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    c0, c1 = phase.actives
-    amalgam = reply.derived[0]
-    fp, f = reply.new_edges
-    _, s0 = emap[(c0.cycle, c0.pos[0])]
-    _, u = emap[(c0.cycle, c0.pos[1])]
-    _, s1 = emap[(c1.cycle, c1.pos[0])]
-    _, nb = _translate_nesting(c1.pos[1], c1.cycle, reply, emap, cmap)
-    active = ActiveCycle(amalgam, ("N", 0, 1, 0, "U", 1), (nb, s1, f[1], s0, u, fp[1]))
-    return ((active,), ((0, phase.var(0)), (1, reply.new_label)))
-
-
-def _h3_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    (old,) = phase.actives
-    c1, c2 = reply.derived
-    f, fp = reply.new_edges
-    _, a1 = emap[(old.cycle, old.pos[1])]
-    _, b1 = emap[(old.cycle, old.pos[2])]
-    _, a2 = emap[(old.cycle, old.pos[3])]
-    _, u = emap[(old.cycle, old.pos[4])]
-    _, b2 = emap[(old.cycle, old.pos[5])]
-    _, nb = _translate_nesting(old.pos[0], old.cycle, reply, emap, cmap)
-    abac = ActiveCycle(c1, (0, 1, 0, 2), (a1, b1, a2, f[1]))
-    ncub = ActiveCycle(c2, ("N", 2, "U", 1), (nb, fp[1], u, b2))
-    return ((abac, ncub), ((0, phase.var(0)), (1, phase.var(1)), (2, reply.new_label)))
-
-
-def _h4_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    abac, ncub = phase.actives
-    c1, c2 = reply.derived
-    f, fp = reply.new_edges
-    nesting = ncub.pos[0]
-    _, inner = _translate_nesting(nesting, ncub.cycle, reply, emap, cmap)
-    _, c_edge = emap[(ncub.cycle, ncub.pos[1])]
-    _, u = emap[(ncub.cycle, ncub.pos[2])]
-    _, b_edge = emap[(ncub.cycle, ncub.pos[3])]
-    xz_cycle = cmap[abac.cycle]
-    chain = NestChain(run=(b_edge, fp[1], c_edge), xz_cycle=xz_cycle, y_cycle=c1, inner=inner)
-    active = ActiveCycle(c2, ("U", "N"), (u, chain))
-    return ((active,), ())
-
-
-def _h4_bc(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    abac, ncub = phase.actives
-    kept = reply.derived[0]
-    fp = reply.new_edges[0]
-    chain = _unwrap_chain(ncub.pos[0])
-    labels = tuple(state.cycles[ncub.cycle][p] for p in chain.run)
-    chain_t = NestChain(chain.run, cmap[chain.xz_cycle], cmap[chain.y_cycle],
-                        _translate_inner(chain, reply, emap, cmap))
-    xtzt, un = _activated_support(chain_t, reply.next, labels)
-    _, c_edge = emap[(ncub.cycle, ncub.pos[1])]
-    _, u = emap[(ncub.cycle, ncub.pos[2])]
-    _, b_edge = emap[(ncub.cycle, ncub.pos[3])]
-    abac_t = _translate_active(abac, reply, emap, cmap)
-    ucub = ActiveCycle(kept, ("U", 2, "U", 1), (fp[1], c_edge, u, b_edge))
-    return (
-        (abac_t, ucub, _as_var(xtzt, 3), un),
-        ((0, phase.var(0)), (1, phase.var(1)), (2, phase.var(2)), (3, _t_label(reply.next, xtzt))),
-    )
-
-
-def _h5_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    abac, ucub, dudu, un = phase.actives
-    c1, c2 = reply.derived
-    f, fp = reply.new_edges
-    _, u1 = emap[(dudu.cycle, dudu.pos[1])]
-    _, d2 = emap[(dudu.cycle, dudu.pos[2])]
-    _, u2 = emap[(dudu.cycle, dudu.pos[3])]
-    _, d1 = emap[(dudu.cycle, dudu.pos[0])]
-    pair = ActiveCycle(c1, (4, "U"), (f[1], u1))
-    dude = ActiveCycle(c2, (3, "U", 3, 4), (d2, u2, d1, fp[1]))
-    keep = [_translate_active(ac, reply, emap, cmap) for ac in (abac, ucub, un)]
-    vars_ = dict(phase.var_labels)
-    vars_[4] = reply.new_label
-    return ((keep[0], keep[1], keep[2], pair, dude), tuple(sorted(vars_.items())))
-
-
-def _h6_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    abac, ucub, un, _pair, _dude = phase.actives
-    keep = [_translate_active(ac, reply, emap, cmap) for ac in (abac, ucub, un)]
-    vars_ = {v: l for v, l in phase.var_labels if v in (0, 1, 2)}
-    return (tuple(keep), tuple(sorted(vars_.items())))
-
-
-def _h7_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    abac, ucub, un = phase.actives
-    c1, c2 = reply.derived
-    f, fp = reply.new_edges
-    _, u_first = emap[(ucub.cycle, ucub.pos[0])]
-    _, c_edge = emap[(ucub.cycle, ucub.pos[1])]
-    _, u_second = emap[(ucub.cycle, ucub.pos[2])]
-    _, b_edge = emap[(ucub.cycle, ucub.pos[3])]
-    abac_t = _translate_active(abac, reply, emap, cmap)
-    un_t = _translate_active(un, reply, emap, cmap)
-    du = ActiveCycle(c1, (3, "U"), (f[1], u_first))
-    dcub = ActiveCycle(c2, (3, 2, "U", 1), (fp[1], c_edge, u_second, b_edge))
-    vars_ = dict(phase.var_labels)
-    vars_[3] = reply.new_label
-    return ((abac_t, un_t, du, dcub), tuple(sorted(vars_.items())))
-
-
-def _h8_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    un = phase.actives[1]
-    return ((_translate_active(un, reply, emap, cmap),), ())
-
-
-def _h8_bc(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    abac, un, du, dcub = phase.actives
-    kept = reply.derived[0]
-    f = reply.new_edges[0]
-    _, u_kept = emap[(dcub.cycle, dcub.pos[2])]
-    un_t = _translate_active(un, reply, emap, cmap)
-    abac_t = _translate_active(abac, reply, emap, cmap)
-    du_t = _translate_active(du, reply, emap, cmap)
-    auau = ActiveCycle(abac_t.cycle, (0, "U", 0, "U"), abac_t.pos)
-    uu1 = ActiveCycle(du_t.cycle, ("U", "U"), du_t.pos)
-    uu2 = ActiveCycle(kept, ("U", "U"), (u_kept, f[1]))
-    return ((un_t, auau, uu1, uu2), ((0, phase.var(0)),))
-
-
-def _h9_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    un, auau, _split, other = phase.actives
-    keep = [_translate_active(ac, reply, emap, cmap) for ac in (un, auau, other)]
-    return (tuple(keep), ((0, phase.var(0)),))
-
-
-def _h10_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    un, auau, uu = phase.actives
-    c1, c2 = reply.derived
-    f, fp = reply.new_edges
-    _, u1 = emap[(auau.cycle, auau.pos[1])]
-    _, a2 = emap[(auau.cycle, auau.pos[2])]
-    _, u2 = emap[(auau.cycle, auau.pos[3])]
-    _, a1 = emap[(auau.cycle, auau.pos[0])]
-    un_t = _translate_active(un, reply, emap, cmap)
-    uu_t = _translate_active(uu, reply, emap, cmap)
-    bu = ActiveCycle(c1, (1, "U"), (f[1], u1))
-    abau = ActiveCycle(c2, (0, 1, 0, "U"), (a1, fp[1], a2, u2))
-    return ((un_t, uu_t, bu, abau), ((0, phase.var(0)), (1, reply.new_label)))
-
-
-def _h11_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    un, uu, _bu, _abau = phase.actives
-    keep = [_translate_active(ac, reply, emap, cmap) for ac in (un, uu)]
-    return (tuple(keep), ())
-
-
-def _h12_a(phase: BoundingPhase, state: GameState, reply: CutterReply) -> Bindings:
-    emap, cmap = _maps(reply)
-    un = phase.actives[0]
-    return ((_translate_active(un, reply, emap, cmap),), ())
-
-
-_HANDLERS = {
-    (1, "A"): _h1_a,
-    (1, "B"): _h1_bc,
-    (1, "C"): _h1_bc,
-    (2, "D"): _h2_d,
-    (3, "A"): _h3_a,
-    (4, "A"): _h4_a,
-    (4, "B"): _h4_bc,
-    (4, "C"): _h4_bc,
-    (5, "A"): _h5_a,
-    (6, "A"): _h6_a,
-    (7, "A"): _h7_a,
-    (8, "A"): _h8_a,
-    (8, "B"): _h8_bc,
-    (8, "C"): _h8_bc,
-    (9, "A"): _h9_a,
-    (10, "A"): _h10_a,
-    (11, "A"): _h11_a,
-    (12, "A"): _h12_a,
-}
-
-if set(_HANDLERS) != {(cfg, kind) for cfg, t in TEMPLATES.items() for kind in t.arrows}:
-    raise StrategyError("transition handlers do not match the templates' arrows")
+        actives = []
+        for atoms, source in zip(TEMPLATES[target].cycles, sources, strict=True):
+            if isinstance(source, int):
+                source = tuple((source, i) for i in range(len(atoms)))
+            if source[0] == "xz" or source[0] == "y":
+                cycle, pos = _support(source, phase, state, reply, emap, cmap)
+            else:
+                placed = [place(e) for e in source]
+                if len({ci for ci, _ in placed}) != 1:
+                    raise StrategyError("active cycle split unexpectedly")
+                cycle, pos = placed[0][0], tuple(p for _, p in placed)
+            actives.append(ActiveCycle(cycle, atoms, pos))
+        return BoundingPhase(target, tuple(actives))
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +497,7 @@ def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool =
     if len(phase.actives) != len(template.cycles):
         raise StrategyError("active count does not match the template")
     counts = state.label_counts()
-    var_labels = dict(phase.var_labels)
+    var_labels: dict[int, int] = {}
     var_seen: dict[int, int] = {}
     for ac, tcyc in zip(phase.actives, template.cycles):
         if ac.atoms != tcyc:
@@ -709,8 +514,9 @@ def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool =
                     if counts[lab] != 1:
                         raise StrategyError(f"label {lab} bound as unique appears {counts[lab]} times")
                 else:
-                    if var_labels.get(atom) != lab:
-                        raise StrategyError(f"variable {atom} bound to {var_labels.get(atom)} but edge reads {lab}")
+                    bound = var_labels.setdefault(atom, lab)
+                    if bound != lab:
+                        raise StrategyError(f"variable {atom} bound to {bound} but edge reads {lab}")
                     var_seen[atom] = var_seen.get(atom, 0) + 1
             else:
                 covered.extend(nesting_positions(p))

@@ -1,0 +1,367 @@
+"""Reference transitions of the marker's twelve-state automaton.
+
+``cutgame.strategy`` applies one table: each arrow of ``TEMPLATES``
+names its target configuration and where each of the target's active
+cycles comes from, and ``MarkerStrategy._advance_bounding`` interprets
+it.  The tests keep the hand-written handlers that table replaced here,
+one per arrow, with their own binding translation.  Where the handlers
+read a shared-label variable's label, they read it off the pre-reply
+state, since phases no longer store those labels.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from cutgame.core import CutterReply, Edge, GameState
+from cutgame.strategy import (
+    ActiveCycle,
+    BoundingPhase,
+    NestChain,
+    NestPseudo,
+    NestUnique,
+    Nesting,
+    StrategyError,
+    nesting_positions,
+)
+
+
+# ---------------------------------------------------------------------------
+# phase comparison
+
+
+def var_labels(phase: BoundingPhase, state: GameState) -> tuple[tuple[int, int], ...]:
+    """(variable, label) pairs, each label read off the variable's first
+    bound edge in ``state``."""
+    labels: dict[int, int] = {}
+    for ac in phase.actives:
+        for atom, p in zip(ac.atoms, ac.pos):
+            if isinstance(atom, int):
+                labels.setdefault(atom, state.cycles[ac.cycle][p])
+    return tuple(sorted(labels.items()))
+
+
+def _nesting_signature(binding: Nesting) -> tuple:
+    if isinstance(binding, NestUnique):
+        return ("unique", binding.pos)
+    if isinstance(binding, NestPseudo):
+        return ("pseudo", binding.run)
+    return ("chain", binding.run, binding.xz_cycle, binding.y_cycle, _nesting_signature(binding.inner))
+
+
+def phase_signature(phase: BoundingPhase, state: GameState) -> tuple:
+    """Everything a bound configuration says about ``state``: config,
+    active cycles, atoms, positions, nesting bindings and variable labels."""
+    actives = tuple(
+        (ac.cycle, ac.atoms, tuple(p if isinstance(p, int) else _nesting_signature(p) for p in ac.pos))
+        for ac in phase.actives
+    )
+    return (phase.config, actives, var_labels(phase, state))
+
+
+# ---------------------------------------------------------------------------
+# binding translation through a reply
+
+
+def _maps(reply: CutterReply) -> tuple[dict[Edge, Edge], dict[int, int]]:
+    """Where each surviving old edge landed in ``next``, and where each
+    old cycle's first surviving edge did."""
+    return dict(reply.edge_map), {oci: nci for (oci, _), (nci, _) in reversed(reply.edge_map)}
+
+
+def _translate_nesting(binding: Nesting, host: int, emap: dict[Edge, Edge],
+                       cmap: dict[int, int]) -> tuple[int, Nesting]:
+    """Map a nesting binding through a reply.  Returns (new host, binding)."""
+    if isinstance(binding, NestUnique):
+        nci, npos = emap[(host, binding.pos)]
+        return nci, NestUnique(npos)
+    if isinstance(binding, NestPseudo):
+        mapped = [emap[(host, p)] for p in binding.run]
+        if len({ci for ci, _ in mapped}) != 1:
+            raise StrategyError("pseudo edge split across cycles")
+        return mapped[0][0], NestPseudo(tuple(p for _, p in mapped))
+    mapped = [emap[(host, p)] for p in binding.run]
+    if len({ci for ci, _ in mapped}) != 1:
+        raise StrategyError("nesting path split across cycles")
+    y_host, inner = _translate_nesting(binding.inner, binding.y_cycle, emap, cmap)
+    return mapped[0][0], NestChain(tuple(p for _, p in mapped), cmap[binding.xz_cycle], y_host, inner)
+
+
+def _translate_active(ac: ActiveCycle, emap: dict[Edge, Edge], cmap: dict[int, int]) -> ActiveCycle:
+    new_pos = []
+    new_cycle: Optional[int] = None
+    for p in ac.pos:
+        if isinstance(p, int):
+            nci, npos = emap[(ac.cycle, p)]
+        else:
+            nci, npos = _translate_nesting(p, ac.cycle, emap, cmap)
+        new_pos.append(npos)
+        if new_cycle is None:
+            new_cycle = nci
+        elif new_cycle != nci:
+            raise StrategyError("active cycle split unexpectedly")
+    assert new_cycle is not None
+    return ActiveCycle(new_cycle, ac.atoms, tuple(new_pos))
+
+
+def _unwrap_chain(binding: Nesting) -> NestChain:
+    if not isinstance(binding, NestChain):
+        raise StrategyError("discarded nesting path has no supporting cycles")
+    return binding
+
+
+def _xtzt_positions(cycle: tuple[int, ...], x: int, z: int) -> tuple[int, int, int, int]:
+    n = len(cycle)
+    for r in range(n):
+        if cycle[r] == x and cycle[(r + 2) % n] == z and cycle[(r + 1) % n] == cycle[(r + 3) % n]:
+            return ((r + 1) % n, (r + 2) % n, (r + 3) % n, r)
+    raise StrategyError(f"no (x,t,z,t) reading with x={x}, z={z}")
+
+
+def _activated_support(chain: NestChain, state: GameState, labels: tuple[int, ...],
+                       var: int) -> tuple[ActiveCycle, ActiveCycle, int]:
+    """After a nesting path (x, y, z) is discarded, its two supporting
+    cycles become active: the (x, t, z, t) cycle as (var, U, var, U) and
+    the y-cycle as (U, N).  Also returns the label t."""
+    x, y, z = labels
+    xz = state.cycles[chain.xz_cycle]
+    p_t1, p_z, p_t2, p_x = _xtzt_positions(xz, x, z)
+    xtzt = ActiveCycle(chain.xz_cycle, (var, "U", var, "U"), (p_t1, p_z, p_t2, p_x))
+    inner_run = set(nesting_positions(chain.inner))
+    y_cyc = state.cycles[chain.y_cycle]
+    y_edge = [p for p in range(len(y_cyc)) if p not in inner_run]
+    if len(y_edge) != 1 or y_cyc[y_edge[0]] != y:
+        raise StrategyError("y-cycle is not one y-edge plus the nesting path")
+    un = ActiveCycle(chain.y_cycle, ("U", "N"), (y_edge[0], chain.inner))
+    return xtzt, un, xz[p_t1]
+
+
+def _discarded_support(ac: ActiveCycle, atom_idx: int, state: GameState, reply: CutterReply,
+                       emap: dict[Edge, Edge], cmap: dict[int, int], var: int):
+    chain = _unwrap_chain(ac.pos[atom_idx])
+    labels = tuple(state.cycles[ac.cycle][p] for p in chain.run)
+    _, inner = _translate_nesting(chain.inner, chain.y_cycle, emap, cmap)
+    chain_t = NestChain(chain.run, cmap[chain.xz_cycle], cmap[chain.y_cycle], inner)
+    return _activated_support(chain_t, reply.next, labels, var)
+
+
+# ---------------------------------------------------------------------------
+# the handlers, one per arrow
+#
+# Each assembles the bindings of its target configuration from the
+# reply's provenance and returns (actives, var_labels).  ``state`` is the
+# pre-reply state throughout.
+
+
+def _h1_a(phase, state, reply):
+    emap, cmap = _maps(reply)
+    old = phase.actives[0]
+    c1, c2 = reply.derived
+    f, fp = reply.new_edges
+    _, u_new = emap[(old.cycle, old.pos[0])]
+    _, n_binding = _translate_nesting(old.pos[1], old.cycle, emap, cmap)
+    c0 = ActiveCycle(c1, (0, "U"), (f[1], u_new))
+    c1b = ActiveCycle(c2, (0, "N"), (fp[1], n_binding))
+    return (c0, c1b), ((0, reply.new_label),)
+
+
+def _h1_bc(phase, state, reply):
+    emap, cmap = _maps(reply)
+    old = phase.actives[0]
+    kept = reply.derived[0]
+    f = reply.new_edges[0]
+    _, u_new = emap[(old.cycle, old.pos[0])]
+    xtzt, un, t = _discarded_support(old, 1, state, reply, emap, cmap, 0)
+    pair = ActiveCycle(kept, ("U", "U"), (u_new, f[1]))
+    return (un, xtzt, pair), ((0, t),)
+
+
+def _h2_d(phase, state, reply):
+    emap, cmap = _maps(reply)
+    c0, c1 = phase.actives
+    amalgam = reply.derived[0]
+    fp, f = reply.new_edges
+    _, s0 = emap[(c0.cycle, c0.pos[0])]
+    _, u = emap[(c0.cycle, c0.pos[1])]
+    _, s1 = emap[(c1.cycle, c1.pos[0])]
+    _, nb = _translate_nesting(c1.pos[1], c1.cycle, emap, cmap)
+    active = ActiveCycle(amalgam, ("N", 0, 1, 0, "U", 1), (nb, s1, f[1], s0, u, fp[1]))
+    return (active,), ((0, _var(phase, state, 0)), (1, reply.new_label))
+
+
+def _h3_a(phase, state, reply):
+    emap, cmap = _maps(reply)
+    (old,) = phase.actives
+    c1, c2 = reply.derived
+    f, fp = reply.new_edges
+    _, a1 = emap[(old.cycle, old.pos[1])]
+    _, b1 = emap[(old.cycle, old.pos[2])]
+    _, a2 = emap[(old.cycle, old.pos[3])]
+    _, u = emap[(old.cycle, old.pos[4])]
+    _, b2 = emap[(old.cycle, old.pos[5])]
+    _, nb = _translate_nesting(old.pos[0], old.cycle, emap, cmap)
+    abac = ActiveCycle(c1, (0, 1, 0, 2), (a1, b1, a2, f[1]))
+    ncub = ActiveCycle(c2, ("N", 2, "U", 1), (nb, fp[1], u, b2))
+    return (abac, ncub), ((0, _var(phase, state, 0)), (1, _var(phase, state, 1)), (2, reply.new_label))
+
+
+def _h4_a(phase, state, reply):
+    emap, cmap = _maps(reply)
+    abac, ncub = phase.actives
+    c1, c2 = reply.derived
+    f, fp = reply.new_edges
+    _, inner = _translate_nesting(ncub.pos[0], ncub.cycle, emap, cmap)
+    _, c_edge = emap[(ncub.cycle, ncub.pos[1])]
+    _, u = emap[(ncub.cycle, ncub.pos[2])]
+    _, b_edge = emap[(ncub.cycle, ncub.pos[3])]
+    chain = NestChain((b_edge, fp[1], c_edge), cmap[abac.cycle], c1, inner)
+    return (ActiveCycle(c2, ("U", "N"), (u, chain)),), ()
+
+
+def _h4_bc(phase, state, reply):
+    emap, cmap = _maps(reply)
+    abac, ncub = phase.actives
+    kept = reply.derived[0]
+    fp = reply.new_edges[0]
+    xtzt, un, t = _discarded_support(ncub, 0, state, reply, emap, cmap, 3)
+    _, c_edge = emap[(ncub.cycle, ncub.pos[1])]
+    _, u = emap[(ncub.cycle, ncub.pos[2])]
+    _, b_edge = emap[(ncub.cycle, ncub.pos[3])]
+    abac_t = _translate_active(abac, emap, cmap)
+    ucub = ActiveCycle(kept, ("U", 2, "U", 1), (fp[1], c_edge, u, b_edge))
+    return (abac_t, ucub, xtzt, un), _var_labels(phase, state, (0, 1, 2)) + ((3, t),)
+
+
+def _h5_a(phase, state, reply):
+    emap, cmap = _maps(reply)
+    abac, ucub, dudu, un = phase.actives
+    c1, c2 = reply.derived
+    f, fp = reply.new_edges
+    _, u1 = emap[(dudu.cycle, dudu.pos[1])]
+    _, d2 = emap[(dudu.cycle, dudu.pos[2])]
+    _, u2 = emap[(dudu.cycle, dudu.pos[3])]
+    _, d1 = emap[(dudu.cycle, dudu.pos[0])]
+    pair = ActiveCycle(c1, (4, "U"), (f[1], u1))
+    dude = ActiveCycle(c2, (3, "U", 3, 4), (d2, u2, d1, fp[1]))
+    keep = [_translate_active(ac, emap, cmap) for ac in (abac, ucub, un)]
+    return (keep[0], keep[1], keep[2], pair, dude), _var_labels(phase, state, (0, 1, 2, 3)) + ((4, reply.new_label),)
+
+
+def _h6_a(phase, state, reply):
+    emap, cmap = _maps(reply)
+    abac, ucub, un, _pair, _dude = phase.actives
+    keep = [_translate_active(ac, emap, cmap) for ac in (abac, ucub, un)]
+    return tuple(keep), _var_labels(phase, state, (0, 1, 2))
+
+
+def _h7_a(phase, state, reply):
+    emap, cmap = _maps(reply)
+    abac, ucub, un = phase.actives
+    c1, c2 = reply.derived
+    f, fp = reply.new_edges
+    _, u_first = emap[(ucub.cycle, ucub.pos[0])]
+    _, c_edge = emap[(ucub.cycle, ucub.pos[1])]
+    _, u_second = emap[(ucub.cycle, ucub.pos[2])]
+    _, b_edge = emap[(ucub.cycle, ucub.pos[3])]
+    abac_t = _translate_active(abac, emap, cmap)
+    un_t = _translate_active(un, emap, cmap)
+    du = ActiveCycle(c1, (3, "U"), (f[1], u_first))
+    dcub = ActiveCycle(c2, (3, 2, "U", 1), (fp[1], c_edge, u_second, b_edge))
+    return (abac_t, un_t, du, dcub), _var_labels(phase, state, (0, 1, 2)) + ((3, reply.new_label),)
+
+
+def _h8_a(phase, state, reply):
+    emap, cmap = _maps(reply)
+    return (_translate_active(phase.actives[1], emap, cmap),), ()
+
+
+def _h8_bc(phase, state, reply):
+    emap, cmap = _maps(reply)
+    abac, un, du, dcub = phase.actives
+    kept = reply.derived[0]
+    f = reply.new_edges[0]
+    _, u_kept = emap[(dcub.cycle, dcub.pos[2])]
+    un_t = _translate_active(un, emap, cmap)
+    abac_t = _translate_active(abac, emap, cmap)
+    du_t = _translate_active(du, emap, cmap)
+    auau = ActiveCycle(abac_t.cycle, (0, "U", 0, "U"), abac_t.pos)
+    uu1 = ActiveCycle(du_t.cycle, ("U", "U"), du_t.pos)
+    uu2 = ActiveCycle(kept, ("U", "U"), (u_kept, f[1]))
+    return (un_t, auau, uu1, uu2), ((0, _var(phase, state, 0)),)
+
+
+def _h9_a(phase, state, reply):
+    emap, cmap = _maps(reply)
+    un, auau, _split, other = phase.actives
+    keep = [_translate_active(ac, emap, cmap) for ac in (un, auau, other)]
+    return tuple(keep), ((0, _var(phase, state, 0)),)
+
+
+def _h10_a(phase, state, reply):
+    emap, cmap = _maps(reply)
+    un, auau, uu = phase.actives
+    c1, c2 = reply.derived
+    f, fp = reply.new_edges
+    _, u1 = emap[(auau.cycle, auau.pos[1])]
+    _, a2 = emap[(auau.cycle, auau.pos[2])]
+    _, u2 = emap[(auau.cycle, auau.pos[3])]
+    _, a1 = emap[(auau.cycle, auau.pos[0])]
+    un_t = _translate_active(un, emap, cmap)
+    uu_t = _translate_active(uu, emap, cmap)
+    bu = ActiveCycle(c1, (1, "U"), (f[1], u1))
+    abau = ActiveCycle(c2, (0, 1, 0, "U"), (a1, fp[1], a2, u2))
+    return (un_t, uu_t, bu, abau), ((0, _var(phase, state, 0)), (1, reply.new_label))
+
+
+def _h11_a(phase, state, reply):
+    emap, cmap = _maps(reply)
+    un, uu, _bu, _abau = phase.actives
+    return tuple(_translate_active(ac, emap, cmap) for ac in (un, uu)), ()
+
+
+def _h12_a(phase, state, reply):
+    emap, cmap = _maps(reply)
+    return (_translate_active(phase.actives[0], emap, cmap),), ()
+
+
+def _var(phase: BoundingPhase, state: GameState, v: int) -> int:
+    return dict(var_labels(phase, state))[v]
+
+
+def _var_labels(phase: BoundingPhase, state: GameState, keep: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    return tuple((v, _var(phase, state, v)) for v in keep)
+
+
+# (configuration, reply kind) -> (target configuration, handler)
+REFERENCE_ARROWS = {
+    (1, "A"): (2, _h1_a),
+    (1, "B"): (10, _h1_bc),
+    (1, "C"): (10, _h1_bc),
+    (2, "D"): (3, _h2_d),
+    (3, "A"): (4, _h3_a),
+    (4, "A"): (1, _h4_a),
+    (4, "B"): (5, _h4_bc),
+    (4, "C"): (5, _h4_bc),
+    (5, "A"): (6, _h5_a),
+    (6, "A"): (7, _h6_a),
+    (7, "A"): (8, _h7_a),
+    (8, "A"): (1, _h8_a),
+    (8, "B"): (9, _h8_bc),
+    (8, "C"): (9, _h8_bc),
+    (9, "A"): (10, _h9_a),
+    (10, "A"): (11, _h10_a),
+    (11, "A"): (12, _h11_a),
+    (12, "A"): (1, _h12_a),
+}
+
+
+def reference_advance(phase: BoundingPhase, state: GameState,
+                      reply: CutterReply) -> tuple[BoundingPhase, tuple[tuple[int, int], ...]]:
+    """The bound configuration after ``reply`` (``state`` is the pre-reply
+    state) and the (variable, label) pairs the handler assigned."""
+    arrow = REFERENCE_ARROWS.get((phase.config, reply.kind))
+    if arrow is None:
+        raise StrategyError(f"configuration {phase.config} cannot absorb a kind-{reply.kind} reply")
+    target, handler = arrow
+    actives, labels = handler(phase, state, reply)
+    return BoundingPhase(target, actives), labels

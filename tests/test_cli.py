@@ -76,6 +76,25 @@ def test_corpus_mismatch_fails(tmp_path):
     assert dispatch(["check-corpus", "--dir", str(tmp_path)]) == EXIT_FAIL
 
 
+@pytest.mark.parametrize("sidecar", [
+    {"a": 1},
+    [1],
+    [{"declared_genus": "one"}],
+    [{"expected_cop_number": True}],
+], ids=["not-a-list", "not-an-object", "string-genus", "bool-cop-number"])
+def test_malformed_sidecar_exits_64(sidecar, tmp_path, capsys):
+    with open(os.path.join(tmp_path, "x.g6"), "w") as fh:
+        fh.write("C~\n")
+    with open(os.path.join(tmp_path, "x.json"), "w") as fh:
+        json.dump(sidecar, fh)
+    code = dispatch(["check-corpus", "--dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "x.json" in lines[0]
+
+
 def test_budget_exhaustion_exit():
     assert dispatch(["--budget-states", "3", "verify-marker", "--g0", "2"]) == EXIT_INCONCLUSIVE
 

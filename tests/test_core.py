@@ -149,19 +149,6 @@ def test_labels_never_silently_duplicated():
                     assert n <= old.get(lab, 0)
 
 
-def test_unrestricted_variants():
-    state = GameState(((0, 1), (2, 3), (4,)), 2, 2, 5)
-    marked = MarkedState(state, (0, 0), (0, 1))
-    restricted = cutter_replies(marked)
-    assert len(restricted) == 3
-    generalized = cutter_replies(marked, unrestricted=True)
-    # components of the remainder: {(2,3)}, {(4,)} -> 4 subsets;
-    # kind A once per subset, kinds B/C once per subset per genus value
-    assert len(generalized) == 4 + 2 * 4 * 3
-    genera = {r.bar_genus for r in generalized if r.kind == "B"}
-    assert genera == {0, 1, 2}
-
-
 def test_validate_reports():
     assert validate(SEED_CYCLE) is None
     bad = GameState(((0, 0), (0,)), 0, 0, 1)

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 import reference_solver
-from cutgame import equivalence
+from cutgame import arena, equivalence
 from cutgame.arena import SearchBudget, cutter_value_threshold, ending_marks, exact_value, marker_value_bound
 from cutgame.core import GameState, enumerate_marker_moves
 from cutgame.equivalence import legal_replies, start_history
@@ -83,10 +83,10 @@ def test_exact_value_three():
 def test_solver_raises_on_a_legal_reply_that_skips_a_value(monkeypatch):
     original = equivalence.cutter_replies
 
-    def jumping(marked, unrestricted=False):
+    def jumping(marked):
         # every reply's state gains a loop with one more fresh label
         out = []
-        for reply in original(marked, unrestricted):
+        for reply in original(marked):
             nxt = reply.next
             bigger = GameState(nxt.cycles + ((nxt.next_label,),), nxt.genus, nxt.initial_genus, nxt.next_label + 1)
             out.append(dataclasses.replace(reply, next=bigger))
@@ -95,3 +95,16 @@ def test_solver_raises_on_a_legal_reply_that_skips_a_value(monkeypatch):
     monkeypatch.setattr(equivalence, "cutter_replies", jumping)
     with pytest.raises(RuntimeError, match="not by one"):
         exact_value(1)
+
+
+def test_memo_off_solve_computes_no_keys(monkeypatch):
+    calls = []
+    original = arena.canonical_key
+
+    def counting(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(arena, "canonical_key", counting)
+    assert exact_value(1, use_memo=False) == 4
+    assert calls == []

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cutgame.core import GameState, MarkedState, empty_state, value
+from cutgame.arena import verify_marker_bound, verify_refined
+from cutgame.core import GameState, MarkedState, cutter_replies, empty_state, value
 from cutgame.equivalence import legal_replies, start_history
 from cutgame.potential import state_potential
 from cutgame.strategy import (
@@ -15,10 +16,12 @@ from cutgame.strategy import (
     SeedPhase,
     StrategyError,
     SwitchToCops,
+    TEMPLATES,
     classify_configuration,
     cutter_move,
     verify_bindings,
 )
+from reference_strategy import phase_signature, reference_advance, var_labels
 
 
 def marker_move(phase, state: GameState, refined: bool = False) -> tuple[MarkedState, dict]:
@@ -33,7 +36,6 @@ def _config3_state(genus: int) -> tuple[GameState, BoundingPhase]:
     phase = BoundingPhase(
         3,
         (ActiveCycle(0, ("N", 0, 1, 0, "U", 1), (NestUnique(0), 1, 2, 3, 4, 5)),),
-        ((0, 1), (1, 2)),
     )
     return state, phase
 
@@ -43,7 +45,6 @@ def _config2_state(genus: int) -> tuple[GameState, BoundingPhase]:
     phase = BoundingPhase(
         2,
         (ActiveCycle(0, (0, "U"), (0, 1)), ActiveCycle(1, (0, "N"), (0, NestUnique(1)))),
-        ((0, 5),),
     )
     return state, phase
 
@@ -160,7 +161,6 @@ def test_switch_to_cops_at_genus_one():
     phase = BoundingPhase(
         1,
         (ActiveCycle(1, ("U", "N"), (1, NestPseudo((2, 3, 0)))),),
-        (),
     )
     verify_bindings(state, phase, allow_pseudo=True)
     marked = strat.mark(phase, state)
@@ -177,7 +177,6 @@ def test_pseudo_rebind_at_genus_four():
     phase = BoundingPhase(
         1,
         (ActiveCycle(1, ("U", "N"), (1, NestPseudo((2, 3, 0)))),),
-        (),
     )
     marked = strat.mark(phase, state)
     legal = legal_replies(start_history(state), marked)
@@ -219,8 +218,78 @@ def test_cutter_requires_legal_reply():
 
 
 def test_verify_bindings_catches_drift():
-    state, phase = _config2_state(1)
-    # claim the wrong shared label
-    broken = BoundingPhase(2, phase.actives, ((0, 6),))
-    with pytest.raises(StrategyError):
-        verify_bindings(state, broken)
+    _, phase = _config2_state(1)
+    # variable 0's two edges read 5 and 7; every "U" and "N" edge is unique
+    drifted = GameState(((5, 6), (7, 8)), 1, 1, 9)
+    with pytest.raises(StrategyError, match="variable 0 bound to 5 but edge reads 7"):
+        verify_bindings(drifted, phase)
+
+
+def test_every_arrow_has_one_source_per_target_cycle():
+    for cfg, template in TEMPLATES.items():
+        for kind, (target, sources) in template.arrows.items():
+            tcycles = TEMPLATES[target].cycles
+            assert len(sources) == len(tcycles), (cfg, kind)
+            for source, atoms in zip(sources, tcycles):
+                if isinstance(source, int):
+                    # carried whole: the active cycle keeps its atom count
+                    assert len(template.cycles[source]) == len(atoms), (cfg, kind, source)
+                elif source[0] == "xz":
+                    t = atoms[0]
+                    assert isinstance(t, int) and atoms == (t, "U", t, "U"), (cfg, kind, source)
+                elif source[0] == "y":
+                    assert atoms == ("U", "N"), (cfg, kind, source)
+                else:
+                    assert len(source) == len(atoms), (cfg, kind, source)
+
+
+def _bounding_nodes(monkeypatch) -> list:
+    """(phase, state) of every bounding node the marker verifiers visit."""
+    nodes = []
+    original = MarkerStrategy.mark
+
+    def recording(self, phase, state):
+        if isinstance(phase, BoundingPhase):
+            nodes.append((phase, state))
+        return original(self, phase, state)
+
+    monkeypatch.setattr(MarkerStrategy, "mark", recording)
+    for g0 in range(10):
+        assert verify_marker_bound(g0).verdict == "pass"
+    for g0 in range(1, 10):
+        assert verify_refined(g0).verdict == "pass"
+    monkeypatch.undo()
+    return nodes
+
+
+def test_transition_table_matches_reference_handlers(monkeypatch):
+    """Every reply to the strategy's own mark, at every bounding node of
+    marker g0=0..9 and refined g0=1..9: the table and the reference
+    handlers give the same phase, or both refuse the reply.  The refined
+    switch and re-anchoring act after the table and are not compared."""
+    strat = MarkerStrategy()
+    nodes = _bounding_nodes(monkeypatch)
+    assert len(nodes) > 1000
+    absorbed, refused = set(), 0
+    for phase, state in nodes:
+        for reply in cutter_replies(strat.mark(phase, state)):
+            try:
+                ref, ref_labels = reference_advance(phase, state, reply)
+            except (StrategyError, KeyError):
+                ref = None
+            try:
+                nxt = strat.advance(phase, state, reply)
+            except (StrategyError, KeyError):
+                nxt = None
+            assert (nxt is None) == (ref is None), (phase.config, reply.kind)
+            if nxt is None:
+                refused += 1
+                continue
+            absorbed.add((phase.config, reply.kind))
+            assert phase_signature(nxt, reply.next) == phase_signature(ref, reply.next)
+            assert var_labels(nxt, reply.next) == ref_labels
+    assert refused > 0
+    # every arrow is exercised except 1-C, 4-B and 8-C, whose replies to
+    # the strategy's own mark never keep the edges the arrow reads
+    arrows = {(cfg, kind) for cfg, t in TEMPLATES.items() for kind in t.arrows}
+    assert absorbed == arrows - {(1, "C"), (4, "B"), (8, "C")}
