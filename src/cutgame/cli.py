@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 = pass, 1 = fail (a bound was violated), 2 = inconclusive
-(a state, genus-search node or pursuit-position budget was exhausted,
-or the cop number lies above ``--k-max``; ``genus`` and ``cop-number``
+(a state budget, the genus search's node budget or the pursuit budget,
+which counts positions plus joint-move list entries, was exhausted, or
+the cop number lies above ``--k-max``; ``genus`` and ``cop-number``
 print one ``inconclusive:`` line on stderr), 64 = usage error or bad
 input (a negative genus or budget, a sampled run of fewer than one
 play, a seeded game below genus one, ``--k-max`` below one, a

@@ -145,22 +145,20 @@ class CutterReply:
     """One cutter reply and the state it produces.
 
     Provenance fields record how the new state's cycles were assembled so
-    that callers can trace every surviving edge:
+    that the marker strategy can trace every surviving edge:
 
-    * ``path`` / ``path_prime``: edge positions of the two split arcs on
-      their source cycles.
     * ``derived``: indices of the freshly assembled cycles in ``next``
       (``C_hat_1`` and/or ``C_hat_2``, or the amalgam for kind D).
     * ``edge_map``: pairs ``(old_edge, new_edge)`` for every edge of the
       previous state that survives into ``next``.
-    * ``new_edges``: positions of the new edge(s) carrying ``new_label``.
+    * ``new_edges``: positions of the new edge(s), which carry the
+      previous state's ``next_label``.
+
+    The split arcs are ``split_cycle`` of the marked cycle.
     """
 
     kind: ReplyKind
-    new_label: int
     next: GameState
-    path: tuple[int, ...]
-    path_prime: tuple[int, ...]
     derived: tuple[int, ...]
     edge_map: tuple[tuple[Edge, Edge], ...]
     new_edges: tuple[Edge, ...]
@@ -176,8 +174,6 @@ def _assemble(
     removed: tuple[int, ...],
     new_cycles: list[list[tuple[Optional[Edge], int]]],
     new_genus: int,
-    path: tuple[int, ...],
-    path_prime: tuple[int, ...],
 ) -> CutterReply:
     """Build the next state plus provenance.  ``new_cycles`` lists, per
     derived cycle, (source edge or None for a fresh edge, label)."""
@@ -205,10 +201,7 @@ def _assemble(
     )
     return CutterReply(
         kind=kind,
-        new_label=state.next_label,
         next=next_state,
-        path=path,
-        path_prime=path_prime,
         derived=tuple(derived),
         edge_map=tuple(edge_map),
         new_edges=tuple(new_edges),
@@ -238,7 +231,7 @@ def cutter_replies(marked: MarkedState) -> list[CutterReply]:
         replies: list[CutterReply] = []
 
         def emit(kind: ReplyKind, parts: list[list], genus: int) -> None:
-            replies.append(_assemble(state, kind, removed, parts, genus, path, path_prime))
+            replies.append(_assemble(state, kind, removed, parts, genus))
 
         if state.genus >= 1:
             emit("A", [c_hat_1, c_hat_2], state.genus - 1)
@@ -249,26 +242,17 @@ def cutter_replies(marked: MarkedState) -> list[CutterReply]:
     # Different components (a vertex may be a dummy, or both are distinct
     # dummies): the cutter has no choice, the two cycles amalgamate.
     removed_list: list[int] = []
-    if marked.v is not None:
-        cv = marked.v[0]
-        path, _ = split_cycle(state.cycles[cv], marked.v[1], marked.v[1])
-        removed_list.append(cv)
-        p_edges = [((cv, p), state.cycles[cv][p]) for p in path]
-    else:
-        path = ()
-        p_edges = []
-    if marked.w is not None:
-        cw = marked.w[0]
-        path_prime, _ = split_cycle(state.cycles[cw], marked.w[1], marked.w[1])
-        removed_list.append(cw)
-        q_edges = [((cw, p), state.cycles[cw][p]) for p in path_prime]
-    else:
-        path_prime = ()
-        q_edges = []
-    amalgam = p_edges + [(None, label)] + q_edges + [(None, label)]
-    return [
-        _assemble(state, "D", tuple(removed_list), [amalgam], state.genus, path, path_prime)
-    ]
+    opened: list[list[tuple[Optional[Edge], int]]] = []
+    for point in (marked.v, marked.w):
+        if point is None:
+            opened.append([])
+            continue
+        ci, pos = point
+        removed_list.append(ci)
+        whole, _ = split_cycle(state.cycles[ci], pos, pos)
+        opened.append([((ci, p), state.cycles[ci][p]) for p in whole])
+    amalgam = opened[0] + [(None, label)] + opened[1] + [(None, label)]
+    return [_assemble(state, "D", tuple(removed_list), [amalgam], state.genus)]
 
 
 class Violation:

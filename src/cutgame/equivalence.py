@@ -271,10 +271,6 @@ def canonical_key(state: GameState) -> CanonicalKey:
     return CanonicalKey(genus=state.genus, shape=_cached_shape(state.cycles))
 
 
-def equivalent(a: GameState, b: GameState) -> bool:
-    return canonical_key(a) == canonical_key(b)
-
-
 @lru_cache(maxsize=1 << 16)
 def _shape_precedes(cand_cycles: tuple[tuple[int, ...], ...], earl_cycles: tuple[tuple[int, ...], ...]) -> bool:
     """Whether contracting edges of ``earl_cycles`` can give
@@ -373,10 +369,6 @@ class History:
     def __init__(self, states: tuple[GameState, ...], top: Optional[int] = None):
         self.states = states
         self.top = max(map(value, states)) if top is None else top
-
-    @property
-    def keys(self) -> tuple[CanonicalKey, ...]:
-        return tuple(canonical_key(s) for s in self.states)
 
     @property
     def current(self) -> GameState:

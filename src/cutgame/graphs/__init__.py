@@ -1,6 +1,6 @@
 from .bounds import BoundReport, check_bounds, classical_bound, improved_bound
 from .corpus import CorpusEntry, bundled_corpus, check_corpus, load_corpus, write_corpus
-from .genus import GenusResult, RotationBudgetError, embedding_exists, genus_exact, genus_lower_bound
+from .genus import GenusResult, RotationBudgetError, genus_exact, genus_lower_bound
 from .graph import (
     Graph,
     bfs_distances,
@@ -38,7 +38,6 @@ __all__ = [
     "cop_number",
     "cop_win",
     "cycle_graph",
-    "embedding_exists",
     "emit_graph6",
     "genus_exact",
     "genus_lower_bound",

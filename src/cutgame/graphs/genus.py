@@ -87,17 +87,3 @@ def genus_exact(g: Graph, max_systems: int = 10_000_000) -> GenusResult:
         )
     return GenusResult(genus, checked, genus > lb, lb)
 
-
-def embedding_exists(g: Graph, genus: int, max_systems: int = 10_000_000) -> bool:
-    """Whether some rotation system embeds ``g`` with at most ``genus``
-    handles (an upper-bound witness: the search tries that one target
-    and stops at the first hit)."""
-    if not is_connected(g):
-        raise ValueError("genus sweep needs a connected graph")
-    if g.edge_count() == 0:
-        return genus >= 0
-    degrees, vertex_darts, rev = _darts(g)
-    found, _, complete = genus_sweep(degrees, vertex_darts, rev, genus, max_systems, max_genus=genus)
-    if not complete:
-        raise RotationBudgetError("budget exhausted before finding an embedding")
-    return found <= genus

@@ -27,7 +27,8 @@ class GeodesicGuard:
         self._index = {v: i for i, v in enumerate(self.path)}
         self._dist_start = bfs_distances(self.graph, self.path[0])
         # distances to the path, for the walk-on phase
-        self._dist_to_path = [min(bfs_distances(self.graph, p)[v] for p in self.path) for v in range(self.graph.n)]
+        from_path = [bfs_distances(self.graph, p) for p in self.path]
+        self._dist_to_path = [min(d[v] for d in from_path) for v in range(self.graph.n)]
 
     def start_vertex(self) -> int:
         return self.path[0]
@@ -81,16 +82,9 @@ def verify_guarding(g: Graph, path: tuple[int, ...], max_states: int = 1_000_000
     on_path = set(path)
     explored = 0
 
-    # state: (cop, robber, latched), robber to move next
-    seen: set[tuple[int, int, bool]] = set()
-    stack: list[tuple[int, int, bool]] = []
-    on_stack: set[tuple[int, int, bool]] = set()
-
-    def push(state: tuple[int, int, bool]):
-        if state not in seen:
-            seen.add(state)
-            stack.append(state)
-
+    # state: (cop, robber, latched), robber to move next; one root per
+    # robber start that the cop's first move does not capture
+    roots: list[tuple[int, int, bool]] = []
     cop0 = guard.start_vertex()
     for robber0 in range(g.n):
         if robber0 == cop0:
@@ -98,11 +92,10 @@ def verify_guarding(g: Graph, path: tuple[int, ...], max_states: int = 1_000_000
         cop = guard.move(cop0, robber0)  # cops move first
         if cop == robber0:
             continue
-        push((cop, robber0, guard.positioned(cop, robber0)))
+        roots.append((cop, robber0, guard.positioned(cop, robber0)))
 
     # iterative DFS with an unpositioned-cycle check via colouring
     colour: dict[tuple[int, int, bool], int] = {}
-    order: list[tuple[int, int, bool]] = list(stack)
     stack2: list[tuple[tuple[int, int, bool], int]] = []
 
     def successors(state):
@@ -122,7 +115,7 @@ def verify_guarding(g: Graph, path: tuple[int, ...], max_states: int = 1_000_000
             out.append((nxt, r2, latched or guard.positioned(nxt, r2)))
         return out, None
 
-    for root in order:
+    for root in roots:
         if root in colour:
             continue
         stack2.append((root, 0))

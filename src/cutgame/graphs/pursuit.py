@@ -28,12 +28,15 @@ class CopNumberAboveError(ValueError):
     before it had its own type."""
 
 
-def _joint_moves(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+def _joint_moves(g: Graph, k: int, max_entries: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """The multisets of ``k`` cops in lexicographic order and, for each,
     the rows one joint cop move away (each cop steps to a neighbour or
     stays).  Built one cop at a time: ``P`` plus a largest cop ``c`` has
     the moves ``Q + x`` for ``Q`` in ``J(P)`` and ``x`` in ``N[c]``, read
     from a table of the rows ``Q + x``, so no product tuple is sorted.
+
+    Raises :class:`StateSpaceError` as soon as one level's lists hold
+    more than ``max_entries`` rows in all.
     """
     closed = [(v,) + g.neighbours(v) for v in range(g.n)]
     multisets, moves = [()], [[0]]  # no cops: one multiset, which stays
@@ -42,9 +45,13 @@ def _joint_moves(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[list[int
         row = {cops: i for i, cops in enumerate(bigger)}
         add = [[row[tuple(sorted(cops + (x,)))] for cops in multisets] for x in range(g.n)]
         prefix = {cops: i for i, cops in enumerate(multisets)}
-        moves = [list({add[x][q] for x in closed[cops[-1]] for q in moves[prefix[cops[:-1]]]})
-                 for cops in bigger]
-        multisets = bigger
+        level, entries = [], 0
+        for cops in bigger:
+            level.append(list({add[x][q] for x in closed[cops[-1]] for q in moves[prefix[cops[:-1]]]}))
+            entries += len(level[-1])
+            if entries > max_entries:
+                raise StateSpaceError(f"the {j}-cop joint moves exceed the {max_entries} entries left in the budget")
+        multisets, moves = bigger, level
     return multisets, moves
 
 
@@ -53,13 +60,14 @@ def cop_win_positions(g: Graph, k: int, max_positions: int = 5_000_000,
     """Win masks for ``k`` cops: ``(multisets, w0, w1)``, the cop
     multisets in lexicographic order and, for the ``i``-th, the robber
     vertices from which the cops win with the cops (``w0[i]``) and with
-    the robber (``w1[i]``) to move.  The budget counts positions:
-    multisets times vertices times two sides.
+    the robber (``w1[i]``) to move.  The budget counts positions
+    (multisets times vertices times two sides) plus the entries of the
+    joint-move lists, which are counted while they are built.
     """
     total = math.comb(g.n + k - 1, k) * g.n * 2
     if total > max_positions:
         raise StateSpaceError(f"{total} positions exceed the budget {max_positions}")
-    multisets, moves = _joint_moves(g, k)
+    multisets, moves = _joint_moves(g, k, max_positions - total)
     closed = [(1 << v) | sum(1 << u for u in g.neighbours(v)) for v in range(g.n)]
     # with the robber to move the cops have won where they stand; with
     # the cops to move, wherever one cop can step

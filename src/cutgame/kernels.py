@@ -8,13 +8,12 @@ in Python ints.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from typing import Optional
 
 
 def genus_sweep(degrees: list[int], vertex_darts: list[list[int]], rev: list[int],
-                lower_bound: int, max_systems: int,
-                max_genus: Optional[int] = None) -> tuple[int, int, bool]:
+                lower_bound: int, max_systems: int) -> tuple[int, int, bool]:
     """Orientable genus of a connected graph with at least one edge, by
     branch-and-bound over partial rotation systems (after Brinkmann, "A
     practical algorithm for the computation of the genus",
@@ -24,8 +23,7 @@ def genus_sweep(degrees: list[int], vertex_darts: list[list[int]], rev: list[int
     dart to its reversal.  By Euler's formula an embedding has genus at
     most ``t`` exactly when it has at least ``2 - 2t - n + e`` faces.
     The targets ``t = lower_bound, lower_bound + 1, ...`` are tried in
-    turn (up to ``max_genus`` when given); the first one with an
-    embedding gives the genus.
+    turn; the first one with an embedding gives the genus.
 
     For one target the search traces faces one at a time.  A face walk
     goes from dart ``d`` to the rotation successor of ``rev[d]``, which
@@ -44,8 +42,7 @@ def genus_sweep(degrees: list[int], vertex_darts: list[list[int]], rev: list[int
     counts search nodes over all targets: one per choice tried where two
     or more rotation successors were open.  ``complete`` is False when
     ``max_systems`` nodes were spent first; ``genus`` is then the target
-    under search, a lower bound.  When every target up to ``max_genus``
-    is refuted, ``genus`` is ``max_genus + 1``.
+    under search, a lower bound.
     """
     n = len(degrees)
     n_darts = len(rev)
@@ -56,8 +53,7 @@ def genus_sweep(degrees: list[int], vertex_darts: list[list[int]], rev: list[int
             tail[d] = v
     floor = _face_floor(degrees, vertex_darts, rev, tail)
     checked = 0
-    t = lower_bound
-    while max_genus is None or t <= max_genus:
+    for t in itertools.count(lower_bound):
         faces, nodes = _embed(2 - 2 * t - n + e, floor, vertex_darts, rev, tail,
                               max_systems - checked)
         checked += nodes
@@ -65,8 +61,6 @@ def genus_sweep(degrees: list[int], vertex_darts: list[list[int]], rev: list[int
             return t, checked, False
         if faces:
             return (2 - n + e - faces) // 2, checked, True
-        t += 1
-    return t, checked, True
 
 
 def _embed(needed: int, floor: int, vertex_darts: list[list[int]], rev: list[int],

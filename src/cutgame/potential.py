@@ -37,9 +37,6 @@ class Segment:
     def whole_cycle(state: GameState, ci: int) -> "Segment":
         return Segment(ci, tuple(range(len(state.cycles[ci]))), closed=True)
 
-    def __len__(self) -> int:
-        return len(self.positions)
-
 
 def _quarters(labels: tuple[int, ...], wrap: bool, counts: dict[int, int]) -> int:
     """A run's potential in quarters; ``wrap`` makes its end edges touch."""

@@ -36,6 +36,7 @@ from .core import (
     GameState,
     MarkedState,
     Vertex,
+    split_cycle,
     uniquely_appearing_labels,
     value,
 )
@@ -115,7 +116,12 @@ class Template:
       discarded; the (x, t, z, t) cycle reads (t, U, t, U) and the
       y-cycle (U, N).
 
-    The new cycle of a placed source is where its atoms land.
+    The new cycle of a placed source is where its atoms land.  A kind
+    with no arrow is refused: configurations 1 and 8 have no C arrow
+    and 4 no B arrow, because against the mark those replies only
+    rename (4-B also contracts) edges of the current state, which
+    restricted legality forbids.  The atoms are stated here only; a
+    bound phase's :class:`ActiveCycle` holds positions.
     """
 
     __slots__ = ("cycles", "mark", "arrows")
@@ -129,7 +135,6 @@ TEMPLATES: dict[int, Template] = {
     1: Template((("U", "N"),), ((0, 0), (0, 1)), {
         "A": (2, (("f", (0, 0)), ("g", (0, 1)))),
         "B": (10, (("y", 0, 1), ("xz", 0, 1), ((0, 0), "f"))),
-        "C": (10, (("y", 0, 1), ("xz", 0, 1), ((0, 0), "f"))),
     }),
     2: Template(((0, "U"), (0, "N")), ((0, 0), (1, 1)), {
         "D": (3, (((1, 1), (1, 0), "g", (0, 0), (0, 1), "f"),)),
@@ -139,7 +144,6 @@ TEMPLATES: dict[int, Template] = {
     }),
     4: Template(((0, 1, 0, 2), ("N", 2, "U", 1)), ((1, 0), (1, 1)), {
         "A": (1, (((1, 2), ("chain", ((1, 3), "g", (1, 1)), 0, (1, 0))),)),
-        "B": (5, (0, ("f", (1, 1), (1, 2), (1, 3)), ("xz", 1, 0), ("y", 1, 0))),
         "C": (5, (0, ("f", (1, 1), (1, 2), (1, 3)), ("xz", 1, 0), ("y", 1, 0))),
     }),
     5: Template(((0, 1, 0, 2), ("U", 2, "U", 1), (3, "U", 3, "U"), ("U", "N")), ((2, 1), (2, 2)), {
@@ -154,7 +158,6 @@ TEMPLATES: dict[int, Template] = {
     8: Template(((0, 1, 0, 2), ("U", "N"), (3, "U"), (3, 2, "U", 1)), ((3, 2), (3, 3)), {
         "A": (1, (1,)),
         "B": (9, (1, 0, 2, ((3, 2), "f"))),
-        "C": (9, (1, 0, 2, ((3, 2), "f"))),
     }),
     9: Template((("U", "N"), (0, "U", 0, "U"), ("U", "U"), ("U", "U")), ((2, 0), (2, 1)), {
         "A": (10, (0, 1, 3)),
@@ -174,14 +177,16 @@ CAP_CONFIGS = {5, 9}
 class ActiveCycle:
     """One active component bound to a template cycle.
 
-    ``pos`` parallels ``atoms``: an edge position for "U" and variable
-    atoms, a :class:`Nesting` binding for "N" atoms.
+    ``pos`` parallels the atoms of the bound phase's template cycle,
+    ``TEMPLATES[config].cycles[a]`` for active cycle ``a``: an edge
+    position for "U" and variable atoms, a :class:`Nesting` binding for
+    "N" atoms.
     """
 
-    __slots__ = ("cycle", "atoms", "pos")
+    __slots__ = ("cycle", "pos")
 
-    def __init__(self, cycle: int, atoms: tuple[Atom, ...], pos: tuple):
-        self.cycle, self.atoms, self.pos = cycle, atoms, pos
+    def __init__(self, cycle: int, pos: tuple):
+        self.cycle, self.pos = cycle, pos
 
     def mark_vertex(self, atom_idx: int) -> Vertex:
         p = self.pos[atom_idx]
@@ -318,15 +323,6 @@ class MarkerStrategy:
         w = phase.actives[c2].mark_vertex(a2)
         return MarkedState(state, v, w)
 
-    def expected(self, phase: Phase) -> dict[str, object]:
-        """Reply kinds the strategy can meet, with their successor."""
-        if isinstance(phase, PreparatoryPhase):
-            nxt = 1 if phase.non_a_replies == 1 else PreparatoryPhase(phase.non_a_replies + 1)
-            return {"A": phase, "B": nxt, "C": nxt}
-        if isinstance(phase, SeedPhase):
-            return {"A": 1}
-        return {kind: target for kind, (target, _) in TEMPLATES[phase.config].arrows.items()}
-
     def _prep_mark(self, state: GameState) -> MarkedState:
         uniq = uniquely_appearing_labels(state)
         if not uniq:
@@ -385,7 +381,7 @@ class MarkerStrategy:
         kept = reply.derived[0]
         f_pos = reply.new_edges[0][1]
         u_pos = 1 - f_pos
-        active = ActiveCycle(kept, ("U", "N"), (u_pos, NestUnique(f_pos)))
+        active = ActiveCycle(kept, (u_pos, NestUnique(f_pos)))
         return BoundingPhase(1, (active,))
 
     def _advance_seed(self, reply: CutterReply) -> Phase:
@@ -401,7 +397,7 @@ class MarkerStrategy:
             raise StrategyError("seed split left more than one unique label on the long side")
         u = u_pos[0]
         run = tuple((u + 1 + i) % 4 for i in range(3))
-        active = ActiveCycle(c2, ("U", "N"), (u, NestPseudo(run)))
+        active = ActiveCycle(c2, (u, NestPseudo(run)))
         return BoundingPhase(1, (active,))
 
     def _rebind_pseudo(self, phase: BoundingPhase, state: GameState) -> BoundingPhase:
@@ -435,8 +431,8 @@ class MarkerStrategy:
         if state.label_counts()[other] != 1:
             raise StrategyError("pseudo partner's second label is not unique")
         rebound = NestPseudo((run[2], q_pos, run[0]))
-        c0 = ActiveCycle(pci, (0, "U"), (pp, 1 - pp))
-        c1 = ActiveCycle(host, (0, "N"), (mid_pos, rebound))
+        c0 = ActiveCycle(pci, (pp, 1 - pp))
+        c1 = ActiveCycle(host, (mid_pos, rebound))
         return BoundingPhase(2, (c0, c1))
 
     # -- the transition table ---------------------------------------------
@@ -483,7 +479,7 @@ class MarkerStrategy:
                 if len({ci for ci, _ in placed}) != 1:
                     raise StrategyError("active cycle split unexpectedly")
                 cycle, pos = placed[0][0], tuple(p for _, p in placed)
-            actives.append(ActiveCycle(cycle, atoms, pos))
+            actives.append(ActiveCycle(cycle, pos))
         return BoundingPhase(target, tuple(actives))
 
 
@@ -499,14 +495,14 @@ def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool =
     counts = state.label_counts()
     var_labels: dict[int, int] = {}
     var_seen: dict[int, int] = {}
-    for ac, tcyc in zip(phase.actives, template.cycles):
-        if ac.atoms != tcyc:
-            raise StrategyError(f"atoms {ac.atoms} differ from template {tcyc}")
+    for ac, atoms in zip(phase.actives, template.cycles):
+        if len(ac.pos) != len(atoms):
+            raise StrategyError(f"{len(ac.pos)} positions bound to template cycle {atoms}")
         if not (0 <= ac.cycle < len(state.cycles)):
             raise StrategyError("active references a missing cycle")
         cyc = state.cycles[ac.cycle]
         covered: list[int] = []
-        for atom, p in zip(ac.atoms, ac.pos):
+        for atom, p in zip(atoms, ac.pos):
             if isinstance(p, int):
                 covered.append(p)
                 lab = cyc[p]
@@ -668,10 +664,12 @@ def cutter_move(history: History, marked: MarkedState) -> tuple[CutterReply, boo
     if not marked.same_component():
         licensed = [r for r in legal if r.kind == "D"]
     else:
-        sample = legal[0]
-        ci = None if marked.v is None else marked.v[0]
-        seg_p = None if ci is None or not sample.path else Segment(ci, sample.path)
-        seg_q = None if ci is None or not sample.path_prime else Segment(ci, sample.path_prime)
+        seg_p = seg_q = None
+        if marked.v is not None:
+            ci = marked.v[0]
+            path, path_prime = split_cycle(state.cycles[ci], marked.v[1], marked.w[1])
+            seg_p = Segment(ci, path)
+            seg_q = Segment(ci, path_prime) if path_prime else None
         p_p = segment_potential(seg_p, state)
         p_q = segment_potential(seg_q, state)
         for r in legal:

@@ -64,10 +64,14 @@ def random_marked(rng: random.Random, state: GameState) -> MarkedState:
     return rng.choice(enumerate_marker_moves(state))
 
 
-def _arc_segment(state: GameState, ci, positions) -> Segment | None:
-    if ci is None or not positions:
-        return None
-    return Segment(ci, tuple(positions))
+def _arc_segments(state: GameState, marked: MarkedState) -> tuple[Segment | None, Segment | None]:
+    """The two split arcs of a same-component mark as segments (None
+    for a trivial arc): the one kind B keeps, then the one kind C keeps."""
+    if marked.v is None:
+        return None, None
+    ci = marked.v[0]
+    arcs = split_cycle(state.cycles[ci], marked.v[1], marked.w[1])
+    return tuple(Segment(ci, arc) if arc else None for arc in arcs)
 
 
 def _gathers_all(state: GameState, marked: MarkedState) -> bool:
@@ -123,9 +127,7 @@ def fuzz_move_a(rng: random.Random, cases: int) -> int:
         if "A" not in replies:
             continue
         reply = replies["A"]
-        ci = None if marked.v is None else marked.v[0]
-        p_p = segment_potential(_arc_segment(state, ci, reply.path), state)
-        p_q = segment_potential(_arc_segment(state, ci, reply.path_prime), state)
+        p_p, p_q = (segment_potential(seg, state) for seg in _arc_segments(state, marked))
         p0, p1 = state_potential(state), state_potential(reply.next)
         if p_p >= HALF and p_q >= HALF:
             assert p1 <= p0, f"kind A with rich arcs raised potential on {state}"
@@ -145,13 +147,12 @@ def fuzz_move_bc(rng: random.Random, cases: int) -> int:
         if not marked.same_component():
             continue
         legal = {r.kind: r for r in legal_replies(start_history(state), marked)}
-        ci = None if marked.v is None else marked.v[0]
+        seg_p, seg_q = _arc_segments(state, marked)
         hit = False
-        for kind, discarded_attr in (("B", "path_prime"), ("C", "path")):
+        for kind, seg in (("B", seg_q), ("C", seg_p)):
             reply = legal.get(kind)
             if reply is None:
                 continue
-            seg = _arc_segment(state, ci, getattr(reply, discarded_attr))
             if segment_potential(seg, state) < HALF:
                 p0, p1 = state_potential(state), state_potential(reply.next)
                 assert p1 <= p0, f"kind {kind} over a poor arc raised potential on {state}"

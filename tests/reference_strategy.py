@@ -6,16 +6,20 @@ cycles comes from, and ``MarkerStrategy._advance_bounding`` interprets
 it.  The tests keep the hand-written handlers that table replaced here,
 one per arrow, with their own binding translation.  Where the handlers
 read a shared-label variable's label, they read it off the pre-reply
-state, since phases no longer store those labels.
+state, since phases no longer store those labels.  Each handler writes
+the atoms of every cycle it builds by hand (:class:`RefCycle`), so the
+cross-check also checks the table's atom lists.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from cutgame.core import CutterReply, Edge, GameState
 from cutgame.strategy import (
+    TEMPLATES,
     ActiveCycle,
+    Atom,
     BoundingPhase,
     NestChain,
     NestPseudo,
@@ -26,18 +30,32 @@ from cutgame.strategy import (
 )
 
 
+class RefCycle(NamedTuple):
+    """An active cycle with its atoms written out."""
+
+    cycle: int
+    atoms: tuple[Atom, ...]
+    pos: tuple
+
+
 # ---------------------------------------------------------------------------
 # phase comparison
 
 
-def var_labels(phase: BoundingPhase, state: GameState) -> tuple[tuple[int, int], ...]:
+def bound_cycles(phase: BoundingPhase) -> tuple[RefCycle, ...]:
+    """The phase's active cycles with their template atoms."""
+    return tuple(RefCycle(ac.cycle, atoms, ac.pos)
+                 for ac, atoms in zip(phase.actives, TEMPLATES[phase.config].cycles, strict=True))
+
+
+def var_labels(cycles: tuple[RefCycle, ...], state: GameState) -> tuple[tuple[int, int], ...]:
     """(variable, label) pairs, each label read off the variable's first
     bound edge in ``state``."""
     labels: dict[int, int] = {}
-    for ac in phase.actives:
-        for atom, p in zip(ac.atoms, ac.pos):
+    for rc in cycles:
+        for atom, p in zip(rc.atoms, rc.pos):
             if isinstance(atom, int):
-                labels.setdefault(atom, state.cycles[ac.cycle][p])
+                labels.setdefault(atom, state.cycles[rc.cycle][p])
     return tuple(sorted(labels.items()))
 
 
@@ -49,14 +67,14 @@ def _nesting_signature(binding: Nesting) -> tuple:
     return ("chain", binding.run, binding.xz_cycle, binding.y_cycle, _nesting_signature(binding.inner))
 
 
-def phase_signature(phase: BoundingPhase, state: GameState) -> tuple:
+def phase_signature(config: int, cycles: tuple[RefCycle, ...], state: GameState) -> tuple:
     """Everything a bound configuration says about ``state``: config,
     active cycles, atoms, positions, nesting bindings and variable labels."""
     actives = tuple(
-        (ac.cycle, ac.atoms, tuple(p if isinstance(p, int) else _nesting_signature(p) for p in ac.pos))
-        for ac in phase.actives
+        (rc.cycle, rc.atoms, tuple(p if isinstance(p, int) else _nesting_signature(p) for p in rc.pos))
+        for rc in cycles
     )
-    return (phase.config, actives, var_labels(phase, state))
+    return (config, actives, var_labels(cycles, state))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +105,9 @@ def _translate_nesting(binding: Nesting, host: int, emap: dict[Edge, Edge],
     return mapped[0][0], NestChain(tuple(p for _, p in mapped), cmap[binding.xz_cycle], y_host, inner)
 
 
-def _translate_active(ac: ActiveCycle, emap: dict[Edge, Edge], cmap: dict[int, int]) -> ActiveCycle:
+def _carry(ac: ActiveCycle, atoms: tuple[Atom, ...], emap: dict[Edge, Edge],
+           cmap: dict[int, int]) -> RefCycle:
+    """An active cycle carried whole through the reply, read as ``atoms``."""
     new_pos = []
     new_cycle: Optional[int] = None
     for p in ac.pos:
@@ -101,7 +121,7 @@ def _translate_active(ac: ActiveCycle, emap: dict[Edge, Edge], cmap: dict[int, i
         elif new_cycle != nci:
             raise StrategyError("active cycle split unexpectedly")
     assert new_cycle is not None
-    return ActiveCycle(new_cycle, ac.atoms, tuple(new_pos))
+    return RefCycle(new_cycle, atoms, tuple(new_pos))
 
 
 def _unwrap_chain(binding: Nesting) -> NestChain:
@@ -119,20 +139,20 @@ def _xtzt_positions(cycle: tuple[int, ...], x: int, z: int) -> tuple[int, int, i
 
 
 def _activated_support(chain: NestChain, state: GameState, labels: tuple[int, ...],
-                       var: int) -> tuple[ActiveCycle, ActiveCycle, int]:
+                       var: int) -> tuple[RefCycle, RefCycle, int]:
     """After a nesting path (x, y, z) is discarded, its two supporting
     cycles become active: the (x, t, z, t) cycle as (var, U, var, U) and
     the y-cycle as (U, N).  Also returns the label t."""
     x, y, z = labels
     xz = state.cycles[chain.xz_cycle]
     p_t1, p_z, p_t2, p_x = _xtzt_positions(xz, x, z)
-    xtzt = ActiveCycle(chain.xz_cycle, (var, "U", var, "U"), (p_t1, p_z, p_t2, p_x))
+    xtzt = RefCycle(chain.xz_cycle, (var, "U", var, "U"), (p_t1, p_z, p_t2, p_x))
     inner_run = set(nesting_positions(chain.inner))
     y_cyc = state.cycles[chain.y_cycle]
     y_edge = [p for p in range(len(y_cyc)) if p not in inner_run]
     if len(y_edge) != 1 or y_cyc[y_edge[0]] != y:
         raise StrategyError("y-cycle is not one y-edge plus the nesting path")
-    un = ActiveCycle(chain.y_cycle, ("U", "N"), (y_edge[0], chain.inner))
+    un = RefCycle(chain.y_cycle, ("U", "N"), (y_edge[0], chain.inner))
     return xtzt, un, xz[p_t1]
 
 
@@ -149,7 +169,7 @@ def _discarded_support(ac: ActiveCycle, atom_idx: int, state: GameState, reply: 
 # the handlers, one per arrow
 #
 # Each assembles the bindings of its target configuration from the
-# reply's provenance and returns (actives, var_labels).  ``state`` is the
+# reply's provenance and returns (cycles, var_labels).  ``state`` is the
 # pre-reply state throughout.
 
 
@@ -160,19 +180,19 @@ def _h1_a(phase, state, reply):
     f, fp = reply.new_edges
     _, u_new = emap[(old.cycle, old.pos[0])]
     _, n_binding = _translate_nesting(old.pos[1], old.cycle, emap, cmap)
-    c0 = ActiveCycle(c1, (0, "U"), (f[1], u_new))
-    c1b = ActiveCycle(c2, (0, "N"), (fp[1], n_binding))
-    return (c0, c1b), ((0, reply.new_label),)
+    c0 = RefCycle(c1, (0, "U"), (f[1], u_new))
+    c1b = RefCycle(c2, (0, "N"), (fp[1], n_binding))
+    return (c0, c1b), ((0, state.next_label),)
 
 
-def _h1_bc(phase, state, reply):
+def _h1_b(phase, state, reply):
     emap, cmap = _maps(reply)
     old = phase.actives[0]
     kept = reply.derived[0]
     f = reply.new_edges[0]
     _, u_new = emap[(old.cycle, old.pos[0])]
     xtzt, un, t = _discarded_support(old, 1, state, reply, emap, cmap, 0)
-    pair = ActiveCycle(kept, ("U", "U"), (u_new, f[1]))
+    pair = RefCycle(kept, ("U", "U"), (u_new, f[1]))
     return (un, xtzt, pair), ((0, t),)
 
 
@@ -185,8 +205,8 @@ def _h2_d(phase, state, reply):
     _, u = emap[(c0.cycle, c0.pos[1])]
     _, s1 = emap[(c1.cycle, c1.pos[0])]
     _, nb = _translate_nesting(c1.pos[1], c1.cycle, emap, cmap)
-    active = ActiveCycle(amalgam, ("N", 0, 1, 0, "U", 1), (nb, s1, f[1], s0, u, fp[1]))
-    return (active,), ((0, _var(phase, state, 0)), (1, reply.new_label))
+    active = RefCycle(amalgam, ("N", 0, 1, 0, "U", 1), (nb, s1, f[1], s0, u, fp[1]))
+    return (active,), ((0, _var(phase, state, 0)), (1, state.next_label))
 
 
 def _h3_a(phase, state, reply):
@@ -200,9 +220,9 @@ def _h3_a(phase, state, reply):
     _, u = emap[(old.cycle, old.pos[4])]
     _, b2 = emap[(old.cycle, old.pos[5])]
     _, nb = _translate_nesting(old.pos[0], old.cycle, emap, cmap)
-    abac = ActiveCycle(c1, (0, 1, 0, 2), (a1, b1, a2, f[1]))
-    ncub = ActiveCycle(c2, ("N", 2, "U", 1), (nb, fp[1], u, b2))
-    return (abac, ncub), ((0, _var(phase, state, 0)), (1, _var(phase, state, 1)), (2, reply.new_label))
+    abac = RefCycle(c1, (0, 1, 0, 2), (a1, b1, a2, f[1]))
+    ncub = RefCycle(c2, ("N", 2, "U", 1), (nb, fp[1], u, b2))
+    return (abac, ncub), ((0, _var(phase, state, 0)), (1, _var(phase, state, 1)), (2, state.next_label))
 
 
 def _h4_a(phase, state, reply):
@@ -215,10 +235,10 @@ def _h4_a(phase, state, reply):
     _, u = emap[(ncub.cycle, ncub.pos[2])]
     _, b_edge = emap[(ncub.cycle, ncub.pos[3])]
     chain = NestChain((b_edge, fp[1], c_edge), cmap[abac.cycle], c1, inner)
-    return (ActiveCycle(c2, ("U", "N"), (u, chain)),), ()
+    return (RefCycle(c2, ("U", "N"), (u, chain)),), ()
 
 
-def _h4_bc(phase, state, reply):
+def _h4_c(phase, state, reply):
     emap, cmap = _maps(reply)
     abac, ncub = phase.actives
     kept = reply.derived[0]
@@ -227,8 +247,8 @@ def _h4_bc(phase, state, reply):
     _, c_edge = emap[(ncub.cycle, ncub.pos[1])]
     _, u = emap[(ncub.cycle, ncub.pos[2])]
     _, b_edge = emap[(ncub.cycle, ncub.pos[3])]
-    abac_t = _translate_active(abac, emap, cmap)
-    ucub = ActiveCycle(kept, ("U", 2, "U", 1), (fp[1], c_edge, u, b_edge))
+    abac_t = _carry(abac, (0, 1, 0, 2), emap, cmap)
+    ucub = RefCycle(kept, ("U", 2, "U", 1), (fp[1], c_edge, u, b_edge))
     return (abac_t, ucub, xtzt, un), _var_labels(phase, state, (0, 1, 2)) + ((3, t),)
 
 
@@ -241,17 +261,19 @@ def _h5_a(phase, state, reply):
     _, d2 = emap[(dudu.cycle, dudu.pos[2])]
     _, u2 = emap[(dudu.cycle, dudu.pos[3])]
     _, d1 = emap[(dudu.cycle, dudu.pos[0])]
-    pair = ActiveCycle(c1, (4, "U"), (f[1], u1))
-    dude = ActiveCycle(c2, (3, "U", 3, 4), (d2, u2, d1, fp[1]))
-    keep = [_translate_active(ac, emap, cmap) for ac in (abac, ucub, un)]
-    return (keep[0], keep[1], keep[2], pair, dude), _var_labels(phase, state, (0, 1, 2, 3)) + ((4, reply.new_label),)
+    pair = RefCycle(c1, (4, "U"), (f[1], u1))
+    dude = RefCycle(c2, (3, "U", 3, 4), (d2, u2, d1, fp[1]))
+    keep = (_carry(abac, (0, 1, 0, 2), emap, cmap), _carry(ucub, ("U", 2, "U", 1), emap, cmap),
+            _carry(un, ("U", "N"), emap, cmap))
+    return keep + (pair, dude), _var_labels(phase, state, (0, 1, 2, 3)) + ((4, state.next_label),)
 
 
 def _h6_a(phase, state, reply):
     emap, cmap = _maps(reply)
     abac, ucub, un, _pair, _dude = phase.actives
-    keep = [_translate_active(ac, emap, cmap) for ac in (abac, ucub, un)]
-    return tuple(keep), _var_labels(phase, state, (0, 1, 2))
+    keep = (_carry(abac, (0, 1, 0, 2), emap, cmap), _carry(ucub, ("U", 2, "U", 1), emap, cmap),
+            _carry(un, ("U", "N"), emap, cmap))
+    return keep, _var_labels(phase, state, (0, 1, 2))
 
 
 def _h7_a(phase, state, reply):
@@ -263,38 +285,37 @@ def _h7_a(phase, state, reply):
     _, c_edge = emap[(ucub.cycle, ucub.pos[1])]
     _, u_second = emap[(ucub.cycle, ucub.pos[2])]
     _, b_edge = emap[(ucub.cycle, ucub.pos[3])]
-    abac_t = _translate_active(abac, emap, cmap)
-    un_t = _translate_active(un, emap, cmap)
-    du = ActiveCycle(c1, (3, "U"), (f[1], u_first))
-    dcub = ActiveCycle(c2, (3, 2, "U", 1), (fp[1], c_edge, u_second, b_edge))
-    return (abac_t, un_t, du, dcub), _var_labels(phase, state, (0, 1, 2)) + ((3, reply.new_label),)
+    abac_t = _carry(abac, (0, 1, 0, 2), emap, cmap)
+    un_t = _carry(un, ("U", "N"), emap, cmap)
+    du = RefCycle(c1, (3, "U"), (f[1], u_first))
+    dcub = RefCycle(c2, (3, 2, "U", 1), (fp[1], c_edge, u_second, b_edge))
+    return (abac_t, un_t, du, dcub), _var_labels(phase, state, (0, 1, 2)) + ((3, state.next_label),)
 
 
 def _h8_a(phase, state, reply):
     emap, cmap = _maps(reply)
-    return (_translate_active(phase.actives[1], emap, cmap),), ()
+    return (_carry(phase.actives[1], ("U", "N"), emap, cmap),), ()
 
 
-def _h8_bc(phase, state, reply):
+def _h8_b(phase, state, reply):
     emap, cmap = _maps(reply)
     abac, un, du, dcub = phase.actives
     kept = reply.derived[0]
     f = reply.new_edges[0]
     _, u_kept = emap[(dcub.cycle, dcub.pos[2])]
-    un_t = _translate_active(un, emap, cmap)
-    abac_t = _translate_active(abac, emap, cmap)
-    du_t = _translate_active(du, emap, cmap)
-    auau = ActiveCycle(abac_t.cycle, (0, "U", 0, "U"), abac_t.pos)
-    uu1 = ActiveCycle(du_t.cycle, ("U", "U"), du_t.pos)
-    uu2 = ActiveCycle(kept, ("U", "U"), (u_kept, f[1]))
+    un_t = _carry(un, ("U", "N"), emap, cmap)
+    auau = _carry(abac, (0, "U", 0, "U"), emap, cmap)
+    uu1 = _carry(du, ("U", "U"), emap, cmap)
+    uu2 = RefCycle(kept, ("U", "U"), (u_kept, f[1]))
     return (un_t, auau, uu1, uu2), ((0, _var(phase, state, 0)),)
 
 
 def _h9_a(phase, state, reply):
     emap, cmap = _maps(reply)
     un, auau, _split, other = phase.actives
-    keep = [_translate_active(ac, emap, cmap) for ac in (un, auau, other)]
-    return tuple(keep), ((0, _var(phase, state, 0)),)
+    keep = (_carry(un, ("U", "N"), emap, cmap), _carry(auau, (0, "U", 0, "U"), emap, cmap),
+            _carry(other, ("U", "U"), emap, cmap))
+    return keep, ((0, _var(phase, state, 0)),)
 
 
 def _h10_a(phase, state, reply):
@@ -306,48 +327,47 @@ def _h10_a(phase, state, reply):
     _, a2 = emap[(auau.cycle, auau.pos[2])]
     _, u2 = emap[(auau.cycle, auau.pos[3])]
     _, a1 = emap[(auau.cycle, auau.pos[0])]
-    un_t = _translate_active(un, emap, cmap)
-    uu_t = _translate_active(uu, emap, cmap)
-    bu = ActiveCycle(c1, (1, "U"), (f[1], u1))
-    abau = ActiveCycle(c2, (0, 1, 0, "U"), (a1, fp[1], a2, u2))
-    return (un_t, uu_t, bu, abau), ((0, _var(phase, state, 0)), (1, reply.new_label))
+    un_t = _carry(un, ("U", "N"), emap, cmap)
+    uu_t = _carry(uu, ("U", "U"), emap, cmap)
+    bu = RefCycle(c1, (1, "U"), (f[1], u1))
+    abau = RefCycle(c2, (0, 1, 0, "U"), (a1, fp[1], a2, u2))
+    return (un_t, uu_t, bu, abau), ((0, _var(phase, state, 0)), (1, state.next_label))
 
 
 def _h11_a(phase, state, reply):
     emap, cmap = _maps(reply)
     un, uu, _bu, _abau = phase.actives
-    return tuple(_translate_active(ac, emap, cmap) for ac in (un, uu)), ()
+    return (_carry(un, ("U", "N"), emap, cmap), _carry(uu, ("U", "U"), emap, cmap)), ()
 
 
 def _h12_a(phase, state, reply):
     emap, cmap = _maps(reply)
-    return (_translate_active(phase.actives[0], emap, cmap),), ()
+    return (_carry(phase.actives[0], ("U", "N"), emap, cmap),), ()
 
 
 def _var(phase: BoundingPhase, state: GameState, v: int) -> int:
-    return dict(var_labels(phase, state))[v]
+    return dict(var_labels(bound_cycles(phase), state))[v]
 
 
 def _var_labels(phase: BoundingPhase, state: GameState, keep: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((v, _var(phase, state, v)) for v in keep)
 
 
-# (configuration, reply kind) -> (target configuration, handler)
+# (configuration, reply kind) -> (target configuration, handler).  The
+# replies 1-C, 4-B and 8-C to the strategy's own mark are never legal,
+# so they have no arrow.
 REFERENCE_ARROWS = {
     (1, "A"): (2, _h1_a),
-    (1, "B"): (10, _h1_bc),
-    (1, "C"): (10, _h1_bc),
+    (1, "B"): (10, _h1_b),
     (2, "D"): (3, _h2_d),
     (3, "A"): (4, _h3_a),
     (4, "A"): (1, _h4_a),
-    (4, "B"): (5, _h4_bc),
-    (4, "C"): (5, _h4_bc),
+    (4, "C"): (5, _h4_c),
     (5, "A"): (6, _h5_a),
     (6, "A"): (7, _h6_a),
     (7, "A"): (8, _h7_a),
     (8, "A"): (1, _h8_a),
-    (8, "B"): (9, _h8_bc),
-    (8, "C"): (9, _h8_bc),
+    (8, "B"): (9, _h8_b),
     (9, "A"): (10, _h9_a),
     (10, "A"): (11, _h10_a),
     (11, "A"): (12, _h11_a),
@@ -355,13 +375,14 @@ REFERENCE_ARROWS = {
 }
 
 
-def reference_advance(phase: BoundingPhase, state: GameState,
-                      reply: CutterReply) -> tuple[BoundingPhase, tuple[tuple[int, int], ...]]:
-    """The bound configuration after ``reply`` (``state`` is the pre-reply
-    state) and the (variable, label) pairs the handler assigned."""
+def reference_advance(phase: BoundingPhase, state: GameState, reply: CutterReply
+                      ) -> tuple[int, tuple[RefCycle, ...], tuple[tuple[int, int], ...]]:
+    """The configuration after ``reply`` (``state`` is the pre-reply
+    state), its active cycles with their atoms, and the (variable,
+    label) pairs the handler assigned."""
     arrow = REFERENCE_ARROWS.get((phase.config, reply.kind))
     if arrow is None:
         raise StrategyError(f"configuration {phase.config} cannot absorb a kind-{reply.kind} reply")
     target, handler = arrow
-    actives, labels = handler(phase, state, reply)
-    return BoundingPhase(target, actives), labels
+    cycles, labels = handler(phase, state, reply)
+    return target, cycles, labels

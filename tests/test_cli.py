@@ -38,6 +38,19 @@ def test_genus_command(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize("g6, n, edges, systems_checked", [
+    ("D~{", 5, 10, 10),
+    ("EFz_", 6, 9, 6),
+    ("H{S{aSf", 9, 18, 416),
+], ids=["K5", "K33", "torus3x3"])
+def test_genus_json_report(capsys, g6, n, edges, systems_checked):
+    assert dispatch(["--format", "json", "genus", "--g6", g6]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out) == {
+        "mode": "genus", "n": n, "edges": edges, "genus": 1, "lower_bound": 1,
+        "systems_checked": systems_checked,
+    }
+
+
 def test_verify_cutter_sampled(tmp_path):
     out = os.path.join(tmp_path, "r.json")
     code = dispatch(["--out", out, "verify-cutter", "--g0", "2", "--sample", "50", "--seed", "3"])

@@ -85,7 +85,8 @@ def test_seed_split_at_short_edge():
     a = replies["A"]
     assert a.next.cycles == ((2, 3), (0, 1, 0, 3))
     assert a.next.genus == 1
-    assert a.new_label == 3
+    assert a.new_edges == ((0, 1), (1, 3))
+    assert [a.next.cycles[ci][p] for ci, p in a.new_edges] == [marked.state.next_label] * 2
 
 
 def test_no_genus_burn_at_zero():
@@ -120,7 +121,9 @@ def test_edge_count_bookkeeping():
                     assert n_after == n_before + 2
                     assert reply.next.genus == state.genus - 1
                 else:
-                    kept = len(reply.path) if reply.kind == "B" else len(reply.path_prime)
+                    arcs = ((), ()) if marked.v is None else split_cycle(
+                        state.cycles[marked.v[0]], marked.v[1], marked.w[1])
+                    kept = len(arcs[0]) if reply.kind == "B" else len(arcs[1])
                     assert n_after == n_before - cyc_len + kept + 1
                     assert reply.next.genus == state.genus
             else:
@@ -139,7 +142,7 @@ def test_labels_never_silently_duplicated():
         marked = random_marked(rng, state)
         for reply in cutter_replies(marked):
             counts = reply.next.label_counts()
-            new = reply.new_label
+            new = marked.state.next_label
             expected_new = 2 if reply.kind in ("A", "D") else 1
             assert counts.get(new, 0) == expected_new
             # surviving labels keep at most their old multiplicity

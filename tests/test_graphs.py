@@ -15,7 +15,6 @@ from cutgame.graphs import (
     cop_number,
     cop_win,
     cycle_graph,
-    embedding_exists,
     genus_exact,
     genus_lower_bound,
     improved_bound,
@@ -61,6 +60,14 @@ def test_cop_number_insufficient_budget():
         cop_number(petersen_graph(), 2)
     with pytest.raises(StateSpaceError):
         cop_win(petersen_graph(), 3, max_positions=10)
+
+
+def test_pursuit_budget_counts_joint_moves():
+    # 8,736 positions fit in the budget, but with them the 132,496
+    # joint-move entries (every row of K12 at k=3 reaches all 364 rows)
+    # do not
+    with pytest.raises(StateSpaceError, match="joint moves"):
+        cop_win(complete_graph(12), 3, max_positions=50_000)
 
 
 def test_attractor_sweep_order_independent():
@@ -145,8 +152,8 @@ def test_genus_examples():
 def test_genus_lower_bound_and_witness():
     assert genus_lower_bound(complete_graph(5)) == 1
     assert genus_lower_bound(complete_graph(4)) == 0
-    assert embedding_exists(toroidal_grid(3, 3), 1)
-    assert not embedding_exists(complete_graph(5), 0)
+    assert genus_exact(toroidal_grid(3, 3)).genus == 1
+    assert genus_exact(complete_graph(5)).genus > 0
 
 
 def test_planar_corpus_genus_zero():
@@ -172,17 +179,6 @@ def test_genus_disconnected_rejected():
     assert not is_connected(g)
     with pytest.raises(ValueError):
         genus_exact(g)
-
-
-def test_embedding_exists_disconnected_rejected():
-    # two disjoint K5s have genus 2, but their faces meet the connected
-    # Euler count for genus 1
-    k5 = complete_graph(5)
-    two = Graph.from_edges(10, [(u + s, v + s) for s in (0, 5) for u, v in k5.edge_pairs()])
-    with pytest.raises(ValueError):
-        embedding_exists(two, 1)
-    with pytest.raises(ValueError):
-        embedding_exists(Graph.from_edges(3, []), 0)
 
 
 def test_bound_check_examples():

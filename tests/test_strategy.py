@@ -21,21 +21,21 @@ from cutgame.strategy import (
     cutter_move,
     verify_bindings,
 )
-from reference_strategy import phase_signature, reference_advance, var_labels
+from reference_strategy import bound_cycles, phase_signature, reference_advance, var_labels
 
 
-def marker_move(phase, state: GameState, refined: bool = False) -> tuple[MarkedState, dict]:
-    """The marker's mark for this phase plus the expected reply table
-    (reply kind to successor phase or configuration id)."""
-    strat = MarkerStrategy(refined=refined)
-    return strat.mark(phase, state), strat.expected(phase)
+def marker_move(phase: BoundingPhase, state: GameState) -> tuple[MarkedState, dict]:
+    """The marker's mark for this phase plus the reply kinds it absorbs,
+    each with its target configuration."""
+    arrows = TEMPLATES[phase.config].arrows
+    return MarkerStrategy().mark(phase, state), {kind: target for kind, (target, _) in arrows.items()}
 
 
 def _config3_state(genus: int) -> tuple[GameState, BoundingPhase]:
     state = GameState(((9, 1, 2, 1, 8, 2),), genus, max(genus, 1), 10)
     phase = BoundingPhase(
         3,
-        (ActiveCycle(0, ("N", 0, 1, 0, "U", 1), (NestUnique(0), 1, 2, 3, 4, 5)),),
+        (ActiveCycle(0, (NestUnique(0), 1, 2, 3, 4, 5)),),
     )
     return state, phase
 
@@ -44,7 +44,7 @@ def _config2_state(genus: int) -> tuple[GameState, BoundingPhase]:
     state = GameState(((5, 6), (5, 7)), genus, max(genus, 1), 8)
     phase = BoundingPhase(
         2,
-        (ActiveCycle(0, (0, "U"), (0, 1)), ActiveCycle(1, (0, "N"), (0, NestUnique(1)))),
+        (ActiveCycle(0, (0, 1)), ActiveCycle(1, (0, NestUnique(1)))),
     )
     return state, phase
 
@@ -160,7 +160,7 @@ def test_switch_to_cops_at_genus_one():
     state = GameState(((2, 3), (0, 1, 0, 3)), 2, 4, 4)
     phase = BoundingPhase(
         1,
-        (ActiveCycle(1, ("U", "N"), (1, NestPseudo((2, 3, 0)))),),
+        (ActiveCycle(1, (1, NestPseudo((2, 3, 0)))),),
     )
     verify_bindings(state, phase, allow_pseudo=True)
     marked = strat.mark(phase, state)
@@ -176,7 +176,7 @@ def test_pseudo_rebind_at_genus_four():
     state = GameState(((2, 3), (0, 1, 0, 3)), 5, 7, 4)
     phase = BoundingPhase(
         1,
-        (ActiveCycle(1, ("U", "N"), (1, NestPseudo((2, 3, 0)))),),
+        (ActiveCycle(1, (1, NestPseudo((2, 3, 0)))),),
     )
     marked = strat.mark(phase, state)
     legal = legal_replies(start_history(state), marked)
@@ -274,7 +274,7 @@ def test_transition_table_matches_reference_handlers(monkeypatch):
     for phase, state in nodes:
         for reply in cutter_replies(strat.mark(phase, state)):
             try:
-                ref, ref_labels = reference_advance(phase, state, reply)
+                ref = reference_advance(phase, state, reply)
             except (StrategyError, KeyError):
                 ref = None
             try:
@@ -286,10 +286,11 @@ def test_transition_table_matches_reference_handlers(monkeypatch):
                 refused += 1
                 continue
             absorbed.add((phase.config, reply.kind))
-            assert phase_signature(nxt, reply.next) == phase_signature(ref, reply.next)
-            assert var_labels(nxt, reply.next) == ref_labels
+            target, ref_cycles, ref_labels = ref
+            assert tuple(rc.atoms for rc in ref_cycles) == TEMPLATES[target].cycles
+            assert (phase_signature(nxt.config, bound_cycles(nxt), reply.next)
+                    == phase_signature(target, ref_cycles, reply.next))
+            assert var_labels(ref_cycles, reply.next) == ref_labels
     assert refused > 0
-    # every arrow is exercised except 1-C, 4-B and 8-C, whose replies to
-    # the strategy's own mark never keep the edges the arrow reads
-    arrows = {(cfg, kind) for cfg, t in TEMPLATES.items() for kind in t.arrows}
-    assert absorbed == arrows - {(1, "C"), (4, "B"), (8, "C")}
+    # every arrow is taken
+    assert absorbed == {(cfg, kind) for cfg, t in TEMPLATES.items() for kind in t.arrows}
