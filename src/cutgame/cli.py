@@ -9,8 +9,13 @@ input (a negative genus or budget, a sampled run of fewer than one
 play, a seeded game below genus one, ``--k-max`` below one, a
 disconnected graph for an oracle, an empty graph for the cop oracle,
 malformed graph6, an unreadable file), with one ``error:`` line on
-stderr.  Every run echoes its resolved configuration, seeds included;
-JSON is the stable output format, text is for humans only.
+stderr, 70 = internal error (a ``RuntimeError`` or a ``StrategyError``
+out of an engine, such as the exact solver meeting a legal reply that
+does not raise the value by one), with one ``error: internal:`` line on
+stderr.  ``exact-value`` fails when the value lies outside
+``[cutter_value_threshold(g0), marker_value_bound(g0)]``.  Every run
+echoes its resolved configuration, seeds included; JSON is the stable
+output format, text is for humans only.
 """
 
 from __future__ import annotations
@@ -21,22 +26,27 @@ import sys
 from typing import Optional
 
 from .arena import (
+    FAIL,
     INCONCLUSIVE,
     PASS,
     SearchBudget,
     VerificationReport,
+    cutter_value_threshold,
     emit_trace,
     exact_value,
+    marker_value_bound,
     play_game,
     verify_cutter_bound,
     verify_marker_bound,
     verify_refined,
 )
+from .strategy import StrategyError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Boundary-cutting game verifiers and the cops-and-robbers graph suite.",
     )
     parser.add_argument("--budget-states", type=int, default=2_000_000,
-                        help="state exploration budget (search nodes for genus)")
+                        help="state exploration budget (search nodes for genus; for exact-value "
+                             "every visit to a state at the threshold counts, the others once each)")
     parser.add_argument("--out", type=str, default=None, help="write the JSON report to this path")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -133,6 +144,9 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RuntimeError, StrategyError) as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 def _run(args) -> int:
@@ -159,16 +173,22 @@ def _run(args) -> int:
     if args.command == "exact-value":
         budget = SearchBudget(max_states=args.budget_states)
         result = exact_value(args.g0, budget, use_memo=not args.no_memo)
+        if result == INCONCLUSIVE:
+            verdict = INCONCLUSIVE
+        elif cutter_value_threshold(args.g0) <= result <= marker_value_bound(args.g0):
+            verdict = PASS
+        else:
+            verdict = FAIL
         payload = {
             "g0": args.g0,
             "mode": "exact_value",
             "value": result if result != INCONCLUSIVE else None,
-            "verdict": PASS if result != INCONCLUSIVE else INCONCLUSIVE,
+            "verdict": verdict,
             "memo": not args.no_memo,
             "budget": {"max_states": args.budget_states},
         }
-        _emit(args, payload, str(result))
-        return EXIT_PASS if result != INCONCLUSIVE else EXIT_INCONCLUSIVE
+        _emit(args, payload, str(result) if verdict != FAIL else f"{result}\nverdict: {FAIL}")
+        return {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[verdict]
 
     if args.command == "verify-refined":
         budget = SearchBudget(max_states=args.budget_states)

@@ -54,10 +54,15 @@ class GameState:
         return sum(len(c) for c in self.cycles)
 
     def label_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for cyc in self.cycles:
-            for lab in cyc:
-                counts[lab] = counts.get(lab, 0) + 1
+        """How many edges carry each label, counted on first use and kept
+        in the state's ``__dict__``.  Every caller only reads the dict,
+        so it is shared, never copied: do not mutate it."""
+        counts = vars(self).get("_label_counts")
+        if counts is None:
+            counts = vars(self)["_label_counts"] = {}
+            for cyc in self.cycles:
+                for lab in cyc:
+                    counts[lab] = counts.get(lab, 0) + 1
         return counts
 
 
@@ -67,12 +72,8 @@ def empty_state(g0: int) -> GameState:
 
 
 def value(state: GameState) -> int:
-    """Number of distinct labels present in the state, counted on first
-    use and kept in the state's ``__dict__``."""
-    v = vars(state).get("_value")
-    if v is None:
-        v = vars(state)["_value"] = len({lab for cyc in state.cycles for lab in cyc})
-    return v
+    """Number of distinct labels present in the state."""
+    return len(state.label_counts())
 
 
 def uniquely_appearing_labels(state: GameState) -> set[int]:

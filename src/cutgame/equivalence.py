@@ -12,9 +12,11 @@ Equivalence compares canonical keys: the lexicographically least
 encoding of the cycles under rotation, reordering and first-occurrence
 renaming (``_canonical_shape``, which merges and defers tied partial
 orderings instead of expanding each one).  ``precedes`` decides the
-reduction relation on canonical cycles by a backtracking match
-(``_shape_precedes``) instead of enumerating contractions.  The
-enumerating versions of both stay in the tests as the reference.
+reduction relation: first by a kept-label witness on the concrete
+labels, which settles every reply a value-monotone play refuses, then
+on canonical cycles by a backtracking match (``_shape_precedes``)
+instead of enumerating contractions.  The enumerating versions of both
+stay in the tests as the reference.
 """
 
 from __future__ import annotations
@@ -326,16 +328,83 @@ def _shape_precedes(cand_cycles: tuple[tuple[int, ...], ...], earl_cycles: tuple
     return place(0)
 
 
+def _embeds(cyc: tuple[int, ...], host: tuple[int, ...]) -> bool:
+    """Whether some rotation of ``cyc`` is a linear subsequence of ``host``."""
+    if len(cyc) > len(host):
+        return False
+    for r in range(len(cyc)):
+        it = iter(host)
+        if all(lab in it for lab in cyc[r:] + cyc[:r]):
+            return True
+    return False
+
+
+def _kept_label_witness(candidate: GameState, earlier: GameState) -> bool:
+    """A cheap sufficient test for ``precedes``, genus aside: a label map
+    that fixes the labels the two states share and sends the candidate's
+    one other label, if any, to a label of ``earlier`` the candidate
+    lacks, under which each candidate cycle equals or embeds in its own
+    cycle of ``earlier``.  Contracting the unused edges of ``earlier``
+    and renaming then gives the candidate, so True is a proof; False
+    proves nothing.
+
+    Along a value-monotone play, a reply that loses a label ``l`` is the
+    current state with the discarded arc contracted except one
+    ``l``-edge and ``l`` renamed to the new label, so the map sending
+    the new label to ``l`` places every cycle.
+    """
+    cand_counts, earl_counts = candidate.label_counts(), earlier.label_counts()
+    extra = [lab for lab in cand_counts if lab not in earl_counts]
+    if not extra:
+        return _placed(candidate.cycles, earlier.cycles)
+    if len(extra) > 1:
+        return False
+    new = extra[0]
+    for image in earl_counts:
+        if image not in cand_counts:
+            cycles = tuple(tuple(image if lab == new else lab for lab in c) if new in c else c
+                           for c in candidate.cycles)
+            if _placed(cycles, earlier.cycles):
+                return True
+    return False
+
+
+def _placed(cands: tuple[tuple[int, ...], ...], hosts: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether each candidate cycle goes onto its own host cycle: first
+    every one that equals a free host, then each other one onto the
+    first free host it embeds in."""
+    free = list(hosts)
+    rest = []
+    for cyc in cands:
+        if cyc in free:
+            free.remove(cyc)
+        else:
+            rest.append(cyc)
+    for cyc in rest:
+        for i, host in enumerate(free):
+            if _embeds(cyc, host):
+                del free[i]
+                break
+        else:
+            return False
+    return True
+
+
 def precedes(candidate: GameState, earlier: GameState) -> bool:
     """Whether ``candidate`` is equivalent to a reduction of ``earlier``.
 
     Reductions may lower the genus counter, so only ``candidate.genus <=
-    earlier.genus`` is required on that coordinate.  Label multiplicity
-    and cycle-count arguments prune before the match on canonical cycles
-    (``_shape_precedes``), whose cache is keyed on them.
+    earlier.genus`` is required on that coordinate.  The kept-label
+    witness (``_kept_label_witness``) answers True on the concrete
+    labels, with no canonical form; it settles every reply a driver
+    rejects.  Otherwise label multiplicity and cycle-count arguments
+    prune before the match on canonical cycles (``_shape_precedes``),
+    whose cache is keyed on them.
     """
     if candidate.genus > earlier.genus:
         return False
+    if _kept_label_witness(candidate, earlier):
+        return True
     if candidate.edge_count() > earlier.edge_count():
         return False
     if value(candidate) > value(earlier):

@@ -40,7 +40,9 @@ from .core import (
     uniquely_appearing_labels,
     value,
 )
-from .equivalence import History, legal_replies
+# unused here; the binding stays because perfbench's tracer test reads
+# strategy.legal_replies
+from .equivalence import legal_replies  # noqa: F401
 from .potential import Segment, _cycle_matches_xtzt, is_nesting_path, segment_potential, state_potential
 
 
@@ -641,17 +643,17 @@ def _match_assignment(components: tuple[int, ...], tcycles: tuple[tuple[Atom, ..
 _HALF = Fraction(-1, 2)
 
 
-def cutter_move(history: History, marked: MarkedState) -> tuple[CutterReply, bool]:
-    """A legal reply that keeps the potential from rising.
+def cutter_move(marked: MarkedState, legal: list[CutterReply]) -> tuple[CutterReply, bool]:
+    """The reply, among the legal replies ``legal`` to ``marked``, that
+    keeps the potential from rising.
 
     Prefers the reply classes the potential accounting licenses (burn
     genus when both arcs are rich, amalgamate across components, discard
     a poor arc), then any non-increasing legal reply.  When every legal
     reply raises the potential — which the accounting rules out while
     their preconditions hold — the minimal-potential reply is returned
-    with the anomaly flag set.
+    with the anomaly flag set.  An empty ``legal`` raises ``ValueError``.
     """
-    legal = legal_replies(history, marked)
     if not legal:
         raise ValueError("no legal replies: the game is over")
     state = marked.state

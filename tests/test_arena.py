@@ -13,7 +13,6 @@ from cutgame.arena import (
     marker_value_bound,
     play_game,
     ply_record,
-    read_trace,
     refined_value_bound,
     switch_value_bound,
     verify_cutter_bound,
@@ -105,6 +104,12 @@ def test_report_roundtrip():
     assert data["verdict"] == "pass"
     assert data["g0"] == 1
     assert data["budget"]["max_states"] == 2_000_000
+
+
+def read_trace(path: str) -> list[dict]:
+    """The records of an ``emit_trace`` file, one per non-blank line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def test_trace_roundtrip(tmp_path):
@@ -201,8 +206,8 @@ def test_explored_states_are_validated(monkeypatch):
     real = arena.cutter_move
     improper = []
 
-    def cutter_move(history, marked):
-        reply, anomaly = real(history, marked)
+    def cutter_move(marked, legal):
+        reply, anomaly = real(marked, legal)
         state = reply.next
         if value(state) < 2:
             return reply, anomaly

@@ -3,7 +3,10 @@ import os
 
 import pytest
 
-from cutgame.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, dispatch
+from cutgame import arena, cli
+from cutgame.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_SOFTWARE, EXIT_USAGE, dispatch
+from cutgame.core import cutter_replies
+from cutgame.strategy import MarkerStrategy, StrategyError
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "corpus")
 
@@ -30,6 +33,42 @@ def test_exact_value_prints_value(capsys):
     assert code == EXIT_PASS
     data = json.loads(capsys.readouterr().out)
     assert data["value"] == 2
+
+
+@pytest.mark.parametrize("found", [3, 5])
+def test_exact_value_outside_the_bounds_fails(monkeypatch, capsys, found):
+    # at g0=1 the cutter threshold and the marker bound are both 4
+    monkeypatch.setattr(cli, "exact_value", lambda g0, budget, use_memo: found)
+    assert dispatch(["exact-value", "--g0", "1"]) == EXIT_FAIL
+    assert capsys.readouterr().out.splitlines() == [str(found), "verdict: fail"]
+    assert dispatch(["--format", "json", "exact-value", "--g0", "1"]) == EXIT_FAIL
+    data = json.loads(capsys.readouterr().out)
+    assert data["value"] == found and data["verdict"] == "fail"
+
+
+def _internal_error(argv, capsys) -> str:
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_SOFTWARE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: internal: ")
+    return lines[0]
+
+
+def test_solver_runtime_error_exits_70(monkeypatch, capsys):
+    # an unrestricted cutter: the solver meets a legal reply that loses a
+    # label, so the value does not rise by one
+    monkeypatch.setattr(arena, "legal_replies", lambda hist, marked: cutter_replies(marked))
+    assert "not by one" in _internal_error(["exact-value", "--g0", "1"], capsys)
+
+
+def test_strategy_error_exits_70(monkeypatch, capsys):
+    def refuse(self, phase, state, reply):
+        raise StrategyError(f"cannot absorb kind {reply.kind}")
+
+    monkeypatch.setattr(MarkerStrategy, "advance", refuse)
+    assert "cannot absorb" in _internal_error(["play", "--g0", "2"], capsys)
 
 
 def test_genus_command(capsys):

@@ -32,7 +32,10 @@ def test_value_is_counted_once_and_kept():
         state = random_state(rng)
         fresh = len({lab for cyc in state.cycles for lab in cyc})
         assert value(state) == fresh
-        assert vars(state)["_value"] == fresh
+        # value is the size of the label counts, counted once and kept
+        kept = vars(state)["_label_counts"]
+        assert len(kept) == fresh
+        assert state.label_counts() is kept
         assert value(state) == fresh
 
 

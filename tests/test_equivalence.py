@@ -3,12 +3,13 @@ from typing import Optional
 
 import pytest
 
-from cutgame import equivalence
-from cutgame.arena import exact_value, verify_marker_bound, verify_refined
-from cutgame.core import GameState, MarkedState, cutter_replies, empty_state, enumerate_marker_moves
+from cutgame import arena, equivalence
+from cutgame.arena import exact_value, verify_cutter_bound, verify_marker_bound, verify_refined
+from cutgame.core import GameState, MarkedState, cutter_replies, empty_state, enumerate_marker_moves, value
 from cutgame.equivalence import (
     History,
     _canonical_shape,
+    _kept_label_witness,
     _shape_precedes,
     canonical_key,
     legal_replies,
@@ -16,6 +17,7 @@ from cutgame.equivalence import (
     start_history,
 )
 
+import reference_solver
 from fuzz import random_marked, random_state
 from reference_legality import (
     contract_edge,
@@ -272,37 +274,45 @@ def _record_calls(monkeypatch, name: str) -> set:
     return seen
 
 
-def test_matcher_agrees_with_reference_on_harvested_pairs(monkeypatch):
-    pairs = _record_calls(monkeypatch, "_shape_precedes")
+def _harvest_precedes(monkeypatch) -> set:
+    """The (candidate, earlier) pairs ``precedes`` sees in marker 0..7,
+    refined 1..7 and exact 0..2, by both solvers (the reference asks
+    about every mark of every state, ``exact_value`` about few)."""
+    pairs = _record_calls(monkeypatch, "precedes")
     for g0 in range(8):
         verify_marker_bound(g0)
     for g0 in range(1, 8):
         verify_refined(g0)
     for g0 in range(3):
         exact_value(g0)
-        # the solver builds replies only below the threshold, so the
-        # reference solver, which builds them everywhere, harvests too
         reference_exact_value(g0)
-    assert len(pairs) > 2_000
-    for cand, earl in pairs:
-        expected = reference_shape_precedes(cand, earl)
-        assert _shape_precedes.__wrapped__(cand, earl) == expected, (cand, earl)
+    return pairs
 
 
 def _canonical_cycles(state: GameState) -> tuple[tuple[int, ...], ...]:
     return tuple(piece[1:] for piece in _canonical_shape(state.cycles)[0])
 
 
-def test_matcher_agrees_with_reference_on_random_pairs():
-    rng = random.Random(23)
-    answers = {True: 0, False: 0}
-    for i in range(10_000):
+def test_matcher_agrees_with_reference_on_harvested_pairs(monkeypatch):
+    # the kept-label witness answers every pair the drivers ask about, so
+    # the matcher's inputs are made here from the arguments of precedes
+    pairs = {(_canonical_cycles(cand), _canonical_cycles(earl)) for cand, earl in _harvest_precedes(monkeypatch)}
+    assert len(pairs) > 2_000
+    for cand, earl in pairs:
+        expected = reference_shape_precedes(cand, earl)
+        assert _shape_precedes.__wrapped__(cand, earl) == expected, (cand, earl)
+
+
+def _random_pairs(seed: int, count: int):
+    """Random (candidate, earlier) pairs, half of them contractions of
+    the earlier state relabelled: mostly reductions, not where the
+    random relabelling is not a bijection."""
+    rng = random.Random(seed)
+    for i in range(count):
         earlier = random_state(rng, max_labels=5)
         if i % 2 or earlier.edge_count() == 0:
             candidate = random_state(rng, max_labels=4)
         else:
-            # a contraction of the earlier state, relabelled: mostly true,
-            # false where the random relabelling is not a bijection
             candidate = earlier
             for _ in range(rng.randint(0, candidate.edge_count() - 1)):
                 candidate = contract_edge(candidate, rng.choice(list(candidate.edges())))
@@ -316,6 +326,12 @@ def test_matcher_agrees_with_reference_on_random_pairs():
                 tuple(tuple(mapping[lab] for lab in cyc) for cyc in candidate.cycles),
                 candidate.genus, candidate.initial_genus, candidate.next_label,
             )
+        yield candidate, earlier
+
+
+def test_matcher_agrees_with_reference_on_random_pairs():
+    answers = {True: 0, False: 0}
+    for candidate, earlier in _random_pairs(23, 10_000):
         cand, earl = _canonical_cycles(candidate), _canonical_cycles(earlier)
         expected = reference_shape_precedes(cand, earl)
         assert _shape_precedes.__wrapped__(cand, earl) == expected, (cand, earl)
@@ -323,10 +339,73 @@ def test_matcher_agrees_with_reference_on_random_pairs():
     assert min(answers.values()) > 2_000, answers
 
 
+def _refuted_witnesses(pairs) -> tuple[int, list]:
+    """How many pairs the kept-label witness places, and those of them
+    the reference refutes."""
+    witnessed = [(cand, earl) for cand, earl in pairs if _kept_label_witness(cand, earl)]
+    refuted = [(cand, earl) for cand, earl in witnessed
+               if not reference_shape_precedes(_canonical_cycles(cand), _canonical_cycles(earl))]
+    return len(witnessed), refuted
+
+
+def test_kept_label_witness_is_sound_on_driver_pairs(monkeypatch):
+    witnessed, refuted = _refuted_witnesses(_harvest_precedes(monkeypatch))
+    assert witnessed > 2_000
+    assert refuted == []
+
+
+def test_kept_label_witness_is_sound_on_random_pairs():
+    witnessed, refuted = _refuted_witnesses(_random_pairs(23, 10_000))
+    assert witnessed > 2_000
+    assert refuted == []
+
+
+def test_witness_without_embedding_check_is_caught(monkeypatch):
+    # the planted fault: a candidate cycle goes onto any free host cycle
+    # long enough for it
+    monkeypatch.setattr(equivalence, "_embeds", lambda cyc, host: len(cyc) <= len(host))
+    _, refuted = _refuted_witnesses(_random_pairs(23, 2_000))
+    assert refuted
+
+
+def _reference_precedes(candidate: GameState, earlier: GameState) -> bool:
+    return candidate.genus <= earlier.genus and reference_shape_precedes(candidate.cycles, earlier.cycles)
+
+
+def test_legal_replies_agree_with_reference_rule_at_every_node(monkeypatch):
+    # the reference rule: a reply is legal when its value exceeds every
+    # historical value or no historical state precedes it
+    nodes = [0]
+
+    def checked(hist, marked):
+        legal = equivalence.legal_replies(hist, marked)
+        expected = [r for r in cutter_replies(marked)
+                    if value(r.next) > hist.top or not any(_reference_precedes(r.next, s) for s in hist.states)]
+        assert legal == expected, (hist.states, marked.v, marked.w, marked.same_dummy)
+        nodes[0] += 1
+        return legal
+
+    monkeypatch.setattr(arena, "legal_replies", checked)
+    monkeypatch.setattr(reference_solver, "legal_replies", checked)
+    for g0 in range(8):
+        assert verify_marker_bound(g0).verdict == "pass"
+    for g0 in range(1, 8):
+        assert verify_refined(g0).verdict == "pass"
+    for g0 in range(2):
+        assert verify_cutter_bound(g0).verdict == "pass"
+    for g0 in range(3):
+        assert reference_exact_value(g0) == [2, 4, 5][g0]
+    assert nodes[0] > 10_000
+
+
 def test_canonical_shape_agrees_with_reference_on_marker_states(monkeypatch):
+    # the states ply records key, and the states precedes compares (the
+    # kept-label witness asks for no canonical form of them)
     equivalence._cached_shape.cache_clear()
     inputs = _record_calls(monkeypatch, "_canonical_shape")
+    pairs = _record_calls(monkeypatch, "precedes")
     assert verify_marker_bound(9).verdict == "pass"
+    inputs |= {(state.cycles,) for pair in pairs for state in pair}
     assert len(inputs) > 1_000
     for (cycles,) in inputs:
         shape, renaming = _canonical_shape(cycles)

@@ -191,21 +191,21 @@ def test_pseudo_rebind_at_genus_four():
 def test_cutter_prefers_forced_amalgamation():
     state = GameState(((0, 1), (2, 3)), 1, 1, 4)
     marked = MarkedState(state, (0, 0), (1, 0))
-    reply, anomaly = cutter_move(start_history(state), marked)
+    reply, anomaly = cutter_move(marked, legal_replies(start_history(state), marked))
     assert reply.kind == "D" and not anomaly
 
 
 def test_cutter_burns_genus_on_rich_arcs():
     state = GameState(((0, 1),), 1, 1, 2)
     marked = MarkedState(state, (0, 0), (0, 1))
-    reply, anomaly = cutter_move(start_history(state), marked)
+    reply, anomaly = cutter_move(marked, legal_replies(start_history(state), marked))
     assert reply.kind == "A" and not anomaly
 
 
 def test_cutter_discards_poor_arc():
     seed = GameState(((0, 1, 0, 2),), 0, 2, 3)
     marked = MarkedState(seed, (0, 0), (0, 1))  # arcs: (a) and (b,a,c)
-    reply, anomaly = cutter_move(start_history(seed), marked)
+    reply, anomaly = cutter_move(marked, legal_replies(start_history(seed), marked))
     assert reply.kind == "C" and not anomaly
     assert state_potential(reply.next) <= state_potential(seed)
 
@@ -214,7 +214,7 @@ def test_cutter_requires_legal_reply():
     state = GameState(((0, 1),), 0, 0, 2)
     marked = MarkedState(state, (0, 0), (0, 1))
     with pytest.raises(ValueError):
-        cutter_move(start_history(state), marked)
+        cutter_move(marked, legal_replies(start_history(state), marked))
 
 
 def test_verify_bindings_catches_drift():
