@@ -15,7 +15,12 @@ Four drivers, one per claim:
   ``floor(4*g0/3 - 1/3)`` with genus one.
 
 The three verifiers share one depth-first search, ``_search``; each
-driver supplies only the audit that expands a node into its children.
+driver supplies only the audit that expands a node into its children,
+and the exhaustive drivers a key under which equal nodes are merged: a
+node whose key was already searched adds that subtree's counts to the
+report instead of being expanded again.  Reports still count the tree,
+so ``states_explored`` and the state budget count tree nodes, merged or
+not.
 Every explored state passes ``validate`` and every ply is audited: value
 rises by exactly one, potentials move the right way, and the marker's
 bindings survive an independent re-classification.  A failure carries a
@@ -47,6 +52,7 @@ from .strategy import (
     SwitchToCops,
     classify_configuration,
     cutter_move,
+    phase_key,
     verify_bindings,
 )
 
@@ -202,8 +208,44 @@ class _Node:
         return records[::-1]
 
 
+# the report's ``details`` counts that a subtree adds to
+_ADDED_DETAILS = ("switches", "rebinds")
+
+
+class _Counts:
+    """A report's additive fields at one moment of a search, the dicts
+    as tuples of (key, count) pairs.  Taken when a node is popped and
+    again when its subtree is done, their difference is what the
+    subtree added to the report."""
+
+    __slots__ = ("states", "terminal", "transitions", "details")
+
+    def __init__(self, states: int, terminal: int, transitions: tuple, details: tuple):
+        self.states, self.terminal, self.transitions, self.details = states, terminal, transitions, details
+
+    @classmethod
+    def of(cls, report: VerificationReport) -> "_Counts":
+        return cls(report.states_explored, report.terminal_plays, tuple(report.transitions_seen.items()),
+                   tuple((k, report.details.get(k, 0)) for k in _ADDED_DETAILS))
+
+    def since(self, earlier: "_Counts") -> "_Counts":
+        def gained(now: tuple, then: tuple) -> tuple:
+            then = dict(then)
+            return tuple((k, n - then.get(k, 0)) for k, n in now if n != then.get(k, 0))
+
+        return _Counts(self.states - earlier.states, self.terminal - earlier.terminal,
+                       gained(self.transitions, earlier.transitions), gained(self.details, earlier.details))
+
+    def add_to(self, report: VerificationReport) -> None:
+        report.states_explored += self.states
+        report.terminal_plays += self.terminal
+        for counts, added in ((report.transitions_seen, self.transitions), (report.details, self.details)):
+            for k, n in added:
+                counts[k] = counts.get(k, 0) + n
+
+
 def _search(report: VerificationReport, roots: Iterable[_Node], budget: SearchBudget,
-            expand: Callable[[_Node], list]) -> VerificationReport:
+            expand: Callable[[_Node], list], key: Optional[Callable[[_Node], object]] = None) -> VerificationReport:
     """Depth-first search from each root in turn, shared by the verifiers.
 
     Each root must pass ``validate`` (every child does so where
@@ -211,16 +253,60 @@ def _search(report: VerificationReport, roots: Iterable[_Node], budget: SearchBu
     state budget and raises the running maximum value; ``expand`` runs
     the driver's own audit and returns the children to push.  A ``_Stop``
     becomes the report's verdict, its witness rebuilt from parent links.
+
+    With a ``key``, a node whose key names a subtree already searched is
+    merged with it: the report gets that subtree's counts (states,
+    terminal plays, transitions, switches and rebinds), and the node is
+    not expanded.  A node is still expanded when those counts would take
+    ``states_explored`` past ``budget.max_states``, and ``frontier``
+    counts nodes only, so a budget stop reads as it does on the unmerged
+    tree.  The maxima need no replay: the first copy of the subtree has
+    already raised them.  Merging is sound on every driver's key:
+
+    * ``MarkerStrategy`` and ``cutter_move`` are stateless, so the moves
+      from a node depend only on its state and (marker) phase;
+    * a node's depth is its value minus the root's, so equal states sit
+      at equal depths;
+    * along the value-monotone plays every driver enforces, legality
+      depends only on the current state, not on the history (the
+      label-loss fact of ``ending_marks``);
+    * depth-first search completes a subtree before it pops any later
+      duplicate, and a duplicate is never an ancestor, because the value
+      rises every ply;
+    * a merged subtree has passed already, so verdicts, failures and
+      witnesses are those of the unmerged tree.
     """
+    def out_of_states(stack: list) -> _Stop:
+        report.details["frontier"] = 1 + sum(isinstance(item, _Node) for item in stack)
+        return _Stop("state budget exhausted", verdict=INCONCLUSIVE)
+
+    searched: dict = {}  # key -> what its subtree added to the report
     try:
         for root in roots:
             stack = [root.validated()]
+            if key is None:
+                while stack:
+                    node = stack.pop()
+                    report.states_explored += 1
+                    if report.states_explored > budget.max_states:
+                        raise out_of_states(stack)
+                    report.max_value_seen = max(report.max_value_seen, value(node.state))
+                    stack.extend(expand(node))
+                continue
             while stack:
                 node = stack.pop()
+                if type(node) is tuple:  # (key, counts at the pop): that subtree is done
+                    searched[node[0]] = _Counts.of(report).since(node[1])
+                    continue
+                k = key(node)
+                added = searched.get(k)
+                if added is not None and report.states_explored + added.states <= budget.max_states:
+                    added.add_to(report)
+                    continue
+                stack.append((k, _Counts.of(report)))
                 report.states_explored += 1
                 if report.states_explored > budget.max_states:
-                    report.details["frontier"] = len(stack) + 1
-                    raise _Stop("state budget exhausted", verdict=INCONCLUSIVE)
+                    raise out_of_states(stack)
                 report.max_value_seen = max(report.max_value_seen, value(node.state))
                 stack.extend(expand(node))
     except _Stop as stop:
@@ -229,6 +315,21 @@ def _search(report: VerificationReport, roots: Iterable[_Node], budget: SearchBu
         return report
     report.verdict = PASS
     return report
+
+
+def _state_key(state: GameState) -> tuple:
+    """The fields of a state that vary within one search (all but
+    ``initial_genus``), so equal exactly when the states are; unlike the
+    state, it keeps none of the potentials and counts it caches alive."""
+    return state.cycles, state.genus, state.next_label
+
+
+def _marker_key(node: _Node) -> tuple:
+    return _state_key(node.state), phase_key(node.phase)
+
+
+def _cutter_key(node: _Node) -> tuple:
+    return _state_key(node.state)
 
 
 def _start(g0: int, refined: bool = False) -> GameState:
@@ -334,7 +435,7 @@ def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationRep
             children.append(child)
         return children
 
-    return _search(report, [_Node.root(root, strat.initial_phase(root))], budget, expand)
+    return _search(report, [_Node.root(root, strat.initial_phase(root))], budget, expand, _marker_key)
 
 
 def verify_marker_bound(g0: int, budget: Optional[SearchBudget] = None) -> VerificationReport:
@@ -400,7 +501,7 @@ def verify_cutter_bound(g0: int, budget: Optional[SearchBudget] = None) -> Verif
         return []
 
     if budget.marker_sampling == "exhaustive":
-        return _search(report, [root], budget, exhaustive)
+        return _search(report, [root], budget, exhaustive, _cutter_key)
     return _search(report, itertools.repeat(root, budget.sample_plays), budget, sampled)
 
 

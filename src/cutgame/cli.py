@@ -234,7 +234,7 @@ def _run(args) -> int:
 
         g = _load_graph(args)
         try:
-            res = genus_exact(g, max_systems=max(args.budget_states, 1))
+            res = genus_exact(g, max_systems=args.budget_states)
         except RotationBudgetError as exc:
             print(f"inconclusive: {exc}", file=sys.stderr)
             return EXIT_INCONCLUSIVE

@@ -50,7 +50,7 @@ from .potential import Segment, _cycle_matches_xtzt, is_nesting_path, segment_po
 # nesting-path bindings
 #
 # The binding, phase and template types of this module are plain classes:
-# they are built per ply or once, and never compared or hashed.
+# they are built per ply or once, and compared only through ``phase_key``.
 
 
 class NestUnique:
@@ -238,6 +238,27 @@ class StrategyError(Exception):
 
 
 Phase = Union[PreparatoryPhase, SeedPhase, BoundingPhase]
+
+
+def _nesting_key(binding: Nesting) -> tuple:
+    if isinstance(binding, NestUnique):
+        return ("unique", binding.pos)
+    if isinstance(binding, NestPseudo):
+        return ("pseudo", binding.run)
+    return ("chain", binding.run, binding.xz_cycle, binding.y_cycle, _nesting_key(binding.inner))
+
+
+def phase_key(phase: Phase) -> tuple:
+    """A hashable value equal for two phases exactly when every field,
+    down through the active cycles' nesting bindings, is equal: the
+    marker plays the same from equal keys on equal states."""
+    if isinstance(phase, PreparatoryPhase):
+        return ("preparatory", phase.non_a_replies)
+    if isinstance(phase, SeedPhase):
+        return ("seed",)
+    return ("bounding", phase.config, tuple(
+        (ac.cycle, tuple(p if isinstance(p, int) else _nesting_key(p) for p in ac.pos))
+        for ac in phase.actives))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from cutgame.arena import (
     verify_marker_bound,
     verify_refined,
 )
-from cutgame.core import value
-from cutgame.equivalence import canonical_key
+from cutgame.core import enumerate_marker_moves, value
+from cutgame.equivalence import canonical_key, legal_replies
 
 ALLOWED_TRANSITIONS = {
     (1, "A"), (1, "B"), (1, "C"),
@@ -144,7 +144,9 @@ _BUDGET = {"marker_sampling": "exhaustive", "max_depth": None, "max_states": 200
 _REPORT = {"details": {}, "failure": None, "opponent_model": "restricted-cutter", "terminal_plays": 0,
            "transitions_seen": {}, "verdict": "pass", "witness": None}
 
-# whole reports as the verifiers wrote them before their searches shared one loop
+# whole reports as the verifiers wrote them before their searches shared
+# one loop, and (marker g0=5, cutter g0=2 at 5 000 states) before that
+# loop merged equal nodes
 GOLDEN = {
     "marker g0=3": (lambda: verify_marker_bound(3), {
         "bound": 7, "details": {"max_ply_depth": 7}, "g0": 3, "max_value_seen": 7,
@@ -169,6 +171,15 @@ GOLDEN = {
         "bound": 7, "budget": dict(_BUDGET, max_depth=2), "details": {"max_ply_depth": 3},
         "failure": "depth budget exhausted", "g0": 3, "max_value_seen": 3, "mode": "marker_bound",
         "states_explored": 4, "transitions_seen": {"1-A": 1}, "verdict": "inconclusive"}),
+    "marker g0=5": (lambda: verify_marker_bound(5), {
+        "bound": 10, "details": {"max_ply_depth": 10}, "g0": 5, "max_value_seen": 10,
+        "mode": "marker_bound", "states_explored": 218, "terminal_plays": 48,
+        "transitions_seen": {"1-A": 36, "1-B": 12, "10-A": 6, "11-A": 2, "2-D": 36, "3-A": 22, "4-A": 12,
+                             "4-C": 2}}),
+    "cutter exhaustive g0=2 max_states=5000": (lambda: verify_cutter_bound(2, SearchBudget(max_states=5000)), {
+        "bound": 5, "budget": dict(_BUDGET, max_states=5000), "details": {"frontier": 69},
+        "failure": "state budget exhausted", "g0": 2, "max_value_seen": 5, "mode": "cutter_bound",
+        "states_explored": 5001, "terminal_plays": 4867, "verdict": "inconclusive"}),
 }
 
 
@@ -177,6 +188,101 @@ def test_report_matches_golden(name):
     run, fields = GOLDEN[name]
     expected = {**_REPORT, "budget": _BUDGET, **fields}
     assert run().to_json() == json.dumps(expected, sort_keys=True)
+
+
+def _runs(budgets: list) -> list:
+    """One verifier call per budget: marker g0=2..4, refined 2..5 and
+    exhaustive cutter 1..2."""
+    return [lambda verify=verify, g0=g0, budget=budget: verify(g0, budget)
+            for budget in budgets
+            for verify, genera in ((verify_marker_bound, range(2, 5)), (verify_refined, range(2, 6)),
+                                   (verify_cutter_bound, range(1, 3)))
+            for g0 in genera]
+
+
+MERGE_CASES = {
+    "unbudgeted": [lambda g0=g0: verify_marker_bound(g0) for g0 in range(10)]
+    + [lambda g0=g0: verify_refined(g0) for g0 in range(1, 10)]
+    + [lambda g0=g0: verify_cutter_bound(g0) for g0 in range(2)],
+    "max_states": _runs([SearchBudget(max_states=n) for n in (0, 3, 50, 200, 1000)]),
+    "max_depth": _runs([SearchBudget(max_depth=d) for d in range(4)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MERGE_CASES))
+def test_merged_search_reports_the_unmerged_tree(request, case):
+    """Merging equal nodes changes no byte of a report, budget stops
+    included."""
+    runs = MERGE_CASES[case]
+    merged = [run().to_json() for run in runs]
+    request.getfixturevalue("unmerged")
+    assert merged == [run().to_json() for run in runs]
+
+
+def _bumping_search(key, budget: SearchBudget) -> tuple[str, int]:
+    """Every legal reply to every mark from genus one to value 3, each
+    node adding to every additive field of the report; returns the
+    report's JSON and how many nodes were expanded."""
+    report = arena.VerificationReport(1, "test", 3, budget)
+    expanded = []
+
+    def expand(node):
+        expanded.append(node)
+        v = value(node.state)
+        report.details["switches"] = report.details.get("switches", 0) + 1
+        report.details["rebinds"] = report.details.get("rebinds", 0) + v
+        report.transitions_seen[(v, "A")] = report.transitions_seen.get((v, "A"), 0) + 1
+        if v >= 3:
+            report.terminal_plays += 1
+            return []
+        return [node.child(marked, reply) for marked in enumerate_marker_moves(node.state)
+                for reply in legal_replies(node.hist, marked)]
+
+    arena._search(report, [arena._Node.root(arena._start(1))], budget, expand, key)
+    return report.to_json(), len(expanded)
+
+
+@pytest.mark.parametrize("max_states", [2_000_000, 300])
+def test_merged_search_replays_every_additive_field(max_states):
+    budget = SearchBudget(max_states=max_states)
+    merged, merged_expanded = _bumping_search(lambda node: node.state, budget)
+    unmerged, unmerged_expanded = _bumping_search(None, budget)
+    assert merged == unmerged
+    assert merged_expanded < unmerged_expanded
+
+
+def test_marker_search_expands_each_distinct_node_once(monkeypatch, request):
+    # one legality call per expanded node: 513 distinct (state, phase)
+    # pairs among the 1 016 nodes of the tree
+    calls = []
+    real = arena.legal_replies
+    monkeypatch.setattr(arena, "legal_replies", lambda hist, marked: calls.append(1) or real(hist, marked))
+    assert verify_marker_bound(9).states_explored == 1016
+    merged = len(calls)
+    request.getfixturevalue("unmerged")
+    assert verify_marker_bound(9).states_explored == 1016
+    assert (merged, len(calls) - merged) == (513, 1016)
+
+
+def test_fault_at_a_repeated_state_fails_alike_merged_or_not(monkeypatch, request):
+    """A classifier that fails at one bounding state which the tree
+    reaches twice gives one failure, text and witness in both modes."""
+    classified = []
+    real = arena.classify_configuration
+    with monkeypatch.context() as patch:
+        patch.setattr(arena, "_marker_key", None)
+        patch.setattr(arena, "classify_configuration",
+                      lambda active, state, allow_pseudo: classified.append(state) or real(active, state, allow_pseudo))
+        assert verify_marker_bound(6).verdict == "pass"
+    target = next(state for state in classified if classified.count(state) > 1)
+    monkeypatch.setattr(arena, "classify_configuration", lambda active, state, allow_pseudo: (
+        None if state == target else real(active, state, allow_pseudo)))
+    merged = verify_marker_bound(6)
+    assert merged.verdict == "fail"
+    assert merged.failure.startswith("classifier saw configuration None, strategy claims ")
+    assert merged.witness[-1]["canonical_key"] == str(canonical_key(target))
+    request.getfixturevalue("unmerged")
+    assert verify_marker_bound(6).to_json() == merged.to_json()
 
 
 @pytest.mark.parametrize("attr, shift, run", [

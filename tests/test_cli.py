@@ -201,6 +201,12 @@ def test_zero_budget_is_inconclusive(capsys):
     assert dispatch(["--budget-states", "0", "genus", "--g6", "D~{"]) == EXIT_INCONCLUSIVE
 
 
+def test_genus_budget_is_passed_through_unchanged(capsys):
+    # a zero budget stays zero: the message names the budget given
+    assert dispatch(["--budget-states", "0", "genus", "--g6", "E~~w"]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == "inconclusive: the genus search needs more than 0 nodes (genus at least 1)\n"
+
+
 def test_cop_number_over_position_budget_exits_2(tmp_path, capsys):
     from cutgame.graphs import cycle_graph, emit_graph6
 

@@ -276,8 +276,9 @@ def _record_calls(monkeypatch, name: str) -> set:
 
 def _harvest_precedes(monkeypatch) -> set:
     """The (candidate, earlier) pairs ``precedes`` sees in marker 0..7,
-    refined 1..7 and exact 0..2, by both solvers (the reference asks
-    about every mark of every state, ``exact_value`` about few)."""
+    refined 1..7 (every tree node under the ``unmerged`` fixture) and
+    exact 0..2, by both solvers (the reference asks about every mark of
+    every state, ``exact_value`` about few)."""
     pairs = _record_calls(monkeypatch, "precedes")
     for g0 in range(8):
         verify_marker_bound(g0)
@@ -293,6 +294,7 @@ def _canonical_cycles(state: GameState) -> tuple[tuple[int, ...], ...]:
     return tuple(piece[1:] for piece in _canonical_shape(state.cycles)[0])
 
 
+@pytest.mark.usefixtures("unmerged")
 def test_matcher_agrees_with_reference_on_harvested_pairs(monkeypatch):
     # the kept-label witness answers every pair the drivers ask about, so
     # the matcher's inputs are made here from the arguments of precedes
@@ -348,6 +350,7 @@ def _refuted_witnesses(pairs) -> tuple[int, list]:
     return len(witnessed), refuted
 
 
+@pytest.mark.usefixtures("unmerged")
 def test_kept_label_witness_is_sound_on_driver_pairs(monkeypatch):
     witnessed, refuted = _refuted_witnesses(_harvest_precedes(monkeypatch))
     assert witnessed > 2_000
@@ -372,6 +375,7 @@ def _reference_precedes(candidate: GameState, earlier: GameState) -> bool:
     return candidate.genus <= earlier.genus and reference_shape_precedes(candidate.cycles, earlier.cycles)
 
 
+@pytest.mark.usefixtures("unmerged")
 def test_legal_replies_agree_with_reference_rule_at_every_node(monkeypatch):
     # the reference rule: a reply is legal when its value exceeds every
     # historical value or no historical state precedes it
@@ -398,6 +402,7 @@ def test_legal_replies_agree_with_reference_rule_at_every_node(monkeypatch):
     assert nodes[0] > 10_000
 
 
+@pytest.mark.usefixtures("unmerged")
 def test_canonical_shape_agrees_with_reference_on_marker_states(monkeypatch):
     # the states ply records key, and the states precedes compares (the
     # kept-label witness asks for no canonical form of them)

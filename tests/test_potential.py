@@ -150,6 +150,7 @@ def test_integer_potential_matches_reference_on_random_states():
         _assert_matches_reference(random_state(rng, max_labels=8, max_genus=4))
 
 
+@pytest.mark.usefixtures("unmerged")
 def test_integer_potential_matches_reference_on_explored_states(monkeypatch):
     """Every state the marker and refined verifiers build, with the
     potentials the search itself cached on it."""

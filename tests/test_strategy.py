@@ -244,7 +244,8 @@ def test_every_arrow_has_one_source_per_target_cycle():
 
 
 def _bounding_nodes(monkeypatch) -> list:
-    """(phase, state) of every bounding node the marker verifiers visit."""
+    """(phase, state) of every bounding node the marker verifiers expand
+    (every node of their trees under the ``unmerged`` fixture)."""
     nodes = []
     original = MarkerStrategy.mark
 
@@ -253,15 +254,16 @@ def _bounding_nodes(monkeypatch) -> list:
             nodes.append((phase, state))
         return original(self, phase, state)
 
-    monkeypatch.setattr(MarkerStrategy, "mark", recording)
-    for g0 in range(10):
-        assert verify_marker_bound(g0).verdict == "pass"
-    for g0 in range(1, 10):
-        assert verify_refined(g0).verdict == "pass"
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(MarkerStrategy, "mark", recording)
+        for g0 in range(10):
+            assert verify_marker_bound(g0).verdict == "pass"
+        for g0 in range(1, 10):
+            assert verify_refined(g0).verdict == "pass"
     return nodes
 
 
+@pytest.mark.usefixtures("unmerged")
 def test_transition_table_matches_reference_handlers(monkeypatch):
     """Every reply to the strategy's own mark, at every bounding node of
     marker g0=0..9 and refined g0=1..9: the table and the reference
