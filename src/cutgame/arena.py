@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Optional, Union
 from .core import (
     CutterReply, GameState, MarkedState, empty_state, enumerate_marker_moves, split_cycle, validate, value,
 )
-from .equivalence import History, canonical_key, legal_replies, start_history
+from .equivalence import canonical_key, legal_replies
 from .potential import component_potential, positive_component_sum, state_potential
 from .strategy import (
     BoundingPhase,
@@ -174,21 +174,21 @@ class _Stop(Exception):
 class _Node:
     """One explored state, linked to the node it was reached from."""
 
-    __slots__ = ("state", "hist", "phase", "record", "depth", "parent")
+    __slots__ = ("state", "phase", "record", "depth", "parent")
 
-    def __init__(self, state: GameState, hist: History, phase: object, record: dict,
+    def __init__(self, state: GameState, phase: object, record: dict,
                  depth: int = 0, parent: Optional["_Node"] = None):
-        self.state, self.hist, self.phase, self.record = state, hist, phase, record
+        self.state, self.phase, self.record = state, phase, record
         self.depth, self.parent = depth, parent
 
     @classmethod
     def root(cls, state: GameState, phase: object = None) -> "_Node":
-        return cls(state, start_history(state), phase, ply_record(0, None, None, None, state))
+        return cls(state, phase, ply_record(0, None, None, None, state))
 
     def child(self, marked: MarkedState, reply: CutterReply) -> "_Node":
         nxt, depth = reply.next, self.depth + 1
         record = ply_record(depth, "cutter", marked, reply.kind, nxt)
-        return _Node(nxt, self.hist.extended(nxt), None, record, depth, self).validated()
+        return _Node(nxt, None, record, depth, self).validated()
 
     def validated(self) -> "_Node":
         violation = validate(self.state)
@@ -267,9 +267,8 @@ def _search(report: VerificationReport, roots: Iterable[_Node], budget: SearchBu
       from a node depend only on its state and (marker) phase;
     * a node's depth is its value minus the root's, so equal states sit
       at equal depths;
-    * along the value-monotone plays every driver enforces, legality
-      depends only on the current state, not on the history (the
-      label-loss fact of ``ending_marks``);
+    * ``legal_replies`` reads the marked state alone, so a node's
+      replies depend on nothing above it;
     * depth-first search completes a subtree before it pops any later
       duplicate, and a duplicate is never an ancestor, because the value
       rises every ply;
@@ -284,26 +283,18 @@ def _search(report: VerificationReport, roots: Iterable[_Node], budget: SearchBu
     try:
         for root in roots:
             stack = [root.validated()]
-            if key is None:
-                while stack:
-                    node = stack.pop()
-                    report.states_explored += 1
-                    if report.states_explored > budget.max_states:
-                        raise out_of_states(stack)
-                    report.max_value_seen = max(report.max_value_seen, value(node.state))
-                    stack.extend(expand(node))
-                continue
             while stack:
                 node = stack.pop()
                 if type(node) is tuple:  # (key, counts at the pop): that subtree is done
                     searched[node[0]] = _Counts.of(report).since(node[1])
                     continue
-                k = key(node)
-                added = searched.get(k)
-                if added is not None and report.states_explored + added.states <= budget.max_states:
-                    added.add_to(report)
-                    continue
-                stack.append((k, _Counts.of(report)))
+                if key is not None:
+                    k = key(node)
+                    added = searched.get(k)
+                    if added is not None and report.states_explored + added.states <= budget.max_states:
+                        added.add_to(report)
+                        continue
+                    stack.append((k, _Counts.of(report)))
                 report.states_explored += 1
                 if report.states_explored > budget.max_states:
                     raise out_of_states(stack)
@@ -398,7 +389,7 @@ def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationRep
             marked = strat.mark(phase, state)
         except StrategyError as exc:
             raise _Stop(f"marking failed in {_phase_name(phase)}: {exc}", node) from exc
-        legal = legal_replies(node.hist, marked)
+        legal = legal_replies(marked)
         if not legal:
             report.terminal_plays += 1
             return []
@@ -464,28 +455,31 @@ def verify_cutter_bound(g0: int, budget: Optional[SearchBudget] = None) -> Verif
     report = VerificationReport(g0=g0, mode="cutter_bound", bound=threshold, budget=budget)
     max_depth = budget.resolved_depth(threshold)
 
-    def respond(node: _Node, marked: MarkedState) -> _Node:
-        """The cutter's audited reply to one mark."""
-        legal = legal_replies(node.hist, marked)
+    def respond(node: _Node, marked: MarkedState, v: int) -> _Node:
+        """The cutter's audited reply to one mark; ``v`` is the node's
+        value, which every legal reply must raise by one."""
+        legal = legal_replies(marked)
         if not legal:
             report.terminal_plays += 1
-            raise _Stop(f"game ended at value {value(node.state)} below threshold {threshold}", node)
+            raise _Stop(f"game ended at value {v} below threshold {threshold}", node)
+        for r in legal:
+            if value(r.next) != v + 1:
+                raise _Stop("value did not increase by one", node.child(marked, r))
         reply, anomaly = cutter_move(marked, legal)
         child = node.child(marked, reply)
         if anomaly:
             raise _Stop("cutter had no potential-non-increasing reply", child)
         if state_potential(child.state) > state_potential(node.state):
             raise _Stop("potential increased under the cutter strategy", child)
-        if value(child.state) != value(node.state) + 1:
-            raise _Stop("value did not increase by one", child)
         return child
 
     def exhaustive(node: _Node) -> list:
-        if value(node.state) >= threshold:
+        v = value(node.state)
+        if v >= threshold:
             report.terminal_plays += 1
             return []
         node.check_depth(max_depth)
-        return [respond(node, marked) for marked in enumerate_marker_moves(node.state)]
+        return [respond(node, marked, v) for marked in enumerate_marker_moves(node.state)]
 
     rng = random.Random(budget.seed)
 
@@ -493,7 +487,7 @@ def verify_cutter_bound(g0: int, budget: Optional[SearchBudget] = None) -> Verif
         # a play counts only the states the cutter moves from, so a child
         # at the threshold ends it unpushed; every child's value is seen
         node.check_depth(max_depth)
-        child = respond(node, rng.choice(enumerate_marker_moves(node.state)))
+        child = respond(node, rng.choice(enumerate_marker_moves(node.state)), value(node.state))
         report.max_value_seen = max(report.max_value_seen, value(child.state))
         if value(child.state) < threshold:
             return [child]
@@ -536,15 +530,17 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
 
     Threshold iteration over a minimax with canonical-form memoization:
     the marker needs a mark leaving the restricted cutter without legal
-    replies, all other replies staying capped recursively.  Since legal
-    play raises the value each turn, legality depends only on the current
-    state, which keeps the memo key to the canonical form alone; the
-    memo-off mode cross-checks that.
+    replies, all other replies staying capped recursively.
+    ``legal_replies`` reads the marked state alone, so what follows a
+    state depends on the state and not on the play that reached it, and
+    since the game is blind to labels, on its canonical form alone: that
+    is the memo key.  The memo-off mode cross-checks it.
 
     A state first tries the marks of ``ending_marks``, each confirmed by
     ``legal_replies``.  That decides a state at the threshold, so replies
-    are built only below it, where the search recurses; a legal reply
-    there that does not raise the value by exactly one raises
+    are built only below it, where the search recurses.  Every counted
+    state must pass ``validate``, and every legal reply below the
+    threshold must raise the value by exactly one; either failure raises
     ``RuntimeError``.  Only states below the threshold are keyed and
     memoized: with the memo on, every visit to a threshold state counts
     against ``budget.max_states``, and every other state counts once.
@@ -554,7 +550,7 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
     budget = budget or SearchBudget()
     counter = {"states": 0}
 
-    def can_cap(state: GameState, hist: History, t: int, memo: dict) -> bool:
+    def can_cap(state: GameState, t: int, memo: dict) -> bool:
         v = value(state)
         if v > t:
             return False
@@ -566,15 +562,18 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
         counter["states"] += 1
         if counter["states"] > budget.max_states:
             raise _Stop("state budget exhausted", verdict=INCONCLUSIVE)
-        result = any(not legal_replies(hist, marked) for marked in ending_marks(state))
+        violation = validate(state)
+        if violation is not None:
+            raise RuntimeError(f"invalid state ({violation.rule}): {violation.detail}")
+        result = any(not legal_replies(marked) for marked in ending_marks(state))
         if not result and v < t:
             for marked in enumerate_marker_moves(state):
-                legal = legal_replies(hist, marked)
+                legal = legal_replies(marked)
                 for r in legal:
                     if value(r.next) != v + 1:
                         raise RuntimeError(f"a legal kind-{r.kind} reply moved the value from {v} "
                                            f"to {value(r.next)}, not by one")
-                if all(can_cap(r.next, hist.extended(r.next), t, memo) for r in legal):
+                if all(can_cap(r.next, t, memo) for r in legal):
                     result = True
                     break
         if keyed:
@@ -584,7 +583,7 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
     root = _start(g0)
     try:
         for t in range(marker_value_bound(g0) + 1):
-            if can_cap(root, start_history(root), t, {}):
+            if can_cap(root, t, {}):
                 return t
     except _Stop:
         return INCONCLUSIVE
@@ -602,7 +601,6 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
     state = _start(g0, refined)
     rng = random.Random(seed)
     strat = MarkerStrategy(refined=refined) if marker == "auto" else None
-    hist = start_history(state)
     phase = strat.initial_phase(state) if strat else None
     records = [ply_record(0, None, None, None, state)]
     limit = 4 * g0 + 16
@@ -612,7 +610,7 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
             marked = strat.mark(phase, state)
         else:
             marked = rng.choice(enumerate_marker_moves(state))
-        legal = legal_replies(hist, marked)
+        legal = legal_replies(marked)
         if not legal:
             outcome = {"result": "cutter_stuck", "plies": ply - 1}
             break
@@ -629,7 +627,6 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
                 break
             phase = nxt
         state = reply.next
-        hist = hist.extended(state)
         outcome = {"result": "ply_limit", "plies": ply}
     outcome["final_value"] = value(state)
     outcome["final_genus"] = state.genus

@@ -6,7 +6,11 @@ collection into the other (orientation preserved, genus equal).  A
 cyclic subsequence of its edges, a fully contracted cycle disappears —
 and may lower the genus counter.  The restricted cutter must never move
 to a state that is equivalent to a reduction of an earlier state of the
-play, the current one included.
+play, the current one included.  Every legal reply raises the value by
+exactly one, so a reply that does not is a reduction of the current
+state, and one that does is a reduction of no earlier state: on every
+legal play the earlier states add nothing, and ``legal_replies`` reads
+the marked state alone.
 
 Equivalence compares canonical keys: the lexicographically least
 encoding of the cycles under rotation, reordering and first-occurrence
@@ -429,43 +433,19 @@ def precedes(candidate: GameState, earlier: GameState) -> bool:
     return _shape_precedes(cand_cycles, earl_cycles)
 
 
-class History:
-    """The states of one play, oldest first, current state last; ``top``
-    is the largest value among them."""
-
-    __slots__ = ("states", "top")
-
-    def __init__(self, states: tuple[GameState, ...], top: Optional[int] = None):
-        self.states = states
-        self.top = max(map(value, states)) if top is None else top
-
-    @property
-    def current(self) -> GameState:
-        return self.states[-1]
-
-    def extended(self, state: GameState) -> "History":
-        return History(self.states + (state,), max(self.top, value(state)))
-
-
-def start_history(state: GameState) -> History:
-    return History((state,))
-
-
-def legal_replies(history: History, marked: MarkedState) -> list[CutterReply]:
+def legal_replies(marked: MarkedState) -> list[CutterReply]:
     """Restricted-cutter replies: those whose next state is not equivalent
-    to a reduction of any state in the history (current state included).
+    to a reduction of any earlier state of the play, the marked one
+    included.
 
-    Along a real play the value rises by one per turn, so any reply whose
-    value exceeds every historical value is legal without enumeration;
-    ``precedes`` handles the remaining candidates exactly.
+    Every legal reply raises the value by exactly one, so on a legal play
+    the marked state has the largest value so far.  A reply whose value
+    exceeds it is therefore legal without a check, and any other reply
+    loses a label, which makes it a reduction of the marked state itself
+    (see ``_kept_label_witness``).  The earlier states add nothing, so
+    only the marked state is read: ``precedes`` decides the replies that
+    do not raise the value.
     """
-    if history.current is not marked.state and canonical_key(history.current) != canonical_key(marked.state):
-        raise ValueError("history does not end at the marked state")
-    out = []
-    for reply in cutter_replies(marked):
-        if value(reply.next) > history.top:
-            out.append(reply)
-        elif not any(precedes(reply.next, s) for s in reversed(history.states)):
-            out.append(reply)
-    return out
-
+    state = marked.state
+    v = value(state)
+    return [r for r in cutter_replies(marked) if value(r.next) > v or not precedes(r.next, state)]

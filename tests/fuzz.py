@@ -21,7 +21,7 @@ from cutgame.core import (
     validate,
     value,
 )
-from cutgame.equivalence import legal_replies, start_history
+from cutgame.equivalence import legal_replies
 from cutgame.graphs import Graph
 from cutgame.potential import Segment, is_nesting_path, segment_potential, state_potential
 from reference_potential import edge_potential
@@ -146,7 +146,7 @@ def fuzz_move_bc(rng: random.Random, cases: int) -> int:
         marked = random_marked(rng, state)
         if not marked.same_component():
             continue
-        legal = {r.kind: r for r in legal_replies(start_history(state), marked)}
+        legal = {r.kind: r for r in legal_replies(marked)}
         seg_p, seg_q = _arc_segments(state, marked)
         hit = False
         for kind, seg in (("B", seg_q), ("C", seg_p)):
@@ -205,7 +205,7 @@ def fuzz_nesting_discard(rng: random.Random, cases: int) -> int:
         v = (0, 0)
         w = (0, run_len % len(host))
         marked = MarkedState(state, v, w)
-        legal = {r.kind: r for r in legal_replies(start_history(state), marked)}
+        legal = {r.kind: r for r in legal_replies(marked)}
         if depth == 0:
             assert "C" not in legal, f"single-edge discard was legal on {state}"
             checked += 1
@@ -280,9 +280,8 @@ def exhaustive_value_increase(max_edges: int) -> int:
     reply raises the value by exactly one.  Returns replies checked."""
     checked = 0
     for state in all_proper_states(max_edges):
-        hist = start_history(state)
         for marked in enumerate_marker_moves(state):
-            for reply in legal_replies(hist, marked):
+            for reply in legal_replies(marked):
                 assert value(reply.next) == value(state) + 1, (state, marked.v, marked.w, reply.kind)
                 checked += 1
     return checked
@@ -294,7 +293,7 @@ def fuzz_value_increase(rng: random.Random, cases: int) -> int:
     while checked < cases:
         state = random_state(rng)
         marked = random_marked(rng, state)
-        for reply in legal_replies(start_history(state), marked):
+        for reply in legal_replies(marked):
             assert value(reply.next) == value(state) + 1, f"value jump on {state}"
             checked += 1
     return checked
@@ -325,7 +324,7 @@ def fuzz_limited_choice(rng: random.Random, cases: int) -> int:
         if on_p and on_q:
             continue  # not gathered
         marked = MarkedState(state, (ci, v_pos), (ci, w_pos))
-        legal_kinds = {r.kind for r in legal_replies(start_history(state), marked)}
+        legal_kinds = {r.kind for r in legal_replies(marked)}
         # the label sits on one arc; dropping that arc is illegal
         forbidden = "C" if on_p else "B"
         assert forbidden not in legal_kinds, (
@@ -370,7 +369,7 @@ def fuzz_no_choice(rng: random.Random, cases: int) -> int:
             continue
         ci, v_pos, w_pos = found
         marked = MarkedState(state, (ci, v_pos), (ci, w_pos))
-        kinds = {r.kind for r in legal_replies(start_history(state), marked)}
+        kinds = {r.kind for r in legal_replies(marked)}
         assert kinds <= {"A"}, f"separating marks left kinds {kinds} on {state}"
         checked += 1
     return checked

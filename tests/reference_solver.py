@@ -2,22 +2,36 @@
 
 ``cutgame.arena.exact_value`` decides the states at the threshold from
 the marks that can end the game (``arena.ending_marks``) and builds
-replies only where it recurses.  The tests keep the solver it replaced
-here: at every state it asks ``legal_replies`` about every mark, so
-restricted legality alone decides each ending.
+replies only where it recurses, and its legality reads the marked state
+alone.  The tests keep the solver it replaced here: at every state it
+builds the replies to every mark and keeps those the paper's rule allows
+over the whole play (``restricted_replies``), so restricted legality
+alone decides each ending.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
+from cutgame import equivalence
 from cutgame.arena import INCONCLUSIVE, SearchBudget, _start, marker_value_bound
-from cutgame.core import GameState, enumerate_marker_moves, value
-from cutgame.equivalence import History, canonical_key, legal_replies, start_history
+from cutgame.core import CutterReply, GameState, MarkedState, cutter_replies, enumerate_marker_moves, value
+from cutgame.equivalence import canonical_key
 
 
 class _BudgetExhausted(Exception):
     pass
+
+
+def restricted_replies(play: tuple[GameState, ...], marked: MarkedState) -> list[CutterReply]:
+    """The replies to ``marked``, the last state of ``play`` marked, whose
+    next state is not equivalent to a reduction of any state of the play:
+    those above every value of the play, and those no state precedes
+    (``equivalence.precedes``, looked up at each call, so that tests can
+    watch it)."""
+    top = max(map(value, play))
+    return [r for r in cutter_replies(marked)
+            if value(r.next) > top or not any(equivalence.precedes(r.next, s) for s in reversed(play))]
 
 
 def reference_exact_value(g0: int, budget: Optional[SearchBudget] = None,
@@ -27,7 +41,8 @@ def reference_exact_value(g0: int, budget: Optional[SearchBudget] = None,
     budget = budget or SearchBudget()
     counter = {"states": 0}
 
-    def can_cap(state: GameState, hist: History, t: int, memo: dict) -> bool:
+    def can_cap(play: tuple[GameState, ...], t: int, memo: dict) -> bool:
+        state = play[-1]
         if value(state) > t:
             return False
         key = canonical_key(state)
@@ -38,13 +53,13 @@ def reference_exact_value(g0: int, budget: Optional[SearchBudget] = None,
             raise _BudgetExhausted
         result = False
         for marked in enumerate_marker_moves(state):
-            legal = legal_replies(hist, marked)
+            legal = restricted_replies(play, marked)
             if not legal:
                 result = True
                 break
             if value(state) + 1 > t:
                 continue
-            if all(can_cap(r.next, hist.extended(r.next), t, memo) for r in legal):
+            if all(can_cap(play + (r.next,), t, memo) for r in legal):
                 result = True
                 break
         if use_memo:
@@ -54,7 +69,7 @@ def reference_exact_value(g0: int, budget: Optional[SearchBudget] = None,
     root = _start(g0)
     try:
         for t in range(marker_value_bound(g0) + 1):
-            if can_cap(root, start_history(root), t, {}):
+            if can_cap((root,), t, {}):
                 return t
     except _BudgetExhausted:
         return INCONCLUSIVE

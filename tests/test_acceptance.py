@@ -52,20 +52,21 @@ def test_criterion_1_marker_bound():
 
 def test_criterion_2_cutter_bound():
     t0 = time.time()
-    for g0, threshold in ((0, 2), (1, 4)):
+    for g0, threshold in ((0, 2), (1, 4), (2, 5)):
         report = verify_cutter_bound(g0)
         assert report.verdict == "pass", (g0, report.failure)
         assert report.bound == threshold
-    for g0, threshold in ((2, 5), (3, 6)):
-        budget = SearchBudget(marker_sampling="random", sample_plays=FULL, seed=2024)
-        report = verify_cutter_bound(g0, budget)
-        assert report.verdict == "pass", (g0, report.failure)
-        assert report.bound == threshold
-        assert report.terminal_plays == FULL
+    # the whole tree at g0=2, every marker line: a proof, not a sample
+    assert (report.states_explored, report.terminal_plays) == (76_226, 73_674)
+    budget = SearchBudget(marker_sampling="random", sample_plays=FULL, seed=2024)
+    report = verify_cutter_bound(3, budget)
+    assert report.verdict == "pass", report.failure
+    assert report.bound == 6
+    assert report.terminal_plays == FULL
     _report(
         "2 (cutter bound)",
-        f"exhaustive g0 0,1 at thresholds 2,4; {FULL} sampled plays each for g0 2,3 "
-        f"at 5,6 with the potential audited every ply, {time.time()-t0:.1f}s",
+        f"exhaustive g0 0,1,2 at thresholds 2,4,5; {FULL} sampled plays for g0 3 "
+        f"at 6 with the potential audited every ply, {time.time()-t0:.1f}s",
     )
 
 

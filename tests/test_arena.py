@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from cutgame import arena
+from cutgame import arena, equivalence
 from cutgame.arena import (
     SearchBudget,
     cutter_value_threshold,
@@ -236,7 +236,7 @@ def _bumping_search(key, budget: SearchBudget) -> tuple[str, int]:
             report.terminal_plays += 1
             return []
         return [node.child(marked, reply) for marked in enumerate_marker_moves(node.state)
-                for reply in legal_replies(node.hist, marked)]
+                for reply in legal_replies(marked)]
 
     arena._search(report, [arena._Node.root(arena._start(1))], budget, expand, key)
     return report.to_json(), len(expanded)
@@ -256,7 +256,7 @@ def test_marker_search_expands_each_distinct_node_once(monkeypatch, request):
     # pairs among the 1 016 nodes of the tree
     calls = []
     real = arena.legal_replies
-    monkeypatch.setattr(arena, "legal_replies", lambda hist, marked: calls.append(1) or real(hist, marked))
+    monkeypatch.setattr(arena, "legal_replies", lambda marked: calls.append(1) or real(marked))
     assert verify_marker_bound(9).states_explored == 1016
     merged = len(calls)
     request.getfixturevalue("unmerged")
@@ -330,6 +330,22 @@ def test_explored_states_are_validated(monkeypatch):
         assert "properness" in report.failure and "3 edges" in report.failure
         assert report.witness[-1]["canonical_key"] in improper
         assert [rec["ply"] for rec in report.witness] == [0, 1, 2]
+
+
+def test_too_loose_legality_is_caught_by_every_engine(monkeypatch):
+    """With ``precedes`` always False the replies that lose a label are
+    legal too: every verifier fails with a witness that ends at one, the
+    cutter's even where the reply it plays is sound, and the solver
+    raises."""
+    monkeypatch.setattr(equivalence, "precedes", lambda candidate, earlier: False)
+    sampled = SearchBudget(marker_sampling="random", sample_plays=50, seed=1)
+    for report in (verify_marker_bound(3), verify_refined(3), verify_cutter_bound(2), verify_cutter_bound(3, sampled)):
+        assert report.verdict == "fail"
+        assert report.failure == "value did not increase by one"
+        *_, before, last = report.witness
+        assert last["value"] <= before["value"]
+    with pytest.raises(RuntimeError, match="not by one"):
+        exact_value(1)
 
 
 @pytest.mark.parametrize("call", [

@@ -59,8 +59,13 @@ def _internal_error(argv, capsys) -> str:
 def test_solver_runtime_error_exits_70(monkeypatch, capsys):
     # an unrestricted cutter: the solver meets a legal reply that loses a
     # label, so the value does not rise by one
-    monkeypatch.setattr(arena, "legal_replies", lambda hist, marked: cutter_replies(marked))
+    monkeypatch.setattr(arena, "legal_replies", lambda marked: cutter_replies(marked))
     assert "not by one" in _internal_error(["exact-value", "--g0", "1"], capsys)
+
+
+@pytest.mark.usefixtures("tripled_label")
+def test_solver_invalid_state_exits_70(capsys):
+    assert "invalid state (properness)" in _internal_error(["exact-value", "--g0", "1"], capsys)
 
 
 def test_strategy_error_exits_70(monkeypatch, capsys):

@@ -7,14 +7,12 @@ from cutgame import arena, equivalence
 from cutgame.arena import exact_value, verify_cutter_bound, verify_marker_bound, verify_refined
 from cutgame.core import GameState, MarkedState, cutter_replies, empty_state, enumerate_marker_moves, value
 from cutgame.equivalence import (
-    History,
     _canonical_shape,
     _kept_label_witness,
     _shape_precedes,
     canonical_key,
     legal_replies,
     precedes,
-    start_history,
 )
 
 import reference_solver
@@ -154,9 +152,8 @@ def test_precedes_reflexive_transitive_fuzz():
 def test_kind_c_reduction_is_illegal():
     # gathering an isolated label with the label on the kept-away side
     state = GameState(((0, 1, 0, 2),), 1, 1, 3)
-    hist = start_history(state)
     marked = MarkedState(state, (0, 3), (0, 0))  # arcs: (2) and (0,1,0)
-    kinds = {r.kind for r in legal_replies(hist, marked)}
+    kinds = {r.kind for r in legal_replies(marked)}
     assert "C" not in kinds  # dropping the lone short edge loses its label
     assert "B" not in kinds  # dropping the long arc loses two labels
     assert kinds == {"A"}
@@ -164,9 +161,8 @@ def test_kind_c_reduction_is_illegal():
 
 def test_legal_replies_history_filter():
     state = empty_state(0)
-    hist = start_history(state)
     marked = MarkedState(state, None, None, same_dummy=True)
-    kinds = {r.kind for r in legal_replies(hist, marked)}
+    kinds = {r.kind for r in legal_replies(marked)}
     assert kinds == {"B", "C"}
 
 
@@ -177,9 +173,8 @@ def test_label_loss_equals_restricted_legality_exhaustive():
 
     checked = 0
     for state in all_proper_states(4):
-        hist = start_history(state)
         for marked in enumerate_marker_moves(state):
-            legal = legal_replies(hist, marked)
+            legal = legal_replies(marked)
             for reply in cutter_replies(marked):
                 assert (reply in legal) == (not reply_loses_label(state, reply))
                 checked += 1
@@ -187,62 +182,23 @@ def test_label_loss_equals_restricted_legality_exhaustive():
 
 
 def test_label_loss_equals_restricted_legality_on_plays():
+    # on random legal plays, a reply is legal iff it loses no label, iff
+    # the reference rule over every state of the play walked so far allows it
     rng = random.Random(19)
     for _ in range(120):
         state = empty_state(rng.randint(0, 2))
-        hist = start_history(state)
+        play = (state,)
         for _ply in range(6):
             marked = random_marked(rng, state)
-            legal = legal_replies(hist, marked)
+            legal = legal_replies(marked)
             for reply in cutter_replies(marked):
                 expected = not reply_loses_label(state, reply)
                 assert (reply in legal) == expected, (state, marked.v, marked.w, reply.kind)
-            if not legal:
-                break
-            reply = rng.choice(legal)
-            state = reply.next
-            hist = hist.extended(state)
-
-
-def test_legal_replies_respects_older_states():
-    # an artificial history whose older state dominates the current one:
-    # a reply recreating that older state (up to relabelling) is illegal
-    # even though it loses nothing relative to the current state
-    older = GameState(((0,), (1,)), 1, 1, 2)
-    current = GameState(((0,),), 1, 1, 2)
-    hist = History((older, current))
-    marked = MarkedState(current, None, None, same_dummy=True)
-    kinds = {r.kind for r in legal_replies(hist, marked)}
-    # B/C would produce two loops with distinct labels, equivalent to the
-    # older state; only the genus burn escapes the history
-    assert "B" not in kinds and "C" not in kinds
-    assert "A" in kinds
-
-
-def test_history_keys():
-    s0 = empty_state(1)
-    h = start_history(s0)
-    assert h.states == (s0,)
-    s1 = GameState(((0,),), 1, 1, 1)
-    h2 = h.extended(s1)
-    assert h2.current is s1
-    assert [canonical_key(s) for s in h2.states] == [canonical_key(s0), canonical_key(s1)]
-
-
-def test_history_top_is_the_largest_value():
-    rng = random.Random(41)
-    for _ in range(200):
-        state = random_state(rng)
-        hist = start_history(state)
-        for _ply in range(4):
-            assert hist.top == max(len({lab for cyc in s.cycles for lab in cyc}) for s in hist.states)
-            legal = legal_replies(hist, random_marked(rng, state))
+                assert _reference_rule(play, reply) == expected, (play, marked.v, marked.w, reply.kind)
             if not legal:
                 break
             state = rng.choice(legal).next
-            hist = hist.extended(state)
-    older = GameState(((0,), (1,)), 1, 1, 2)
-    assert History((older, GameState(((0,),), 1, 1, 2))).top == 2
+            play += (state,)
 
 
 # -- cross-checks against the enumerating reference (tests/reference_legality.py)
@@ -375,22 +331,47 @@ def _reference_precedes(candidate: GameState, earlier: GameState) -> bool:
     return candidate.genus <= earlier.genus and reference_shape_precedes(candidate.cycles, earlier.cycles)
 
 
+def _reference_rule(play: tuple[GameState, ...], reply) -> bool:
+    """The paper's legality over a whole play, its last state marked: the
+    reply's value exceeds every value of the play, or no state of the
+    play precedes the reply's state."""
+    return value(reply.next) > max(map(value, play)) or not any(_reference_precedes(reply.next, s) for s in play)
+
+
 @pytest.mark.usefixtures("unmerged")
 def test_legal_replies_agree_with_reference_rule_at_every_node(monkeypatch):
-    # the reference rule: a reply is legal when its value exceeds every
-    # historical value or no historical state precedes it
-    nodes = [0]
+    # each node's play is rebuilt from the parent links of the node being
+    # expanded, or taken from the states the reference solver threads
+    plays = []
 
-    def checked(hist, marked):
-        legal = equivalence.legal_replies(hist, marked)
-        expected = [r for r in cutter_replies(marked)
-                    if value(r.next) > hist.top or not any(_reference_precedes(r.next, s) for s in hist.states)]
-        assert legal == expected, (hist.states, marked.v, marked.w, marked.same_dummy)
-        nodes[0] += 1
+    def checked(play, marked):
+        assert play[-1] is marked.state
+        legal = equivalence.legal_replies(marked)
+        expected = [r for r in cutter_replies(marked) if _reference_rule(play, r)]
+        assert legal == expected, (play, marked.v, marked.w, marked.same_dummy)
+        plays.append(len(play))
         return legal
 
-    monkeypatch.setattr(arena, "legal_replies", checked)
-    monkeypatch.setattr(reference_solver, "legal_replies", checked)
+    expanding = []
+    real_search = arena._search
+
+    def search(report, roots, budget, expand, key=None):
+        def tracked(node):
+            expanding[:] = [node]
+            return expand(node)
+
+        return real_search(report, roots, budget, tracked, key)
+
+    def at_node(marked):
+        play, node = [], expanding[0]
+        while node is not None:
+            play.append(node.state)
+            node = node.parent
+        return checked(tuple(play[::-1]), marked)
+
+    monkeypatch.setattr(arena, "_search", search)
+    monkeypatch.setattr(arena, "legal_replies", at_node)
+    monkeypatch.setattr(reference_solver, "restricted_replies", checked)
     for g0 in range(8):
         assert verify_marker_bound(g0).verdict == "pass"
     for g0 in range(1, 8):
@@ -399,7 +380,8 @@ def test_legal_replies_agree_with_reference_rule_at_every_node(monkeypatch):
         assert verify_cutter_bound(g0).verdict == "pass"
     for g0 in range(3):
         assert reference_exact_value(g0) == [2, 4, 5][g0]
-    assert nodes[0] > 10_000
+    assert len(plays) > 10_000
+    assert sum(n > 3 for n in plays) > 5_000
 
 
 @pytest.mark.usefixtures("unmerged")

@@ -9,7 +9,7 @@ import reference_solver
 from cutgame import arena, equivalence
 from cutgame.arena import SearchBudget, cutter_value_threshold, ending_marks, exact_value, marker_value_bound
 from cutgame.core import GameState, enumerate_marker_moves
-from cutgame.equivalence import legal_replies, start_history
+from cutgame.equivalence import legal_replies
 from fuzz import all_proper_states
 from reference_solver import reference_exact_value
 
@@ -30,9 +30,8 @@ def test_ending_marks_are_the_marks_without_legal_replies():
         moves = enumerate_marker_moves(state)
         flagged = _points(ending_marks(state))
         assert flagged <= _points(moves)
-        hist = start_history(state)
         for marked in moves:
-            stuck = not legal_replies(hist, marked)
+            stuck = not legal_replies(marked)
             assert (_point(marked) in flagged) == stuck, (state, marked.v, marked.w)
             marks += 1
             stuck_marks += stuck
@@ -40,16 +39,17 @@ def test_ending_marks_are_the_marks_without_legal_replies():
 
 
 def test_ending_marks_match_legality_where_the_reference_solver_looks(monkeypatch):
-    # the reference solver asks legal_replies about every mark of every
-    # state it reaches, with the play's whole history
+    # the reference solver asks about every mark of every state it
+    # reaches, by the rule over the play's every state
     seen = []
+    real = reference_solver.restricted_replies
 
-    def recording(hist, marked):
-        legal = legal_replies(hist, marked)
+    def recording(play, marked):
+        legal = real(play, marked)
         seen.append((marked, not legal))
         return legal
 
-    monkeypatch.setattr(reference_solver, "legal_replies", recording)
+    monkeypatch.setattr(reference_solver, "restricted_replies", recording)
     for g0 in range(3):
         reference_exact_value(g0)
     flagged: dict[GameState, set] = {}
@@ -95,6 +95,13 @@ def test_solver_raises_on_a_legal_reply_that_skips_a_value(monkeypatch):
     monkeypatch.setattr(equivalence, "cutter_replies", jumping)
     with pytest.raises(RuntimeError, match="not by one"):
         exact_value(1)
+
+
+@pytest.mark.usefixtures("tripled_label")
+@pytest.mark.parametrize("use_memo", [True, False])
+def test_solver_raises_on_an_improper_state(use_memo):
+    with pytest.raises(RuntimeError, match=r"invalid state \(properness\): label \d+ appears on 3 edges"):
+        exact_value(1, use_memo=use_memo)
 
 
 def test_memo_off_solve_computes_no_keys(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from cutgame.arena import verify_marker_bound, verify_refined
 from cutgame.core import GameState, MarkedState, cutter_replies, empty_state, value
-from cutgame.equivalence import legal_replies, start_history
+from cutgame.equivalence import legal_replies
 from cutgame.potential import state_potential
 from cutgame.strategy import (
     ActiveCycle,
@@ -61,22 +61,20 @@ def test_preparatory_marks():
 def test_preparatory_to_configuration_one():
     strat = MarkerStrategy()
     state = empty_state(0)
-    hist = start_history(state)
     phase = strat.initial_phase(state)
     for expected_kinds in ({"B", "C"}, {"B"}):
         marked = strat.mark(phase, state)
-        legal = legal_replies(hist, marked)
+        legal = legal_replies(marked)
         assert {r.kind for r in legal} == expected_kinds
         reply = [r for r in legal if r.kind == "B"][0]
         phase = strat.advance(phase, state, reply)
         state = reply.next
-        hist = hist.extended(state)
     assert isinstance(phase, BoundingPhase) and phase.config == 1
     verify_bindings(state, phase)
     assert state_potential(state) == Fraction(-5)
     # configuration 1 with a single-edge nesting path and no genus: over
     marked = strat.mark(phase, state)
-    assert legal_replies(hist, marked) == []
+    assert legal_replies(marked) == []
 
 
 def test_configuration3_forces_genus_burn():
@@ -85,7 +83,7 @@ def test_configuration3_forces_genus_burn():
     marked, expected = marker_move(phase, state)
     assert marked.v == (0, 1) and marked.w == (0, 4)
     assert expected == {"A": 4}
-    legal = legal_replies(start_history(state), marked)
+    legal = legal_replies(marked)
     assert {r.kind for r in legal} == {"A"}
     strat = MarkerStrategy()
     nxt = strat.advance(phase, state, legal[0])
@@ -96,7 +94,7 @@ def test_configuration3_forces_genus_burn():
 def test_configuration3_at_zero_genus_ends_game():
     state, phase = _config3_state(genus=0)
     marked = MarkerStrategy().mark(phase, state)
-    assert legal_replies(start_history(state), marked) == []
+    assert legal_replies(marked) == []
 
 
 def test_configuration2_forces_amalgamation():
@@ -105,7 +103,7 @@ def test_configuration2_forces_amalgamation():
     marked, expected = marker_move(phase, state)
     assert marked.v == (0, 0) and marked.w == (1, 1)
     assert expected == {"D": 3}
-    legal = legal_replies(start_history(state), marked)
+    legal = legal_replies(marked)
     assert {r.kind for r in legal} == {"D"}
     strat = MarkerStrategy()
     nxt = strat.advance(phase, state, legal[0])
@@ -138,7 +136,7 @@ def test_seed_phase_marks_short_edge():
     assert isinstance(phase, SeedPhase)
     marked = strat.mark(phase, seed)
     assert marked.v == (0, 3) and marked.w == (0, 0)
-    legal = legal_replies(start_history(seed), marked)
+    legal = legal_replies(marked)
     assert {r.kind for r in legal} == {"A"}
     nxt = strat.advance(phase, seed, legal[0])
     assert isinstance(nxt, BoundingPhase) and nxt.config == 1
@@ -151,7 +149,7 @@ def test_seed_phase_dead_at_zero_genus():
     strat = MarkerStrategy(refined=True)
     seed = GameState(((0, 1, 0, 2),), 0, 1, 3)
     marked = strat.mark(strat.initial_phase(seed), seed)
-    assert legal_replies(start_history(seed), marked) == []
+    assert legal_replies(marked) == []
 
 
 def test_switch_to_cops_at_genus_one():
@@ -164,7 +162,7 @@ def test_switch_to_cops_at_genus_one():
     )
     verify_bindings(state, phase, allow_pseudo=True)
     marked = strat.mark(phase, state)
-    legal = legal_replies(start_history(state), marked)
+    legal = legal_replies(marked)
     assert {r.kind for r in legal} == {"A"}
     nxt = strat.advance(phase, state, legal[0])
     assert isinstance(nxt, SwitchToCops)
@@ -179,7 +177,7 @@ def test_pseudo_rebind_at_genus_four():
         (ActiveCycle(1, (1, NestPseudo((2, 3, 0)))),),
     )
     marked = strat.mark(phase, state)
-    legal = legal_replies(start_history(state), marked)
+    legal = legal_replies(marked)
     nxt = strat.advance(phase, state, legal[0])
     assert isinstance(nxt, BoundingPhase) and nxt.config == 2
     # the pseudo edge was re-anchored around the new shared label
@@ -191,21 +189,21 @@ def test_pseudo_rebind_at_genus_four():
 def test_cutter_prefers_forced_amalgamation():
     state = GameState(((0, 1), (2, 3)), 1, 1, 4)
     marked = MarkedState(state, (0, 0), (1, 0))
-    reply, anomaly = cutter_move(marked, legal_replies(start_history(state), marked))
+    reply, anomaly = cutter_move(marked, legal_replies(marked))
     assert reply.kind == "D" and not anomaly
 
 
 def test_cutter_burns_genus_on_rich_arcs():
     state = GameState(((0, 1),), 1, 1, 2)
     marked = MarkedState(state, (0, 0), (0, 1))
-    reply, anomaly = cutter_move(marked, legal_replies(start_history(state), marked))
+    reply, anomaly = cutter_move(marked, legal_replies(marked))
     assert reply.kind == "A" and not anomaly
 
 
 def test_cutter_discards_poor_arc():
     seed = GameState(((0, 1, 0, 2),), 0, 2, 3)
     marked = MarkedState(seed, (0, 0), (0, 1))  # arcs: (a) and (b,a,c)
-    reply, anomaly = cutter_move(marked, legal_replies(start_history(seed), marked))
+    reply, anomaly = cutter_move(marked, legal_replies(marked))
     assert reply.kind == "C" and not anomaly
     assert state_potential(reply.next) <= state_potential(seed)
 
@@ -214,7 +212,7 @@ def test_cutter_requires_legal_reply():
     state = GameState(((0, 1),), 0, 0, 2)
     marked = MarkedState(state, (0, 0), (0, 1))
     with pytest.raises(ValueError):
-        cutter_move(marked, legal_replies(start_history(state), marked))
+        cutter_move(marked, legal_replies(marked))
 
 
 def test_verify_bindings_catches_drift():
