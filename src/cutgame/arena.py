@@ -40,7 +40,7 @@ from .core import (
     CutterReply, GameState, MarkedState, empty_state, enumerate_marker_moves, split_cycle, validate, value,
 )
 from .equivalence import canonical_key, legal_replies
-from .potential import component_potential, positive_component_sum, state_potential
+from .potential import QUARTER, component_potential, positive_component_sum, potential_text, state_potential
 from .strategy import (
     BoundingPhase,
     CAP_CONFIGS,
@@ -52,7 +52,6 @@ from .strategy import (
     SwitchToCops,
     classify_configuration,
     cutter_move,
-    phase_key,
     verify_bindings,
 )
 
@@ -150,7 +149,6 @@ def _mark_json(marked: MarkedState) -> dict:
 
 def ply_record(ply: int, mover: Optional[str], marked: Optional[MarkedState],
                reply_kind: Optional[str], state: GameState) -> dict:
-    p = state_potential(state)
     return {
         "ply": ply,
         "mover": mover,
@@ -158,7 +156,7 @@ def ply_record(ply: int, mover: Optional[str], marked: Optional[MarkedState],
         "reply": reply_kind,
         "value": value(state),
         "genus": state.genus,
-        "potential": f"{p.numerator}/{p.denominator}",
+        "potential": potential_text(state_potential(state)),
         "canonical_key": str(canonical_key(state)),
     }
 
@@ -316,7 +314,7 @@ def _state_key(state: GameState) -> tuple:
 
 
 def _marker_key(node: _Node) -> tuple:
-    return _state_key(node.state), phase_key(node.phase)
+    return _state_key(node.state), node.phase
 
 
 def _cutter_key(node: _Node) -> tuple:
@@ -357,7 +355,7 @@ def _check_bounding_state(state: GameState, phase: BoundingPhase, refined: bool)
             return f"passive cycle {ci} has positive potential"
     total = positive_component_sum(state)
     if total > ACTIVE_SUM_CAP:
-        return f"active potential sum {total} exceeds the cap"
+        return f"active potential sum {potential_text(total)} exceeds the cap"
     if total == ACTIVE_SUM_CAP and phase.config not in CAP_CONFIGS:
         return f"active potential sum at cap in configuration {phase.config}"
     return None
@@ -370,8 +368,7 @@ def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationRep
     report = VerificationReport(g0=g0, mode=mode, bound=bound, budget=budget)
     strat = MarkerStrategy(refined=refined)
     if refined:
-        seed_p = state_potential(root)
-        report.details["seed_potential"] = f"{seed_p.numerator}/{seed_p.denominator}"
+        report.details["seed_potential"] = potential_text(state_potential(root))
         report.details["switch_bound"] = switch_value_bound(g0)
     max_depth = budget.resolved_depth(bound)
 
@@ -420,7 +417,7 @@ def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationRep
             if isinstance(nxt, BoundingPhase) and isinstance(phase, BoundingPhase) and nxt.config == 2 and phase.config == 1 and refined and reply.next.genus == 4:
                 report.details["rebinds"] = report.details.get("rebinds", 0) + 1
             if isinstance(nxt, BoundingPhase) and not isinstance(phase, BoundingPhase):
-                if state_potential(reply.next) < -5:
+                if state_potential(reply.next) < -5 * QUARTER:
                     raise _Stop("potential below -5 at the end of the preparatory phase", child)
             child.phase = nxt
             children.append(child)

@@ -4,12 +4,13 @@ Exit codes: 0 = pass, 1 = fail (a bound was violated), 2 = inconclusive
 (a state budget, the genus search's node budget or the pursuit budget,
 which counts positions plus joint-move list entries, was exhausted, or
 the cop number lies above ``--k-max``; ``genus`` and ``cop-number``
-print one ``inconclusive:`` line on stderr), 64 = usage error or bad
-input (a negative genus or budget, a sampled run of fewer than one
-play, a seeded game below genus one, ``--k-max`` below one, a
-disconnected graph for an oracle, an empty graph for the cop oracle,
-malformed graph6, an unreadable file), with one ``error:`` line on
-stderr, 70 = internal error (a ``RuntimeError`` or a ``StrategyError``
+print one ``inconclusive:`` line on stderr; ``check-corpus`` marks such
+entries ``INCONCLUSIVE`` and exits 1 instead when any entry failed),
+64 = usage error or bad input (a negative genus or budget, a sampled
+run of fewer than one play, a seeded game below genus one, ``--k-max``
+below one, a disconnected graph for an oracle, an empty graph for the
+cop oracle, malformed graph6, an unreadable file), with one ``error:``
+line on stderr, 70 = internal error (a ``RuntimeError`` or a ``StrategyError``
 out of an engine, such as the exact solver meeting a legal reply that
 does not raise the value by one), with one ``error: internal:`` line on
 stderr.  ``exact-value`` fails when the value lies outside
@@ -55,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Boundary-cutting game verifiers and the cops-and-robbers graph suite.",
     )
     parser.add_argument("--budget-states", type=int, default=2_000_000,
-                        help="state exploration budget (search nodes for genus; for exact-value "
+                        help="state exploration budget (search nodes for genus and check-corpus; for exact-value "
                              "every visit to a state at the threshold counts, the others once each)")
     parser.add_argument("--out", type=str, default=None, help="write the JSON report to this path")
     parser.add_argument("--format", choices=("json", "text"), default="text")
@@ -253,15 +254,16 @@ def _run(args) -> int:
         from .graphs import bundled_corpus, check_corpus, load_corpus
 
         entries = load_corpus(args.dir) if args.dir else bundled_corpus()
-        report = check_corpus(entries, k_max=args.k_max)
+        report = check_corpus(entries, k_max=args.k_max, max_systems=args.budget_states)
         payload = {"mode": "check_corpus", "k_max": args.k_max, **report.to_dict()}
         text = "\n".join(
             f"{e['name']}: cop={e.get('cop_number')} genus={e.get('genus')} "
-            + ("ok" if "error" not in e and e.get("bounds", {}).get("ok") else f"FAIL {e.get('error', '')}")
+            + (f"INCONCLUSIVE {e['inconclusive']}" if "inconclusive" in e
+               else "ok" if "error" not in e and e["bounds"]["ok"] else f"FAIL {e.get('error', '')}")
             for e in report.entries
         )
         _emit(args, payload, text)
-        return EXIT_PASS if report.ok else EXIT_FAIL
+        return EXIT_FAIL if report.failed else EXIT_INCONCLUSIVE if report.inconclusive else EXIT_PASS
 
     return EXIT_USAGE
 

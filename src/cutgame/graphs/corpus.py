@@ -4,7 +4,7 @@ A corpus directory holds ``*.g6`` files, one graph6 line per graph.  An
 optional sidecar ``<stem>.json`` carries a list of per-line objects
 ``{"name", "declared_genus", "expected_cop_number"}``: a string and two
 non-negative integers, each optional, the integers also nullable.
-Graphs whose genus search exceeds its budget must declare their genus.
+Graphs whose genus search exceeds its budget need a declared genus to be checked.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .bounds import check_bounds
 from .genus import RotationBudgetError, genus_exact
 from .graph import Graph
 from .graph6 import emit_graph6, parse_graph6
-from .pursuit import cop_number
+from .pursuit import CopNumberAboveError, StateSpaceError, cop_number
 
 
 @dataclass
@@ -132,8 +132,16 @@ def bundled_corpus() -> list[CorpusEntry]:
 
 @dataclass
 class CorpusReport:
+    """``ok`` when no entry ``failed`` (an ``error`` or a broken bound) and
+    none was ``inconclusive`` (a budget ran out, or the cop number > k_max)."""
+
     entries: list = field(default_factory=list)
-    ok: bool = True
+    failed: bool = False
+    inconclusive: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return not (self.failed or self.inconclusive)
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "entries": self.entries}
@@ -149,46 +157,52 @@ def check_corpus(
 
     The genus is computed exactly when the search fits the budget of
     ``max_systems`` nodes and cross-checked against any declared value;
-    over-budget graphs must declare theirs (the report marks them
-    ``declared``).
+    over-budget graphs use their declared genus (the report marks them
+    ``declared``) and are inconclusive without one, as are graphs past
+    ``max_positions`` or ``k_max``.  A ``k_max`` below one raises
+    ``ValueError``.
     """
+    if k_max < 1:
+        raise ValueError("at least one cop is required")
     report = CorpusReport()
     for entry in entries:
-        item: dict = {"name": entry.name, "n": entry.graph.n, "edges": entry.graph.edge_count()}
-        try:
-            cop = cop_number(entry.graph, k_max, max_positions)
-        except Exception as exc:
-            item["error"] = f"cop oracle failed: {exc}"
-            report.ok = False
-            report.entries.append(item)
-            continue
-        item["cop_number"] = cop
-        if entry.expected_cop_number is not None and cop != entry.expected_cop_number:
-            item["error"] = f"cop oracle found {cop}, metadata says {entry.expected_cop_number}"
-            report.ok = False
-            report.entries.append(item)
-            continue
-        try:
-            genus = genus_exact(entry.graph, max_systems).genus
-        except RotationBudgetError:
-            if entry.declared_genus is None:
-                item["error"] = "rotation budget exceeded and no declared genus"
-                report.ok = False
-                report.entries.append(item)
-                continue
-            item["genus"] = genus = entry.declared_genus
-            item["genus_source"] = "declared"
-        else:
-            item["genus"] = genus
-            item["genus_source"] = "exact"
-            if entry.declared_genus is not None and genus != entry.declared_genus:
-                item["error"] = f"genus oracle found {genus}, metadata says {entry.declared_genus}"
-                report.ok = False
-                report.entries.append(item)
-                continue
-        bounds = check_bounds(entry.name, genus, cop)
-        item["bounds"] = bounds.to_dict()
-        if not bounds.ok:
-            report.ok = False
+        item = _check_entry(entry, k_max, max_systems, max_positions)
         report.entries.append(item)
+        if "inconclusive" in item:
+            report.inconclusive = True
+        elif "error" in item or not item["bounds"]["ok"]:
+            report.failed = True
     return report
+
+
+def _check_entry(entry: CorpusEntry, k_max: int, max_systems: int, max_positions: int) -> dict:
+    """One entry's report item, ending in ``error``, ``inconclusive`` or ``bounds``."""
+    item: dict = {"name": entry.name, "n": entry.graph.n, "edges": entry.graph.edge_count()}
+    try:
+        cop = cop_number(entry.graph, k_max, max_positions)
+    except (CopNumberAboveError, StateSpaceError) as exc:
+        item["inconclusive"] = f"cop oracle: {exc}"
+        return item
+    except Exception as exc:
+        item["error"] = f"cop oracle failed: {exc}"
+        return item
+    item["cop_number"] = cop
+    if entry.expected_cop_number is not None and cop != entry.expected_cop_number:
+        item["error"] = f"cop oracle found {cop}, metadata says {entry.expected_cop_number}"
+        return item
+    try:
+        genus = genus_exact(entry.graph, max_systems).genus
+    except RotationBudgetError as exc:
+        if entry.declared_genus is None:
+            item["inconclusive"] = f"genus oracle: {exc}, and no declared genus"
+            return item
+        item["genus"] = genus = entry.declared_genus
+        item["genus_source"] = "declared"
+    else:
+        item["genus"] = genus
+        item["genus_source"] = "exact"
+        if entry.declared_genus is not None and genus != entry.declared_genus:
+            item["error"] = f"genus oracle found {genus}, metadata says {entry.declared_genus}"
+            return item
+    item["bounds"] = check_bounds(entry.name, genus, cop).to_dict()
+    return item

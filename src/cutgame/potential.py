@@ -8,16 +8,25 @@ genus, value and the positive component potentials:
 
     p = 4*(g0 - g) - 3*value + sum of positive component potentials
 
-Sums run in integer quarters (an edge is worth 6, 3 or 2, a segment
-starts at -8), once per state and cached on it; the API returns Fractions.
+Potentials are ``int`` quarters (an edge is worth 6, 3 or 2, a segment
+starts at -8), summed once per state and cached on it; only reports turn
+them into ``"n/d"`` strings, through ``potential_text``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Optional
 
 from .core import GameState
+
+QUARTER = 4  # the potential's unit: every potential is a whole number of quarters
+
+
+def potential_text(q: int) -> str:
+    """``q`` quarters as the reduced fraction ``"n/d"`` that reports print."""
+    d = math.gcd(q, QUARTER)
+    return f"{q // d}/{QUARTER // d}"
 
 
 class Segment:
@@ -52,39 +61,39 @@ def _quarters(labels: tuple[int, ...], wrap: bool, counts: dict[int, int]) -> in
     return total
 
 
-def _profile(state: GameState) -> tuple[dict[int, int], list[int], Fraction, Fraction]:
-    """Label counts, component quarters, positive sum and potential, kept on the state."""
+def _profile(state: GameState) -> tuple[dict[int, int], list[int], int, int]:
+    """Label counts, then component, positive-sum and state quarters, kept on the state."""
     profile = vars(state).get("_potential")
     if profile is None:
         counts = state.label_counts()
         comps = [_quarters(cyc, len(cyc) > 1, counts) for cyc in state.cycles]
         positive = sum(q for q in comps if q > 0)
         total = 16 * (state.initial_genus - state.genus) - 12 * len(counts) + positive
-        profile = vars(state)["_potential"] = (counts, comps, Fraction(positive, 4), Fraction(total, 4))
+        profile = vars(state)["_potential"] = (counts, comps, positive, total)
     return profile
 
 
-def segment_potential(segment: Optional[Segment], state: GameState) -> Fraction:
-    """-2 plus the edge potentials; a trivial segment is worth -2."""
+def segment_potential(segment: Optional[Segment], state: GameState) -> int:
+    """-2 plus the edge potentials, in quarters; a trivial segment is worth -2."""
     if segment is None:
-        return Fraction(-2)
+        return -2 * QUARTER
     counts, comps = _profile(state)[:2]
     cyc = state.cycles[segment.cycle]
     if segment.closed and segment.positions == tuple(range(len(cyc))):
-        return Fraction(comps[segment.cycle], 4)
+        return comps[segment.cycle]
     labels = tuple(cyc[p] for p in segment.positions)
-    return Fraction(_quarters(labels, segment.closed and len(labels) > 1, counts), 4)
+    return _quarters(labels, segment.closed and len(labels) > 1, counts)
 
 
-def component_potential(state: GameState, ci: int) -> Fraction:
+def component_potential(state: GameState, ci: int) -> int:
     return segment_potential(Segment.whole_cycle(state, ci), state)
 
 
-def positive_component_sum(state: GameState) -> Fraction:
+def positive_component_sum(state: GameState) -> int:
     return _profile(state)[2]
 
 
-def state_potential(state: GameState) -> Fraction:
+def state_potential(state: GameState) -> int:
     return _profile(state)[3]
 
 

@@ -27,7 +27,6 @@ preferring whichever reply class the potential accounting licenses.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Optional, Union
 
 from .core import (
@@ -43,17 +42,33 @@ from .core import (
 # unused here; the binding stays because perfbench's tracer test reads
 # strategy.legal_replies
 from .equivalence import legal_replies  # noqa: F401
-from .potential import Segment, _cycle_matches_xtzt, is_nesting_path, segment_potential, state_potential
+from .potential import QUARTER, Segment, _cycle_matches_xtzt, is_nesting_path, segment_potential, state_potential
 
 
 # ---------------------------------------------------------------------------
 # nesting-path bindings
 #
-# The binding, phase and template types of this module are plain classes:
-# they are built per ply or once, and compared only through ``phase_key``.
+# The binding and phase types are ``__slots__`` classes, cheaper to import
+# than dataclasses; ``_Fields`` lets the marker search merge equal phases.
 
 
-class NestUnique:
+class _Fields:
+    """Equal, and hashing alike, exactly when the type and every slot are:
+    a slot added to a subclass takes part by construction."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return (type(self), *(getattr(self, name) for name in self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class NestUnique(_Fields):
     """A nesting path that is a single uniquely appearing edge."""
 
     __slots__ = ("pos",)
@@ -62,7 +77,7 @@ class NestUnique:
         self.pos = pos
 
 
-class NestPseudo:
+class NestPseudo(_Fields):
     """A pseudo edge: run (x, m, x) with x isolated on the host cycle."""
 
     __slots__ = ("run",)
@@ -71,7 +86,7 @@ class NestPseudo:
         self.run = run
 
 
-class NestChain:
+class NestChain(_Fields):
     """A three-edge nesting path with its supporting passive cycles.
 
     ``run`` holds the host positions of the (x, y, z) edges in path
@@ -171,12 +186,12 @@ TEMPLATES: dict[int, Template] = {
     12: Template((("U", "N"), ("U", "U")), ((1, 0), (1, 1)), {"A": (1, (0,))}),
 }
 
-# configurations whose positive active potentials sum to the cap
-ACTIVE_SUM_CAP = Fraction(5)
+# configurations whose positive active potentials sum to the cap (quarters)
+ACTIVE_SUM_CAP = 5 * QUARTER
 CAP_CONFIGS = {5, 9}
 
 
-class ActiveCycle:
+class ActiveCycle(_Fields):
     """One active component bound to a template cycle.
 
     ``pos`` parallels the atoms of the bound phase's template cycle,
@@ -197,7 +212,7 @@ class ActiveCycle:
         return (self.cycle, nesting_positions(p)[0])
 
 
-class BoundingPhase:
+class BoundingPhase(_Fields):
     """A configuration of the automaton and its active cycles, bound.  A
     shared-label variable's label is the one its bound edges read."""
 
@@ -207,7 +222,7 @@ class BoundingPhase:
         self.config, self.actives = config, actives
 
 
-class PreparatoryPhase:
+class PreparatoryPhase(_Fields):
     """Before the automaton: ``non_a_replies`` counts the cutter's replies
     that declined to burn genus."""
 
@@ -217,7 +232,7 @@ class PreparatoryPhase:
         self.non_a_replies = non_a_replies
 
 
-class SeedPhase:
+class SeedPhase(_Fields):
     """Refined opening: about to mark the lone uniquely appearing edge of
     the four-cycle seed whose split is forced."""
 
@@ -238,27 +253,6 @@ class StrategyError(Exception):
 
 
 Phase = Union[PreparatoryPhase, SeedPhase, BoundingPhase]
-
-
-def _nesting_key(binding: Nesting) -> tuple:
-    if isinstance(binding, NestUnique):
-        return ("unique", binding.pos)
-    if isinstance(binding, NestPseudo):
-        return ("pseudo", binding.run)
-    return ("chain", binding.run, binding.xz_cycle, binding.y_cycle, _nesting_key(binding.inner))
-
-
-def phase_key(phase: Phase) -> tuple:
-    """A hashable value equal for two phases exactly when every field,
-    down through the active cycles' nesting bindings, is equal: the
-    marker plays the same from equal keys on equal states."""
-    if isinstance(phase, PreparatoryPhase):
-        return ("preparatory", phase.non_a_replies)
-    if isinstance(phase, SeedPhase):
-        return ("seed",)
-    return ("bounding", phase.config, tuple(
-        (ac.cycle, tuple(p if isinstance(p, int) else _nesting_key(p) for p in ac.pos))
-        for ac in phase.actives))
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +655,7 @@ def _match_assignment(components: tuple[int, ...], tcycles: tuple[tuple[Atom, ..
 # the cutter strategy
 
 
-_HALF = Fraction(-1, 2)
+_HALF = -QUARTER // 2  # -1/2, the rich/poor threshold of an arc
 
 
 def cutter_move(marked: MarkedState, legal: list[CutterReply]) -> tuple[CutterReply, bool]:
@@ -679,9 +673,6 @@ def cutter_move(marked: MarkedState, legal: list[CutterReply]) -> tuple[CutterRe
         raise ValueError("no legal replies: the game is over")
     state = marked.state
     p_now = state_potential(state)
-
-    def p_next(reply: CutterReply) -> Fraction:
-        return state_potential(reply.next)
 
     licensed: list[CutterReply] = []
     if not marked.same_component():
@@ -706,7 +697,7 @@ def cutter_move(marked: MarkedState, legal: list[CutterReply]) -> tuple[CutterRe
     rank = {"A": 0, "D": 1, "B": 2, "C": 3}
 
     def choose(pool: list[CutterReply]) -> Optional[CutterReply]:
-        good = [r for r in pool if p_next(r) <= p_now]
+        good = [r for r in pool if state_potential(r.next) <= p_now]
         if not good:
             return None
         return min(good, key=lambda r: (rank[r.kind], -value(r.next)))
@@ -714,5 +705,5 @@ def cutter_move(marked: MarkedState, legal: list[CutterReply]) -> tuple[CutterRe
     pick = choose(licensed) or choose(legal)
     if pick is not None:
         return pick, False
-    worst = min(legal, key=lambda r: (p_next(r), rank[r.kind], -value(r.next)))
+    worst = min(legal, key=lambda r: (state_potential(r.next), rank[r.kind], -value(r.next)))
     return worst, True

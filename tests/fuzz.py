@@ -23,10 +23,10 @@ from cutgame.core import (
 )
 from cutgame.equivalence import legal_replies
 from cutgame.graphs import Graph
-from cutgame.potential import Segment, is_nesting_path, segment_potential, state_potential
+from cutgame.potential import QUARTER, Segment, is_nesting_path, segment_potential, state_potential
 from reference_potential import edge_potential
 
-HALF = Fraction(-1, 2)
+HALF = -QUARTER // 2  # -1/2 in the engine's quarters
 
 
 def random_state(rng: random.Random, max_labels: int = 5, max_genus: int = 3) -> GameState:

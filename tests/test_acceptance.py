@@ -2,13 +2,12 @@
 
 Each test prints one pass/fail line (run with ``pytest -s`` to see them
 all).  Thresholds are pinned here, not configurable: bounds are exact
-integers and potentials exact rationals, so there are no tolerances to
-tune.
+integers and potentials exact integer quarters, so there are no
+tolerances to tune.
 """
 
 import random
 import time
-from fractions import Fraction
 
 from cutgame.arena import (
     SearchBudget,
@@ -18,7 +17,7 @@ from cutgame.arena import (
     verify_refined,
 )
 from cutgame.core import GameState
-from cutgame.potential import Segment, segment_potential, state_potential
+from cutgame.potential import QUARTER, Segment, segment_potential, state_potential
 
 from fuzz import (
     fuzz_limited_choice,
@@ -98,11 +97,11 @@ def test_criterion_4_lemma_property_suites():
     # pinned corner cases: a trivial segment is worth -2 and the
     # (x,t,z,t) cycle jumps from 0 to 2 when its partners disappear
     some = GameState(((0, 1, 0, 2),), 1, 1, 3)
-    assert segment_potential(None, some) == Fraction(-2)
+    assert segment_potential(None, some) == -2 * QUARTER
     dull = GameState(((0, 1, 2, 1), (0, 3), (2, 3)), 0, 0, 4)
     fresh = GameState(((0, 1, 2, 1),), 0, 0, 4)
     assert segment_potential(Segment.whole_cycle(dull, 0), dull) == 0
-    assert segment_potential(Segment.whole_cycle(fresh, 0), fresh) == 2
+    assert segment_potential(Segment.whole_cycle(fresh, 0), fresh) == 2 * QUARTER
     _report(
         "4 (lemma properties)",
         f"eight suites x {FULL} randomized cases, zero violations, {time.time()-t0:.1f}s",
@@ -117,7 +116,7 @@ def test_criterion_5_refined_bound():
         assert report.bound == bound
         assert report.details["seed_potential"] == "-3/1"
     seed = GameState(((0, 1, 0, 2),), 0, 1, 3)
-    assert state_potential(seed) == Fraction(-3)
+    assert state_potential(seed) == -3 * QUARTER
     _report("5 (refined bound)", f"g0 1..3 pass, seed potential exactly -3, {time.time()-t0:.1f}s")
 
 

@@ -133,6 +133,39 @@ def test_corpus_mismatch_fails(tmp_path):
     assert dispatch(["check-corpus", "--dir", str(tmp_path)]) == EXIT_FAIL
 
 
+def test_check_corpus_above_k_max_is_inconclusive(tmp_path, capsys):
+    assert dispatch(["check-corpus", "--k-max", "2"]) == EXIT_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert "petersen: cop=None genus=None INCONCLUSIVE cop oracle: no winning strategy with up to 2 cops" in out
+    assert "FAIL" not in out
+    # a failed entry outranks an inconclusive one
+    with open(os.path.join(tmp_path, "mixed.g6"), "w") as fh:
+        fh.write("C~\nIheA@GUAo\n")
+    with open(os.path.join(tmp_path, "mixed.json"), "w") as fh:
+        json.dump([{"name": "K4", "expected_cop_number": 3}, {"name": "petersen"}], fh)
+    assert dispatch(["check-corpus", "--dir", str(tmp_path), "--k-max", "2"]) == EXIT_FAIL
+
+
+def test_check_corpus_honours_the_genus_budget(capsys):
+    from cutgame.graphs import RotationBudgetError, bundled_corpus, genus_exact
+
+    def over_budget(graph) -> bool:
+        try:
+            genus_exact(graph, 0)
+        except RotationBudgetError:
+            return True
+        return False
+
+    need_search = {e.name for e in bundled_corpus() if over_budget(e.graph)}
+    assert need_search
+    assert dispatch(["--format", "json", "check-corpus"]) == EXIT_PASS
+    exact = json.loads(capsys.readouterr().out)
+    assert dispatch(["--budget-states", "0", "--format", "json", "check-corpus"]) == EXIT_PASS
+    budgeted = json.loads(capsys.readouterr().out)
+    assert {e["name"] for e in budgeted["entries"] if e["genus_source"] == "declared"} == need_search
+    assert [e["genus"] for e in budgeted["entries"]] == [e["genus"] for e in exact["entries"]]
+
+
 @pytest.mark.parametrize("sidecar", [
     {"a": 1},
     [1],
@@ -172,8 +205,9 @@ def test_usage_errors():
     ["genus", "--graph", "{tmp}/blank.g6"],
     ["cop-number", "--graph", "{tmp}/missing.g6"],
     ["check-corpus", "--dir", "{tmp}/missing"],
+    ["check-corpus", "--k-max", "0"],
 ], ids=["marker-negative", "cutter-negative", "exact-negative", "refined-zero", "play-refined-zero",
-        "bad-graph6", "no-graph6-line", "missing-graph", "missing-dir"])
+        "bad-graph6", "no-graph6-line", "missing-graph", "missing-dir", "corpus-k-max-zero"])
 def test_bad_input_exits_64(argv, tmp_path, capsys):
     with open(os.path.join(tmp_path, "blank.g6"), "w") as fh:
         fh.write("\n\n")

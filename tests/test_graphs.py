@@ -206,6 +206,25 @@ def test_corpus_checks():
             assert cop <= 3
 
 
+def test_corpus_budget_outcomes_are_inconclusive():
+    from cutgame.graphs import CorpusEntry
+
+    k5, petersen = complete_graph(5), petersen_graph()
+    runs = [
+        check_corpus([CorpusEntry("petersen", petersen, 1, 3)], k_max=2),  # cop number above k_max
+        check_corpus([CorpusEntry("petersen", petersen, 1, 3)], max_positions=10),  # pursuit budget
+        check_corpus([CorpusEntry("K5", k5)], max_systems=0),  # genus budget, no declared genus
+    ]
+    for report in runs:
+        (item,) = report.entries
+        assert report.inconclusive and not report.failed and not report.ok
+        assert "inconclusive" in item and "error" not in item, item
+    declared = check_corpus([CorpusEntry("K5", k5, 1, 1)], max_systems=0)
+    assert declared.ok and declared.entries[0]["genus_source"] == "declared"
+    with pytest.raises(ValueError):
+        check_corpus([CorpusEntry("K5", k5)], k_max=0)
+
+
 def test_shipped_corpus_matches_bundled():
     import os
 

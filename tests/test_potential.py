@@ -1,16 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cutgame
 from cutgame import arena
 from cutgame.core import GameState, empty_state, split_cycle
 from cutgame.equivalence import canonical_key
 from cutgame.potential import (
+    QUARTER,
     Segment,
     component_potential,
     is_nesting_path,
     positive_component_sum,
+    potential_text,
     segment_potential,
     state_potential,
 )
@@ -51,19 +57,36 @@ def test_adjacent_same_label_within_path_only():
 
 
 def test_segment_potential_examples():
-    assert segment_potential(Segment.whole_cycle(SEED, 0), SEED) == 2
+    assert segment_potential(Segment.whole_cycle(SEED, 0), SEED) == 2 * QUARTER
     xtzt_fresh = GameState(((0, 1, 2, 1),), 0, 0, 3)
-    assert segment_potential(Segment.whole_cycle(xtzt_fresh, 0), xtzt_fresh) == 2
+    assert segment_potential(Segment.whole_cycle(xtzt_fresh, 0), xtzt_fresh) == 2 * QUARTER
     xtzt_dull = GameState(((0, 1, 2, 1), (0, 3), (2, 3)), 0, 0, 4)
     assert segment_potential(Segment.whole_cycle(xtzt_dull, 0), xtzt_dull) == 0
-    assert segment_potential(None, SEED) == -2
+    assert segment_potential(None, SEED) == -2 * QUARTER
 
 
 def test_state_potential_examples():
     assert state_potential(empty_state(4)) == 0
-    assert state_potential(SEED) == -3
+    assert state_potential(SEED) == -3 * QUARTER
     prep_end = GameState(((0, 1),), 2, 2, 2)  # both labels unique
-    assert state_potential(prep_end) == Fraction(-5)
+    assert state_potential(prep_end) == -5 * QUARTER
+
+
+def test_potential_text_matches_fraction():
+    for q in range(-40, 41):
+        p = Fraction(q, QUARTER)
+        assert potential_text(q) == f"{p.numerator}/{p.denominator}"
+    assert [potential_text(q) for q in (-6, 0, 8)] == ["-3/2", "0/1", "2/1"]
+
+
+def test_engine_imports_no_fractions():
+    """Potentials are integer quarters: loading the engine pulls in
+    neither ``fractions`` nor what it imports."""
+    src = os.path.dirname(os.path.dirname(cutgame.__file__))
+    probe = "import sys, cutgame.arena; print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_potential_invariant_under_relabelling():
@@ -132,16 +155,19 @@ def test_component_potential_matches_segment():
 
 def _assert_matches_reference(state):
     """State, component and positive-sum potentials, and every arc of
-    every vertex pair, against the Fraction path."""
-    assert state_potential(state) == reference_state_potential(state), state
-    assert positive_component_sum(state) == reference_positive_component_sum(state), state
+    every vertex pair, in quarters against the Fraction path."""
+    assert type(state_potential(state)) is int, state
+    assert Fraction(state_potential(state), QUARTER) == reference_state_potential(state), state
+    assert Fraction(positive_component_sum(state), QUARTER) == reference_positive_component_sum(state), state
     for ci, cyc in enumerate(state.cycles):
-        assert component_potential(state, ci) == reference_component_potential(state, ci), (state, ci)
+        assert Fraction(component_potential(state, ci), QUARTER) == reference_component_potential(state, ci), (
+            state, ci)
         for v in range(len(cyc)):
             for w in range(len(cyc)):
                 for arc in split_cycle(cyc, v, w):
                     seg = Segment(ci, tuple(arc))
-                    assert segment_potential(seg, state) == reference_segment_potential(seg, state), (state, seg)
+                    assert Fraction(segment_potential(seg, state), QUARTER) == reference_segment_potential(
+                        seg, state), (state, seg)
 
 
 def test_integer_potential_matches_reference_on_random_states():
@@ -193,4 +219,5 @@ def test_closed_segments_match_reference():
             order = list(range(len(cyc)))
             for positions in (order, order[1:] + order[:1], order[::-1], rng.sample(order, len(order))):
                 seg = Segment(ci, tuple(positions), closed=True)
-                assert segment_potential(seg, state) == reference_segment_potential(seg, state), (state, seg)
+                assert Fraction(segment_potential(seg, state), QUARTER) == reference_segment_potential(
+                    seg, state), (state, seg)

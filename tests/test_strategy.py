@@ -1,15 +1,14 @@
-from fractions import Fraction
-
 import pytest
 
 from cutgame.arena import verify_marker_bound, verify_refined
 from cutgame.core import GameState, MarkedState, cutter_replies, empty_state, value
 from cutgame.equivalence import legal_replies
-from cutgame.potential import state_potential
+from cutgame.potential import QUARTER, state_potential
 from cutgame.strategy import (
     ActiveCycle,
     BoundingPhase,
     MarkerStrategy,
+    NestChain,
     NestPseudo,
     NestUnique,
     PreparatoryPhase,
@@ -49,6 +48,19 @@ def _config2_state(genus: int) -> tuple[GameState, BoundingPhase]:
     return state, phase
 
 
+def test_phases_are_equal_exactly_when_every_field_is():
+    def phase(inner: int) -> BoundingPhase:
+        chain = NestChain((1, 2, 3), 2, 3, NestUnique(inner))
+        return BoundingPhase(4, (ActiveCycle(0, (0, 1, 2, 3)), ActiveCycle(1, (chain, 4, 0, 5))))
+
+    assert phase(0) == phase(0) and hash(phase(0)) == hash(phase(0))
+    assert phase(0) != phase(1)  # differ only in the chain's inner binding
+    assert NestChain((1, 2, 3), 2, 3, NestUnique(0)) != NestChain((1, 2, 3), 2, 3, NestPseudo((0, 1, 2)))
+    assert PreparatoryPhase(1) == PreparatoryPhase(1) != PreparatoryPhase(0)
+    assert SeedPhase() == SeedPhase() != PreparatoryPhase(0)
+    assert len({phase(0), phase(0), phase(1), SeedPhase(), SeedPhase()}) == 3
+
+
 def test_preparatory_marks():
     strat = MarkerStrategy()
     marked = strat.mark(PreparatoryPhase(0), empty_state(2))
@@ -71,7 +83,7 @@ def test_preparatory_to_configuration_one():
         state = reply.next
     assert isinstance(phase, BoundingPhase) and phase.config == 1
     verify_bindings(state, phase)
-    assert state_potential(state) == Fraction(-5)
+    assert state_potential(state) == -5 * QUARTER
     # configuration 1 with a single-edge nesting path and no genus: over
     marked = strat.mark(phase, state)
     assert legal_replies(marked) == []
