@@ -527,7 +527,9 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
 
     Threshold iteration over a minimax with canonical-form memoization:
     the marker needs a mark leaving the restricted cutter without legal
-    replies, all other replies staying capped recursively.
+    replies, all other replies staying capped recursively.  Thresholds
+    rise from 0 with no cap, past the bound under test too, until one
+    caps or the state budget runs out (``"inconclusive"``).
     ``legal_replies`` reads the marked state alone, so what follows a
     state depends on the state and not on the play that reached it, and
     since the game is blind to labels, on its canonical form alone: that
@@ -549,8 +551,6 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
 
     def can_cap(state: GameState, t: int, memo: dict) -> bool:
         v = value(state)
-        if v > t:
-            return False
         keyed = use_memo and v < t
         if keyed:
             key = canonical_key(state)
@@ -579,12 +579,9 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
 
     root = _start(g0)
     try:
-        for t in range(marker_value_bound(g0) + 1):
-            if can_cap(root, t, {}):
-                return t
+        return next(t for t in itertools.count() if can_cap(root, t, {}))
     except _Stop:
         return INCONCLUSIVE
-    return INCONCLUSIVE
 
 
 def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0,
@@ -593,41 +590,36 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
     records, outcome summary).
 
     ``marker``/``cutter`` are ``"auto"`` (the packaged strategies) or
-    ``"random"`` (uniform legal choices from the given seed).
+    ``"random"`` (uniform legal choices from the given seed).  Every
+    state of the play passes ``validate``; one that does not raises
+    ``RuntimeError``.
     """
-    state = _start(g0, refined)
+    start = _start(g0, refined)
     rng = random.Random(seed)
     strat = MarkerStrategy(refined=refined) if marker == "auto" else None
-    phase = strat.initial_phase(state) if strat else None
-    records = [ply_record(0, None, None, None, state)]
-    limit = 4 * g0 + 16
-    outcome: dict = {"result": "ply_limit", "plies": 0}
-    for ply in range(1, limit + 1):
-        if strat:
-            marked = strat.mark(phase, state)
-        else:
-            marked = rng.choice(enumerate_marker_moves(state))
-        legal = legal_replies(marked)
-        if not legal:
-            outcome = {"result": "cutter_stuck", "plies": ply - 1}
-            break
-        if cutter == "auto":
-            reply, _ = cutter_move(marked, legal)
-        else:
-            reply = rng.choice(legal)
-        records.append(ply_record(ply, "cutter", marked, reply.kind, reply.next))
-        if strat:
-            nxt = strat.advance(phase, state, reply)
-            if isinstance(nxt, SwitchToCops):
-                outcome = {"result": "switch_to_cops", "plies": ply, "value": nxt.value, "genus": nxt.genus}
-                state = reply.next
+    node = _Node.root(start, strat.initial_phase(start) if strat else None)
+    result, switch = "ply_limit", {}
+    try:
+        node.validated()
+        for _ in range(4 * g0 + 16):
+            marked = strat.mark(node.phase, node.state) if strat else rng.choice(enumerate_marker_moves(node.state))
+            legal = legal_replies(marked)
+            if not legal:
+                result = "cutter_stuck"
                 break
-            phase = nxt
-        state = reply.next
-        outcome = {"result": "ply_limit", "plies": ply}
-    outcome["final_value"] = value(state)
-    outcome["final_genus"] = state.genus
-    return records, outcome
+            reply = cutter_move(marked, legal)[0] if cutter == "auto" else rng.choice(legal)
+            child = node.child(marked, reply)
+            if strat:
+                child.phase = strat.advance(node.phase, node.state, reply)
+            node = child
+            if isinstance(node.phase, SwitchToCops):
+                result, switch = "switch_to_cops", {"value": node.phase.value, "genus": node.phase.genus}
+                break
+    except _Stop as stop:
+        raise RuntimeError(stop.failure) from None
+    outcome = {"result": result, "plies": node.depth, **switch,
+               "final_value": value(node.state), "final_genus": node.state.genus}
+    return node.witness(), outcome
 
 
 def emit_trace(records: list[dict], path: str) -> None:

@@ -9,11 +9,13 @@ entries ``INCONCLUSIVE`` and exits 1 instead when any entry failed),
 64 = usage error or bad input (a negative genus or budget, a sampled
 run of fewer than one play, a seeded game below genus one, ``--k-max``
 below one, a disconnected graph for an oracle, an empty graph for the
-cop oracle, malformed graph6, an unreadable file), with one ``error:``
-line on stderr, 70 = internal error (a ``RuntimeError`` or a ``StrategyError``
-out of an engine, such as the exact solver meeting a legal reply that
-does not raise the value by one), with one ``error: internal:`` line on
-stderr.  ``exact-value`` fails when the value lies outside
+cop oracle, ``check-corpus`` naming the entry, malformed graph6, an
+unreadable file), with one ``error:`` line on stderr, 70 = internal
+error (a ``RuntimeError`` or a ``StrategyError`` out of an engine, such
+as the exact solver meeting a legal reply that does not raise the value
+by one, or a state of ``play`` that fails ``validate``), with one
+``error: internal:`` line on stderr.  ``exact-value`` searches past the
+marker bound and fails when the value lies outside
 ``[cutter_value_threshold(g0), marker_value_bound(g0)]``.  Every run
 echoes its resolved configuration, seeds included; JSON is the stable
 output format, text is for humans only.

@@ -159,14 +159,18 @@ def check_corpus(
     ``max_systems`` nodes and cross-checked against any declared value;
     over-budget graphs use their declared genus (the report marks them
     ``declared``) and are inconclusive without one, as are graphs past
-    ``max_positions`` or ``k_max``.  A ``k_max`` below one raises
-    ``ValueError``.
+    ``max_positions`` or ``k_max``.  A ``k_max`` below one, or an entry
+    an oracle rejects as bad input (a disconnected or empty graph),
+    raises ``ValueError``, the latter prefixed with the entry's name.
     """
     if k_max < 1:
         raise ValueError("at least one cop is required")
     report = CorpusReport()
     for entry in entries:
-        item = _check_entry(entry, k_max, max_systems, max_positions)
+        try:
+            item = _check_entry(entry, k_max, max_systems, max_positions)
+        except ValueError as exc:
+            raise ValueError(f"{entry.name}: {exc}") from exc
         report.entries.append(item)
         if "inconclusive" in item:
             report.inconclusive = True
@@ -182,9 +186,6 @@ def _check_entry(entry: CorpusEntry, k_max: int, max_systems: int, max_positions
         cop = cop_number(entry.graph, k_max, max_positions)
     except (CopNumberAboveError, StateSpaceError) as exc:
         item["inconclusive"] = f"cop oracle: {exc}"
-        return item
-    except Exception as exc:
-        item["error"] = f"cop oracle failed: {exc}"
         return item
     item["cop_number"] = cop
     if entry.expected_cop_number is not None and cop != entry.expected_cop_number:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..kernels import genus_sweep
 from .graph import Graph, is_connected
 
@@ -50,6 +48,8 @@ def _darts(g: Graph) -> tuple[list[int], list[list[int]], list[int]]:
 
 
 def is_planar(g: Graph) -> bool:
+    import networkx as nx  # here, so that importing the graph suite does not load it
+
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edge_pairs())

@@ -10,8 +10,10 @@ robber step onto the path is answered by a capture.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from .graph import Graph, bfs_distances, is_geodesic
+from .pursuit import StateSpaceError
 
 
 @dataclass
@@ -73,85 +75,46 @@ class GuardReport:
 def verify_guarding(g: Graph, path: tuple[int, ...], max_states: int = 1_000_000) -> GuardReport:
     """Exhaustive robber play against the guard.
 
-    Checks that positioning always completes (no unpositioned cycle in
-    the reachable state graph) and that after positioning the robber
-    never occupies a path vertex without being captured on the cop's
-    next move.
+    One pass over the reachable states (cop, robber, latched), robber to
+    move, ``latched`` once the cop has been positioned, checks that
+    after positioning the robber never steps onto the path without being
+    captured on the cop's next move.  Latching never undoes itself, so
+    positioning always completes exactly when the unpositioned states
+    hold no cycle, which one topological sort of them checks.  Raises
+    :class:`StateSpaceError` past ``max_states`` states.
     """
     guard = guard_geodesic(g, path)
     on_path = set(path)
-    explored = 0
-
-    # state: (cop, robber, latched), robber to move next; one root per
-    # robber start that the cop's first move does not capture
-    roots: list[tuple[int, int, bool]] = []
+    # one root per robber start that the cops' first move does not capture
     cop0 = guard.start_vertex()
+    stack, explored = [], 0
     for robber0 in range(g.n):
-        if robber0 == cop0:
-            continue
-        cop = guard.move(cop0, robber0)  # cops move first
-        if cop == robber0:
-            continue
-        roots.append((cop, robber0, guard.positioned(cop, robber0)))
-
-    # iterative DFS with an unpositioned-cycle check via colouring
-    colour: dict[tuple[int, int, bool], int] = {}
-    stack2: list[tuple[tuple[int, int, bool], int]] = []
-
-    def successors(state):
-        cop, robber, latched = state
-        out = []
-        for r2 in tuple(g.neighbours(robber)) + (robber,):
+        cop = guard.move(cop0, robber0)
+        if robber0 != cop0 and cop != robber0:
+            stack.append((cop, robber0, guard.positioned(cop, robber0)))
+    seen = set(stack)
+    unpositioned: dict[tuple[int, int, bool], list] = {}  # state -> its unpositioned successors
+    while stack:
+        explored += 1
+        if explored > max_states:
+            raise StateSpaceError(f"the guarding check needs more than {max_states} states")
+        cop, robber, latched = state = stack.pop()
+        succ = []
+        for r2 in g.neighbours(robber) + (robber,):
             if r2 == cop:
                 continue  # the robber walked into the cop: captured
-            if latched and r2 in on_path:
-                nxt = guard.move(cop, r2)
-                if nxt != r2:
-                    return None, (cop, robber, r2)
-                continue  # captured on the cop's move
             nxt = guard.move(cop, r2)
             if nxt == r2:
-                continue  # captured
-            out.append((nxt, r2, latched or guard.positioned(nxt, r2)))
-        return out, None
-
-    for root in roots:
-        if root in colour:
-            continue
-        stack2.append((root, 0))
-        succ_cache: dict = {}
-        while stack2:
-            state, idx = stack2.pop()
-            if idx == 0:
-                if colour.get(state) == 2:
-                    continue
-                colour[state] = 1
-            if state not in succ_cache:
-                explored += 1
-                if explored > max_states:
-                    return GuardReport(False, explored, "state budget exhausted")
-                succ, violation = successors(state)
-                if succ is None:
-                    cop, robber, r2 = violation
-                    return GuardReport(
-                        False,
-                        explored,
-                        f"robber reached path vertex {r2} uncaptured (cop at {cop})",
-                    )
-                succ_cache[state] = succ
-            succ = succ_cache[state]
-            if idx < len(succ):
-                stack2.append((state, idx + 1))
-                child = succ[idx]
-                c = colour.get(child)
-                if c == 1:
-                    if not child[2] or not state[2]:
-                        return GuardReport(
-                            False, explored, f"unpositioned play can cycle through {child}"
-                        )
-                    continue
-                if c is None:
-                    stack2.append((child, 0))
-            else:
-                colour[state] = 2
+                continue  # captured on the cop's move
+            if latched and r2 in on_path:
+                return GuardReport(False, explored, f"robber reached path vertex {r2} uncaptured (cop at {cop})")
+            succ.append((nxt, r2, latched or guard.positioned(nxt, r2)))
+        if not latched:
+            unpositioned[state] = [s for s in succ if not s[2]]
+        stack.extend(s for s in succ if s not in seen)
+        seen.update(succ)
+    try:
+        TopologicalSorter(unpositioned).prepare()
+    except CycleError as exc:
+        return GuardReport(False, explored, f"unpositioned play can cycle through {exc.args[1][0]}")
     return GuardReport(True, explored)

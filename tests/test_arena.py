@@ -140,6 +140,13 @@ def test_play_random_vs_random_reproducible():
     assert a == b
 
 
+@pytest.mark.usefixtures("tripled_label")
+@pytest.mark.parametrize("marker, cutter", [("auto", "auto"), ("random", "random"), ("auto", "random")])
+def test_play_validates_every_state(marker, cutter):
+    with pytest.raises(RuntimeError, match=r"^invalid state \(properness\): label 0 appears on 3 edges$"):
+        play_game(2, marker=marker, cutter=cutter, seed=1)
+
+
 _BUDGET = {"marker_sampling": "exhaustive", "max_depth": None, "max_states": 2000000, "sample_plays": 10000, "seed": 0}
 _REPORT = {"details": {}, "failure": None, "opponent_model": "restricted-cutter", "terminal_plays": 0,
            "transitions_seen": {}, "verdict": "pass", "witness": None}

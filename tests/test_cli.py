@@ -46,6 +46,16 @@ def test_exact_value_outside_the_bounds_fails(monkeypatch, capsys, found):
     assert data["value"] == found and data["verdict"] == "fail"
 
 
+def test_exact_value_above_the_bound_fails(monkeypatch, capsys):
+    # the solver searches past the bound it is checking: with the bound
+    # lowered to 3, the value 4 of g0=1 is found and fails
+    lowered = lambda g0: (4 * g0 + 10) // 3 - 1
+    monkeypatch.setattr(arena, "marker_value_bound", lowered)
+    monkeypatch.setattr(cli, "marker_value_bound", lowered)
+    assert dispatch(["exact-value", "--g0", "1"]) == EXIT_FAIL
+    assert capsys.readouterr().out.splitlines() == ["4", "verdict: fail"]
+
+
 def _internal_error(argv, capsys) -> str:
     code = dispatch(argv)
     captured = capsys.readouterr()
@@ -66,6 +76,13 @@ def test_solver_runtime_error_exits_70(monkeypatch, capsys):
 @pytest.mark.usefixtures("tripled_label")
 def test_solver_invalid_state_exits_70(capsys):
     assert "invalid state (properness)" in _internal_error(["exact-value", "--g0", "1"], capsys)
+
+
+@pytest.mark.usefixtures("tripled_label")
+@pytest.mark.parametrize("marker", ["auto", "random"])
+def test_play_invalid_state_exits_70(capsys, marker):
+    argv = ["play", "--g0", "2", "--marker", marker, "--cutter", "random", "--seed", "1"]
+    assert "invalid state (properness)" in _internal_error(argv, capsys)
 
 
 def test_strategy_error_exits_70(monkeypatch, capsys):
@@ -131,6 +148,16 @@ def test_corpus_mismatch_fails(tmp_path):
     with open(os.path.join(tmp_path, "bad.json"), "w") as fh:
         json.dump([{"name": "K4", "declared_genus": 0, "expected_cop_number": 3}], fh)
     assert dispatch(["check-corpus", "--dir", str(tmp_path)]) == EXIT_FAIL
+
+
+def test_check_corpus_disconnected_graph_exits_64(tmp_path, capsys):
+    with open(os.path.join(tmp_path, "split.g6"), "w") as fh:
+        fh.write("C~\nC?\n")
+    code = dispatch(["check-corpus", "--dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: split[1]: the pursuit game needs a connected graph"]
 
 
 def test_check_corpus_above_k_max_is_inconclusive(tmp_path, capsys):

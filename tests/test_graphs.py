@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -249,3 +252,13 @@ def test_corpus_roundtrip(tmp_path):
     assert [e.name for e in back] == [e.name for e in entries]
     assert all(a.graph.edges == b.graph.edges for a, b in zip(back, entries))
     assert back[0].declared_genus == entries[0].declared_genus
+
+
+def test_graph_suite_loads_without_networkx():
+    # only the planarity test needs networkx, and the cop oracle never
+    # asks for it
+    code = ("import sys; from cutgame.graphs import cop_number, cycle_graph; "
+            "assert cop_number(cycle_graph(5), 3) == 2; assert 'networkx' not in sys.modules")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

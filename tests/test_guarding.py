@@ -1,6 +1,7 @@
 import pytest
 
 from cutgame.graphs import (
+    StateSpaceError,
     bundled_corpus,
     bfs_distances,
     complete_graph,
@@ -11,6 +12,7 @@ from cutgame.graphs import (
     verify_guarding,
 )
 from cutgame.graphs.graph import Graph
+from cutgame.graphs.guarding import GeodesicGuard
 
 
 def all_geodesics(g: Graph) -> list[tuple[int, ...]]:
@@ -75,3 +77,37 @@ def test_shadow_tracks_by_one():
         for r2 in pet.neighbours(r):
             a, b = idx[guard.shadow(r)], idx[guard.shadow(r2)]
             assert abs(a - b) <= 1
+
+
+def test_budget_exhaustion_raises():
+    with pytest.raises(StateSpaceError):
+        verify_guarding(petersen_graph(), (0, 1, 2), max_states=3)
+
+
+_real_move = GeodesicGuard.move
+
+# planted guards: (move, what it breaks)
+PLANTED = {
+    "never-moves": lambda self, cop, robber: cop,
+    "first-neighbour": lambda self, cop, robber: self.graph.neighbours(cop)[0],
+    "skips-capture": lambda self, cop, robber: cop if _real_move(self, cop, robber) == robber
+    else _real_move(self, cop, robber),
+}
+UNCAPTURED, CYCLE = "robber reached path vertex", "unpositioned play can cycle"
+
+
+@pytest.mark.parametrize("fault, graph, path, failure", [
+    ("never-moves", cycle_graph(8), (0, 1, 2, 3), CYCLE),
+    ("never-moves", petersen_graph(), (0, 1, 2), CYCLE),
+    ("first-neighbour", cycle_graph(8), (0, 1, 2, 3), UNCAPTURED),
+    ("first-neighbour", petersen_graph(), (0, 5, 7), CYCLE),
+    ("skips-capture", cycle_graph(8), (0, 1, 2, 3), UNCAPTURED),
+    ("skips-capture", petersen_graph(), (0, 1, 2), UNCAPTURED),
+], ids=["never-moves-C8", "never-moves-petersen", "first-neighbour-C8", "first-neighbour-petersen",
+        "skips-capture-C8", "skips-capture-petersen"])
+def test_planted_guard_faults_are_caught(monkeypatch, fault, graph, path, failure):
+    assert verify_guarding(graph, path).ok
+    monkeypatch.setattr(GeodesicGuard, "move", PLANTED[fault])
+    report = verify_guarding(graph, path)
+    assert not report.ok
+    assert report.failure.startswith(failure), report.failure
