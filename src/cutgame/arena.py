@@ -188,6 +188,14 @@ class _Node:
         record = ply_record(depth, "cutter", marked, reply.kind, nxt)
         return _Node(nxt, None, record, depth, self).validated()
 
+    def check_replies(self, marked: MarkedState, legal: list[CutterReply]) -> None:
+        """Every legal reply must raise the value by exactly one; the
+        witness of a failure ends at the first that does not."""
+        v = value(self.state)
+        for reply in legal:
+            if value(reply.next) != v + 1:
+                raise _Stop("value did not increase by one", self.child(marked, reply))
+
     def validated(self) -> "_Node":
         violation = validate(self.state)
         if violation is not None:
@@ -361,6 +369,15 @@ def _check_bounding_state(state: GameState, phase: BoundingPhase, refined: bool)
     return None
 
 
+def _marker_mark(strat: MarkerStrategy, node: _Node) -> MarkedState:
+    """The marker strategy's mark at ``node``.  A strategy fault, or a
+    mark off the state, is the strategy's failure, not bad input."""
+    try:
+        return strat.mark(node.phase, node.state)
+    except (StrategyError, ValueError) as exc:
+        raise _Stop(f"marking failed in {_phase_name(node.phase)}: {exc}", node) from exc
+
+
 def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationReport:
     root = _start(g0, refined)
     bound = refined_value_bound(g0) if refined else marker_value_bound(g0)
@@ -382,20 +399,16 @@ def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationRep
             msg = _check_bounding_state(state, phase, refined)
             if msg is not None:
                 raise _Stop(msg, node)
-        try:
-            marked = strat.mark(phase, state)
-        except StrategyError as exc:
-            raise _Stop(f"marking failed in {_phase_name(phase)}: {exc}", node) from exc
+        marked = _marker_mark(strat, node)
         legal = legal_replies(marked)
         if not legal:
             report.terminal_plays += 1
             return []
+        node.check_replies(marked, legal)
         p_now = state_potential(state)
         children = []
         for reply in legal:
             child = node.child(marked, reply)
-            if value(reply.next) != v + 1:
-                raise _Stop("value did not increase by one", child)
             try:
                 nxt = strat.advance(phase, state, reply)
             except (StrategyError, KeyError) as exc:
@@ -454,14 +467,12 @@ def verify_cutter_bound(g0: int, budget: Optional[SearchBudget] = None) -> Verif
 
     def respond(node: _Node, marked: MarkedState, v: int) -> _Node:
         """The cutter's audited reply to one mark; ``v`` is the node's
-        value, which every legal reply must raise by one."""
+        value."""
         legal = legal_replies(marked)
         if not legal:
             report.terminal_plays += 1
             raise _Stop(f"game ended at value {v} below threshold {threshold}", node)
-        for r in legal:
-            if value(r.next) != v + 1:
-                raise _Stop("value did not increase by one", node.child(marked, r))
+        node.check_replies(marked, legal)
         reply, anomaly = cutter_move(marked, legal)
         child = node.child(marked, reply)
         if anomaly:
@@ -590,9 +601,11 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
     records, outcome summary).
 
     ``marker``/``cutter`` are ``"auto"`` (the packaged strategies) or
-    ``"random"`` (uniform legal choices from the given seed).  Every
-    state of the play passes ``validate``; one that does not raises
-    ``RuntimeError``.
+    ``"random"`` (uniform legal choices from the given seed).  The play
+    is audited like the verifiers' searches: every state must pass
+    ``validate``, every legal reply must raise the value by exactly one,
+    and the marker strategy's marks must be marks of the state; a
+    failure raises ``RuntimeError``.
     """
     start = _start(g0, refined)
     rng = random.Random(seed)
@@ -602,11 +615,12 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
     try:
         node.validated()
         for _ in range(4 * g0 + 16):
-            marked = strat.mark(node.phase, node.state) if strat else rng.choice(enumerate_marker_moves(node.state))
+            marked = _marker_mark(strat, node) if strat else rng.choice(enumerate_marker_moves(node.state))
             legal = legal_replies(marked)
             if not legal:
                 result = "cutter_stuck"
                 break
+            node.check_replies(marked, legal)
             reply = cutter_move(marked, legal)[0] if cutter == "auto" else rng.choice(legal)
             child = node.child(marked, reply)
             if strat:

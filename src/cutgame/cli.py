@@ -13,12 +13,13 @@ cop oracle, ``check-corpus`` naming the entry, malformed graph6, an
 unreadable file), with one ``error:`` line on stderr, 70 = internal
 error (a ``RuntimeError`` or a ``StrategyError`` out of an engine, such
 as the exact solver meeting a legal reply that does not raise the value
-by one, or a state of ``play`` that fails ``validate``), with one
-``error: internal:`` line on stderr.  ``exact-value`` searches past the
-marker bound and fails when the value lies outside
-``[cutter_value_threshold(g0), marker_value_bound(g0)]``.  Every run
-echoes its resolved configuration, seeds included; JSON is the stable
-output format, text is for humans only.
+by one, or a ``play`` whose state fails ``validate``, whose legal reply
+does not raise the value by one, or whose marker marks a vertex the
+state lacks), with one ``error: internal:`` line on stderr.
+``exact-value`` searches past the marker bound and fails when the value
+lies outside ``[cutter_value_threshold(g0), marker_value_bound(g0)]``.
+Every run echoes its resolved configuration, seeds included; JSON is the
+stable output format, text is for humans only.
 """
 
 from __future__ import annotations
@@ -115,12 +116,7 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _report_exit(report: VerificationReport) -> int:
-    if report.verdict == PASS:
-        return EXIT_PASS
-    if report.verdict == INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAIL
+VERDICT_EXIT = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 
 def _load_graph(args):
@@ -159,7 +155,7 @@ def _run(args) -> int:
         budget = SearchBudget(max_states=args.budget_states)
         report = verify_marker_bound(args.g0, budget)
         _emit(args, report.to_dict(), _verdict_text(report))
-        return _report_exit(report)
+        return VERDICT_EXIT[report.verdict]
 
     if args.command == "verify-cutter":
         sampling = "random" if args.sample else "exhaustive"
@@ -171,7 +167,7 @@ def _run(args) -> int:
         )
         report = verify_cutter_bound(args.g0, budget)
         _emit(args, report.to_dict(), _verdict_text(report))
-        return _report_exit(report)
+        return VERDICT_EXIT[report.verdict]
 
     if args.command == "exact-value":
         budget = SearchBudget(max_states=args.budget_states)
@@ -191,13 +187,13 @@ def _run(args) -> int:
             "budget": {"max_states": args.budget_states},
         }
         _emit(args, payload, str(result) if verdict != FAIL else f"{result}\nverdict: {FAIL}")
-        return {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[verdict]
+        return VERDICT_EXIT[verdict]
 
     if args.command == "verify-refined":
         budget = SearchBudget(max_states=args.budget_states)
         report = verify_refined(args.g0, budget)
         _emit(args, report.to_dict(), _verdict_text(report))
-        return _report_exit(report)
+        return VERDICT_EXIT[report.verdict]
 
     if args.command == "play":
         records, outcome = play_game(

@@ -35,9 +35,7 @@ def parse_graph6(text: str) -> Graph:
         text = text[10:]
     if not text:
         raise Graph6Error("empty input", 0)
-    first = ord(text[0]) - 63
-    if first < 0 or first >= 64:
-        raise Graph6Error(f"character {text[0]!r} outside graph6 alphabet", 0)
+    (first,) = _sextets(text[:1], 0)
     if first < 63:
         n, start = first, 1
     else:
@@ -45,13 +43,8 @@ def parse_graph6(text: str) -> Graph:
             raise Graph6Error("truncated long-form vertex count", len(text))
         if ord(text[1]) - 63 == 63:
             raise Graph6Error("8-byte vertex counts not supported", 1)
-        parts = []
-        for i in (1, 2, 3):
-            code = ord(text[i]) - 63
-            if not (0 <= code < 64):
-                raise Graph6Error(f"character {text[i]!r} outside graph6 alphabet", i)
-            parts.append(code)
-        n = (parts[0] << 12) | (parts[1] << 6) | parts[2]
+        high, mid, low = _sextets(text[:4], 1)
+        n = (high << 12) | (mid << 6) | low
         start = 4
     if n > MAX_VERTICES:
         raise Graph6Error(f"vertex count {n} too large", 0)

@@ -505,13 +505,14 @@ class MarkerStrategy:
 
 
 def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool = False) -> None:
-    """Structural audit of a bound configuration; raises StrategyError."""
+    """Structural audit of a bound configuration, atom by atom; raises
+    StrategyError.  An ``"N"`` atom must hold a nesting binding, a
+    ``"U"`` atom or a variable an edge position."""
     template = TEMPLATES[phase.config]
     if len(phase.actives) != len(template.cycles):
         raise StrategyError("active count does not match the template")
     counts = state.label_counts()
     var_labels: dict[int, int] = {}
-    var_seen: dict[int, int] = {}
     for ac, atoms in zip(phase.actives, template.cycles):
         if len(ac.pos) != len(atoms):
             raise StrategyError(f"{len(ac.pos)} positions bound to template cycle {atoms}")
@@ -520,26 +521,25 @@ def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool =
         cyc = state.cycles[ac.cycle]
         covered: list[int] = []
         for atom, p in zip(atoms, ac.pos):
-            if isinstance(p, int):
-                covered.append(p)
-                lab = cyc[p]
-                if atom == "U":
-                    if counts[lab] != 1:
-                        raise StrategyError(f"label {lab} bound as unique appears {counts[lab]} times")
-                else:
-                    bound = var_labels.setdefault(atom, lab)
-                    if bound != lab:
-                        raise StrategyError(f"variable {atom} bound to {bound} but edge reads {lab}")
-                    var_seen[atom] = var_seen.get(atom, 0) + 1
-            else:
+            if atom == "N":
+                if not isinstance(p, Nesting):
+                    raise StrategyError(f"nesting atom bound to {type(p).__name__}, not a nesting path")
                 covered.extend(nesting_positions(p))
                 _verify_nesting(state, ac.cycle, p, allow_pseudo)
+                continue
+            if not isinstance(p, int):
+                raise StrategyError(f"atom {atom!r} bound to {type(p).__name__}, not an edge position")
+            covered.append(p)
+            lab = cyc[p]
+            if atom == "U":
+                if counts[lab] != 1:
+                    raise StrategyError(f"label {lab} bound as unique appears {counts[lab]} times")
+            else:
+                bound = var_labels.setdefault(atom, lab)
+                if bound != lab:
+                    raise StrategyError(f"variable {atom} bound to {bound} but edge reads {lab}")
         if sorted(covered) != list(range(len(cyc))):
             raise StrategyError(f"atoms do not partition cycle {ac.cycle}")
-    for v, n in var_seen.items():
-        expected = sum(a == v for tc in template.cycles for a in tc)
-        if n != expected:
-            raise StrategyError(f"variable {v} appears {n} times, template wants {expected}")
 
 
 def _verify_nesting(state: GameState, host: int, binding: Nesting, allow_pseudo: bool) -> None:
@@ -580,75 +580,53 @@ def classify_configuration(active_cycles: tuple[int, ...], state: GameState,
                            allow_pseudo: bool = False) -> Optional[int]:
     """Match a set of active components against the twelve templates.
 
-    Works from scratch: tries every assignment of components to template
-    cycles, every rotation, and discovers nesting paths via their
-    definition.  Returns the configuration id or None.
+    Works from scratch: each template cycle is read from every rotation
+    start of its component, atom by atom.  ``"U"`` takes one uniquely
+    appearing edge, ``"N"`` a run of one or three edges that forms a
+    nesting path by its definition, and a variable one shared edge whose
+    label agrees with the variables read so far.  Components are tried
+    in every order, backtracking over the variable maps each reading
+    yields.  Returns the configuration id or None.
     """
-    for cfg_id, template in TEMPLATES.items():
-        if len(template.cycles) != len(active_cycles):
-            continue
-        for perm in itertools.permutations(active_cycles):
-            if _match_assignment(perm, template.cycles, state, allow_pseudo):
-                return cfg_id
-    return None
-
-
-def _match_assignment(components: tuple[int, ...], tcycles: tuple[tuple[Atom, ...], ...],
-                      state: GameState, allow_pseudo: bool) -> bool:
     counts = state.label_counts()
 
-    def match_cycle(ci: int, atoms: tuple[Atom, ...], var_map: dict[int, int]) -> list[dict[int, int]]:
+    def readings(ci: int, atoms: tuple[Atom, ...], p: int, left: int, var_map: dict):
+        """Extensions of ``var_map`` under which ``atoms`` read the
+        ``left`` edges of cycle ``ci`` from position ``p`` on."""
+        if not atoms:
+            if left == 0:
+                yield var_map
+            return
+        atom, rest = atoms[0], atoms[1:]
         cyc = state.cycles[ci]
-        results = []
-        lengths = [1 if a != "N" else None for a in atoms]
-        free = sum(1 for l in lengths if l is None)
-        fixed = sum(l for l in lengths if l is not None)
-        options = [[1, 3]] * free
-        for combo in itertools.product(*options):
-            if fixed + sum(combo) != len(cyc):
-                continue
-            sizes = []
-            it = iter(combo)
-            for l in lengths:
-                sizes.append(l if l is not None else next(it))
-            for start in range(len(cyc)):
-                vm = dict(var_map)
-                pos = start
-                ok = True
-                for atom, size in zip(atoms, sizes):
-                    span = [(pos + k) % len(cyc) for k in range(size)]
-                    pos += size
-                    if atom == "U":
-                        if size != 1 or counts[cyc[span[0]]] != 1:
-                            ok = False
-                            break
-                    elif atom == "N":
-                        seg = Segment(ci, tuple(span))
-                        if not is_nesting_path(seg, state, allow_pseudo=allow_pseudo):
-                            ok = False
-                            break
-                    else:
-                        lab = cyc[span[0]]
-                        if counts[lab] == 1:
-                            ok = False
-                            break
-                        if atom in vm and vm[atom] != lab:
-                            ok = False
-                            break
-                        vm[atom] = lab
-                if ok:
-                    results.append(vm)
-        return results
+        n = len(cyc)
+        if atom == "N":
+            for size in (1, 3):
+                run = tuple((p + k) % n for k in range(size))
+                if size + len(rest) <= left and is_nesting_path(Segment(ci, run), state, allow_pseudo=allow_pseudo):
+                    yield from readings(ci, rest, (p + size) % n, left - size, var_map)
+            return
+        if left <= len(rest):
+            return
+        lab = cyc[p]
+        if atom == "U":
+            if counts[lab] == 1:
+                yield from readings(ci, rest, (p + 1) % n, left - 1, var_map)
+        elif counts[lab] != 1 and var_map.get(atom, lab) == lab:
+            yield from readings(ci, rest, (p + 1) % n, left - 1, {**var_map, atom: lab})
 
-    def backtrack(idx: int, var_map: dict[int, int]) -> bool:
-        if idx == len(components):
+    def assign(components: tuple[int, ...], tcycles: tuple[tuple[Atom, ...], ...], var_map: dict) -> bool:
+        if not components:
             return True
-        for vm in match_cycle(components[idx], tcycles[idx], var_map):
-            if backtrack(idx + 1, vm):
-                return True
-        return False
+        ci, n = components[0], len(state.cycles[components[0]])
+        return any(assign(components[1:], tcycles[1:], vm)
+                   for start in range(n) for vm in readings(ci, tcycles[0], start, n, var_map))
 
-    return backtrack(0, {})
+    for cfg_id, template in TEMPLATES.items():
+        if len(template.cycles) == len(active_cycles) and any(
+                assign(perm, template.cycles, {}) for perm in itertools.permutations(active_cycles)):
+            return cfg_id
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,20 @@ read a shared-label variable's label, they read it off the pre-reply
 state, since phases no longer store those labels.  Each handler writes
 the atoms of every cycle it builds by hand (:class:`RefCycle`), so the
 cross-check also checks the table's atom lists.
+
+It also keeps the configuration matcher that
+``strategy.classify_configuration``'s template walk replaced:
+:func:`reference_classify` sizes every nesting path up front and tries
+every size combination from every rotation start.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple, Optional
 
 from cutgame.core import CutterReply, Edge, GameState
+from cutgame.potential import Segment, is_nesting_path
 from cutgame.strategy import (
     TEMPLATES,
     ActiveCycle,
@@ -386,3 +393,82 @@ def reference_advance(phase: BoundingPhase, state: GameState, reply: CutterReply
     target, handler = arrow
     cycles, labels = handler(phase, state, reply)
     return target, cycles, labels
+
+
+# ---------------------------------------------------------------------------
+# the replaced configuration matcher
+
+
+def reference_classify(active_cycles: tuple[int, ...], state: GameState,
+                       allow_pseudo: bool = False) -> Optional[int]:
+    """Match a set of active components against the twelve templates.
+
+    Works from scratch: tries every assignment of components to template
+    cycles, every rotation, and discovers nesting paths via their
+    definition.  Returns the configuration id or None.
+    """
+    for cfg_id, template in TEMPLATES.items():
+        if len(template.cycles) != len(active_cycles):
+            continue
+        for perm in itertools.permutations(active_cycles):
+            if _match_assignment(perm, template.cycles, state, allow_pseudo):
+                return cfg_id
+    return None
+
+
+def _match_assignment(components: tuple[int, ...], tcycles: tuple[tuple[Atom, ...], ...],
+                      state: GameState, allow_pseudo: bool) -> bool:
+    counts = state.label_counts()
+
+    def match_cycle(ci: int, atoms: tuple[Atom, ...], var_map: dict[int, int]) -> list[dict[int, int]]:
+        cyc = state.cycles[ci]
+        results = []
+        lengths = [1 if a != "N" else None for a in atoms]
+        free = sum(1 for l in lengths if l is None)
+        fixed = sum(l for l in lengths if l is not None)
+        options = [[1, 3]] * free
+        for combo in itertools.product(*options):
+            if fixed + sum(combo) != len(cyc):
+                continue
+            sizes = []
+            it = iter(combo)
+            for l in lengths:
+                sizes.append(l if l is not None else next(it))
+            for start in range(len(cyc)):
+                vm = dict(var_map)
+                pos = start
+                ok = True
+                for atom, size in zip(atoms, sizes):
+                    span = [(pos + k) % len(cyc) for k in range(size)]
+                    pos += size
+                    if atom == "U":
+                        if size != 1 or counts[cyc[span[0]]] != 1:
+                            ok = False
+                            break
+                    elif atom == "N":
+                        seg = Segment(ci, tuple(span))
+                        if not is_nesting_path(seg, state, allow_pseudo=allow_pseudo):
+                            ok = False
+                            break
+                    else:
+                        lab = cyc[span[0]]
+                        if counts[lab] == 1:
+                            ok = False
+                            break
+                        if atom in vm and vm[atom] != lab:
+                            ok = False
+                            break
+                        vm[atom] = lab
+                if ok:
+                    results.append(vm)
+        return results
+
+    def backtrack(idx: int, var_map: dict[int, int]) -> bool:
+        if idx == len(components):
+            return True
+        for vm in match_cycle(components[idx], tcycles[idx], var_map):
+            if backtrack(idx + 1, vm):
+                return True
+        return False
+
+    return backtrack(0, {})

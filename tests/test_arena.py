@@ -21,6 +21,7 @@ from cutgame.arena import (
 )
 from cutgame.core import enumerate_marker_moves, value
 from cutgame.equivalence import canonical_key, legal_replies
+from cutgame.strategy import ActiveCycle
 
 ALLOWED_TRANSITIONS = {
     (1, "A"), (1, "B"), (1, "C"),
@@ -342,8 +343,8 @@ def test_explored_states_are_validated(monkeypatch):
 def test_too_loose_legality_is_caught_by_every_engine(monkeypatch):
     """With ``precedes`` always False the replies that lose a label are
     legal too: every verifier fails with a witness that ends at one, the
-    cutter's even where the reply it plays is sound, and the solver
-    raises."""
+    cutter's even where the reply it plays is sound, and the solver and
+    a random play raise."""
     monkeypatch.setattr(equivalence, "precedes", lambda candidate, earlier: False)
     sampled = SearchBudget(marker_sampling="random", sample_plays=50, seed=1)
     for report in (verify_marker_bound(3), verify_refined(3), verify_cutter_bound(2), verify_cutter_bound(3, sampled)):
@@ -353,6 +354,21 @@ def test_too_loose_legality_is_caught_by_every_engine(monkeypatch):
         assert last["value"] <= before["value"]
     with pytest.raises(RuntimeError, match="not by one"):
         exact_value(1)
+    with pytest.raises(RuntimeError, match="^value did not increase by one$"):
+        play_game(2, marker="random", cutter="random")
+
+
+def test_mark_off_the_state_is_a_strategy_failure(monkeypatch):
+    """A marker strategy whose mark names a vertex the state lacks fails
+    its verifier with a witness, and a play raises ``RuntimeError``: the
+    fault is the strategy's, not the caller's input."""
+    monkeypatch.setattr(ActiveCycle, "mark_vertex", lambda self, atom_idx: (self.cycle, 99))
+    for report in (verify_marker_bound(3), verify_refined(3)):
+        assert report.verdict == "fail"
+        assert report.failure.startswith("marking failed in configuration 1: mark references missing vertex (")
+        assert report.witness
+    with pytest.raises(RuntimeError, match=r"^marking failed in configuration 1: mark references missing vertex"):
+        play_game(3)
 
 
 @pytest.mark.parametrize("call", [

@@ -3,10 +3,10 @@ import os
 
 import pytest
 
-from cutgame import arena, cli
+from cutgame import arena, cli, equivalence
 from cutgame.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_SOFTWARE, EXIT_USAGE, dispatch
 from cutgame.core import cutter_replies
-from cutgame.strategy import MarkerStrategy, StrategyError
+from cutgame.strategy import ActiveCycle, MarkerStrategy, StrategyError
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "corpus")
 
@@ -83,6 +83,21 @@ def test_solver_invalid_state_exits_70(capsys):
 def test_play_invalid_state_exits_70(capsys, marker):
     argv = ["play", "--g0", "2", "--marker", marker, "--cutter", "random", "--seed", "1"]
     assert "invalid state (properness)" in _internal_error(argv, capsys)
+
+
+def test_play_value_audit_exits_70(monkeypatch, capsys):
+    # replies that lose a label become legal, and the value falls
+    monkeypatch.setattr(equivalence, "precedes", lambda candidate, earlier: False)
+    argv = ["play", "--g0", "2", "--marker", "random", "--cutter", "random"]
+    assert _internal_error(argv, capsys) == "error: internal: value did not increase by one"
+
+
+def test_mark_off_the_state_is_not_bad_input(monkeypatch, capsys):
+    monkeypatch.setattr(ActiveCycle, "mark_vertex", lambda self, atom_idx: (self.cycle, 99))
+    assert dispatch(["verify-marker", "--g0", "3"]) == EXIT_FAIL
+    out = capsys.readouterr().out
+    assert "failure: marking failed in configuration 1: mark references missing vertex (0, 99)" in out
+    assert "mark references missing vertex" in _internal_error(["play", "--g0", "3"], capsys)
 
 
 def test_strategy_error_exits_70(monkeypatch, capsys):

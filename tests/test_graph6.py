@@ -37,6 +37,13 @@ def test_errors_carry_offsets():
         parse_graph6("")
 
 
+@pytest.mark.parametrize("text, offset", [("~>??", 1), ("~?>?", 2), ("~??" + chr(200), 3)])
+def test_bad_character_in_long_form_count(text, offset):
+    with pytest.raises(Graph6Error, match=rf"outside graph6 alphabet \(byte {offset}\)$") as exc:
+        parse_graph6(text)
+    assert exc.value.offset == offset
+
+
 def test_roundtrip_known_graphs():
     for g in (complete_graph(5), cycle_graph(9), petersen_graph()):
         assert parse_graph6(emit_graph6(g)).edges == g.edges

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from cutgame import arena
 from cutgame.arena import verify_marker_bound, verify_refined
 from cutgame.core import GameState, MarkedState, cutter_replies, empty_state, value
 from cutgame.equivalence import legal_replies
@@ -20,7 +23,7 @@ from cutgame.strategy import (
     cutter_move,
     verify_bindings,
 )
-from reference_strategy import bound_cycles, phase_signature, reference_advance, var_labels
+from reference_strategy import bound_cycles, phase_signature, reference_advance, reference_classify, var_labels
 
 
 def marker_move(phase: BoundingPhase, state: GameState) -> tuple[MarkedState, dict]:
@@ -233,6 +236,79 @@ def test_verify_bindings_catches_drift():
     drifted = GameState(((5, 6), (7, 8)), 1, 1, 9)
     with pytest.raises(StrategyError, match="variable 0 bound to 5 but edge reads 7"):
         verify_bindings(drifted, phase)
+
+
+def _recorded_calls(monkeypatch, name: str, runs) -> list:
+    """The argument tuples of every call the marker verifiers make to
+    ``arena.<name>`` (one per distinct bounding node) over ``runs``."""
+    calls = []
+    real = getattr(arena, name)
+
+    def recording(*args, **kwargs):
+        calls.append((*args, *kwargs.values()))
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(arena, name, recording)
+        for run in runs:
+            assert run().verdict == "pass"
+    return calls
+
+
+def test_classifier_matches_reference_matcher(monkeypatch):
+    """The template walk and the replaced size-combination matcher agree
+    on every bounding node of marker g0=0..13 and refined g0=1..11, and
+    on 4 000 seeded random subsets of those nodes' cycles, each with
+    pseudo edges allowed and not."""
+    runs = [lambda g0=g0: verify_marker_bound(g0) for g0 in range(14)]
+    runs += [lambda g0=g0: verify_refined(g0) for g0 in range(1, 12)]
+    calls = _recorded_calls(monkeypatch, "classify_configuration", runs)
+    assert len(calls) > 5000
+    rng = random.Random(21)
+    for _ in range(4000):
+        active, state, _ = rng.choice(calls)
+        n = len(state.cycles)
+        k = len(active) if rng.random() < 0.5 else rng.randint(1, min(4, n))
+        subset = tuple(rng.sample(range(n), k))
+        calls += [(subset, state, False), (subset, state, True)]
+    answers = set()
+    for active, state, allow_pseudo in calls:
+        got = classify_configuration(active, state, allow_pseudo=allow_pseudo)
+        assert got == reference_classify(active, state, allow_pseudo=allow_pseudo), (active, state.cycles)
+        answers.add(got)
+    assert None in answers and len(answers) > 1
+
+
+def _retyped(phase: BoundingPhase):
+    """Each copy of ``phase`` with one atom bound to the wrong kind: an
+    "N" atom's lone edge as a position, or a "U" or variable atom's
+    edge as a one-edge nesting path."""
+    for a, (ac, atoms) in enumerate(zip(phase.actives, TEMPLATES[phase.config].cycles)):
+        for i, (atom, p) in enumerate(zip(atoms, ac.pos)):
+            if atom == "N" and isinstance(p, NestUnique):
+                q = p.pos
+            elif atom != "N":
+                q = NestUnique(p)
+            else:
+                continue
+            pos = ac.pos[:i] + (q,) + ac.pos[i + 1:]
+            actives = phase.actives[:a] + (ActiveCycle(ac.cycle, pos),) + phase.actives[a + 1:]
+            yield atom, BoundingPhase(phase.config, actives)
+
+
+def test_verify_bindings_rejects_mistyped_bindings(monkeypatch):
+    """On every bounding node of marker g0=9, binding one atom to the
+    wrong kind fails the audit, though the edge it names is the atom's
+    own."""
+    calls = _recorded_calls(monkeypatch, "verify_bindings", [lambda: verify_marker_bound(9)])
+    kinds = {"N": 0, "U": 0, "variable": 0}
+    for state, phase, _ in calls:
+        verify_bindings(state, phase)
+        for atom, wrong in _retyped(phase):
+            kinds[atom if isinstance(atom, str) else "variable"] += 1
+            with pytest.raises(StrategyError, match="bound to"):
+                verify_bindings(state, wrong)
+    assert min(kinds.values()) > 0 and kinds["N"] + kinds["U"] == 1223
 
 
 def test_every_arrow_has_one_source_per_target_cycle():

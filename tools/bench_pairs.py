@@ -61,7 +61,11 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 
 def summarise(runs: list[dict], workload: str, metrics: list[dict]) -> dict:
-    mine = [r for r in runs if r["workload"] == workload and r["trace"] == 0]
+    """Each metric's medians and pair wins over the untraced runs of
+    ``workload``; ``ok`` holds when every run of it, traced ones too,
+    was correct and had no failed operation."""
+    every_run = [r for r in runs if r["workload"] == workload]
+    mine = [r for r in every_run if r["trace"] == 0]
     out = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -80,7 +84,7 @@ def summarise(runs: list[dict], workload: str, metrics: list[dict]) -> dict:
                      "change_median": cmed, "change_q1": cq1, "change_q3": cq3,
                      "ratio": ratio, "change_wins": wins, "ties": ties, "pairs": len(by_pair),
                      "bound": metric["bound"], "within_bound": worse is not None and worse <= metric["bound"]}
-    out["ok"] = all(r["result"]["correct"] and r["result"]["failed"] == 0 for r in mine)
+    out["ok"] = all(r["result"]["correct"] and r["result"]["failed"] == 0 for r in every_run)
     return out
 
 
