@@ -188,6 +188,24 @@ class _Node:
         record = ply_record(depth, "cutter", marked, reply.kind, nxt)
         return _Node(nxt, None, record, depth, self).validated()
 
+    def marked_by(self, strat: MarkerStrategy) -> MarkedState:
+        """The marker strategy's mark here.  A strategy fault, or a mark
+        off the state, is the strategy's failure, not bad input."""
+        try:
+            return strat.mark(self.phase, self.state)
+        except (StrategyError, ValueError) as exc:
+            raise _Stop(f"marking failed in {_phase_name(self.phase)}: {exc}", self) from exc
+
+    def advanced(self, strat: MarkerStrategy, marked: MarkedState, reply: CutterReply) -> "_Node":
+        """The child for ``reply``, in the marker strategy's next phase; a
+        fault in the strategy's transition is the strategy's failure."""
+        child = self.child(marked, reply)
+        try:
+            child.phase = strat.advance(self.phase, self.state, reply)
+        except (StrategyError, KeyError) as exc:
+            raise _Stop(f"transition from {_phase_name(self.phase)} on kind {reply.kind}: {exc}", child) from exc
+        return child
+
     def check_replies(self, marked: MarkedState, legal: list[CutterReply]) -> None:
         """Every legal reply must raise the value by exactly one; the
         witness of a failure ends at the first that does not."""
@@ -369,15 +387,6 @@ def _check_bounding_state(state: GameState, phase: BoundingPhase, refined: bool)
     return None
 
 
-def _marker_mark(strat: MarkerStrategy, node: _Node) -> MarkedState:
-    """The marker strategy's mark at ``node``.  A strategy fault, or a
-    mark off the state, is the strategy's failure, not bad input."""
-    try:
-        return strat.mark(node.phase, node.state)
-    except (StrategyError, ValueError) as exc:
-        raise _Stop(f"marking failed in {_phase_name(node.phase)}: {exc}", node) from exc
-
-
 def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationReport:
     root = _start(g0, refined)
     bound = refined_value_bound(g0) if refined else marker_value_bound(g0)
@@ -399,7 +408,7 @@ def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationRep
             msg = _check_bounding_state(state, phase, refined)
             if msg is not None:
                 raise _Stop(msg, node)
-        marked = _marker_mark(strat, node)
+        marked = node.marked_by(strat)
         legal = legal_replies(marked)
         if not legal:
             report.terminal_plays += 1
@@ -408,11 +417,8 @@ def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationRep
         p_now = state_potential(state)
         children = []
         for reply in legal:
-            child = node.child(marked, reply)
-            try:
-                nxt = strat.advance(phase, state, reply)
-            except (StrategyError, KeyError) as exc:
-                raise _Stop(f"transition from {_phase_name(phase)} on kind {reply.kind}: {exc}", child) from exc
+            child = node.advanced(strat, marked, reply)
+            nxt = child.phase
             if isinstance(phase, BoundingPhase):
                 arrow = (phase.config, reply.kind)
                 report.transitions_seen[arrow] = report.transitions_seen.get(arrow, 0) + 1
@@ -432,7 +438,6 @@ def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationRep
             if isinstance(nxt, BoundingPhase) and not isinstance(phase, BoundingPhase):
                 if state_potential(reply.next) < -5 * QUARTER:
                     raise _Stop("potential below -5 at the end of the preparatory phase", child)
-            child.phase = nxt
             children.append(child)
         return children
 
@@ -604,8 +609,8 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
     ``"random"`` (uniform legal choices from the given seed).  The play
     is audited like the verifiers' searches: every state must pass
     ``validate``, every legal reply must raise the value by exactly one,
-    and the marker strategy's marks must be marks of the state; a
-    failure raises ``RuntimeError``.
+    and the marker strategy must mark vertices of the state and take
+    each reply without a fault; a failure raises ``RuntimeError``.
     """
     start = _start(g0, refined)
     rng = random.Random(seed)
@@ -615,17 +620,14 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
     try:
         node.validated()
         for _ in range(4 * g0 + 16):
-            marked = _marker_mark(strat, node) if strat else rng.choice(enumerate_marker_moves(node.state))
+            marked = node.marked_by(strat) if strat else rng.choice(enumerate_marker_moves(node.state))
             legal = legal_replies(marked)
             if not legal:
                 result = "cutter_stuck"
                 break
             node.check_replies(marked, legal)
             reply = cutter_move(marked, legal)[0] if cutter == "auto" else rng.choice(legal)
-            child = node.child(marked, reply)
-            if strat:
-                child.phase = strat.advance(node.phase, node.state, reply)
-            node = child
+            node = node.advanced(strat, marked, reply) if strat else node.child(marked, reply)
             if isinstance(node.phase, SwitchToCops):
                 result, switch = "switch_to_cops", {"value": node.phase.value, "genus": node.phase.genus}
                 break

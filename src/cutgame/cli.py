@@ -15,7 +15,8 @@ error (a ``RuntimeError`` or a ``StrategyError`` out of an engine, such
 as the exact solver meeting a legal reply that does not raise the value
 by one, or a ``play`` whose state fails ``validate``, whose legal reply
 does not raise the value by one, or whose marker marks a vertex the
-state lacks), with one ``error: internal:`` line on stderr.
+state lacks or faults in a transition), with one ``error: internal:``
+line on stderr.
 ``exact-value`` searches past the marker bound and fails when the value
 lies outside ``[cutter_value_threshold(g0), marker_value_bound(g0)]``.
 Every run echoes its resolved configuration, seeds included; JSON is the
@@ -122,7 +123,7 @@ VERDICT_EXIT = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIV
 def _load_graph(args):
     from .graphs import parse_graph6
 
-    if args.g6:
+    if args.g6 is not None:
         return parse_graph6(args.g6)
     with open(args.graph, "r", encoding="utf-8") as fh:
         for line in fh:

@@ -97,16 +97,15 @@ def state_potential(state: GameState) -> int:
     return _profile(state)[3]
 
 
-def _cycle_matches_xtzt(cycle: tuple[int, ...], x: int, z: int) -> bool:
-    """Whether the cycle reads (x, t, z, t) for some label t, up to
-    rotation."""
-    if len(cycle) != 4:
-        return False
-    for r in range(4):
-        rot = cycle[r:] + cycle[:r]
-        if rot[0] == x and rot[2] == z and rot[1] == rot[3] and rot[1] not in (x, z):
-            return True
-    return False
+def xtzt_start(cycle: tuple[int, ...], x: int, z: int) -> Optional[int]:
+    """The position from which a four-cycle reads (x, t, z, t) for some
+    label t other than x and z, or None."""
+    if len(cycle) == 4:
+        for r in range(4):
+            t = cycle[(r + 1) % 4]
+            if cycle[r] == x and cycle[(r + 2) % 4] == z and cycle[(r + 3) % 4] == t and t not in (x, z):
+                return r
+    return None
 
 
 def is_nesting_path(segment: Segment, state: GameState, allow_pseudo: bool = False,
@@ -120,9 +119,11 @@ def is_nesting_path(segment: Segment, state: GameState, allow_pseudo: bool = Fal
 
     ``allow_pseudo`` additionally accepts a three-edge run (x, m, x) whose
     outer label is isolated on its cycle — the stand-in used when a path
-    plays the role of a uniquely appearing edge.
+    plays the role of a uniquely appearing edge.  A label is isolated on
+    a cycle when that cycle carries every edge of it.
     """
-    labels = [state.cycles[segment.cycle][p] for p in segment.positions]
+    host = state.cycles[segment.cycle]
+    labels = [host[p] for p in segment.positions]
     counts = state.label_counts()
 
     if len(labels) == 1:
@@ -131,30 +132,15 @@ def is_nesting_path(segment: Segment, state: GameState, allow_pseudo: bool = Fal
     if len(labels) != 3:
         return False
 
-    if allow_pseudo and labels[0] == labels[2] and labels[0] != labels[1]:
-        occurrences = [
-            (ci, p)
-            for ci, cyc in enumerate(state.cycles)
-            for p, lab in enumerate(cyc)
-            if lab == labels[0]
-        ]
-        if all(ci == segment.cycle for ci, _ in occurrences):
-            return True
-
     x, y, z = labels
-    if len({x, y, z}) != 3:
+    if allow_pseudo and x == z != y and counts[x] == host.count(x):
+        return True
+    # none isolated: implied by the anchor and the y-cycle, both off the
+    # host, but cheaper to test first
+    if len({x, y, z}) != 3 or any(counts[lab] == host.count(lab) for lab in labels):
         return False
-    # non-isolated: each label must occur on a second, different cycle
-    for lab in (x, y, z):
-        others = {ci for ci, cyc in enumerate(state.cycles) for l in cyc if l == lab}
-        if others == {segment.cycle}:
-            return False
 
-    has_anchor = any(
-        ci != segment.cycle and _cycle_matches_xtzt(cyc, x, z)
-        for ci, cyc in enumerate(state.cycles)
-    )
-    if not has_anchor:
+    if all(ci == segment.cycle or xtzt_start(cyc, x, z) is None for ci, cyc in enumerate(state.cycles)):
         return False
 
     visited = _visited or frozenset()
@@ -165,10 +151,6 @@ def is_nesting_path(segment: Segment, state: GameState, allow_pseudo: bool = Fal
             if lab != y or (ci, p) in visited:
                 continue
             rest = tuple(q % len(cyc) for q in range(p + 1, p + len(cyc)))
-            if not rest:
-                continue
-            inner = Segment(ci, rest)
-            if is_nesting_path(inner, state, allow_pseudo, visited | {(ci, p)}):
+            if rest and is_nesting_path(Segment(ci, rest), state, allow_pseudo, visited | {(ci, p)}):
                 return True
     return False
-

@@ -42,7 +42,7 @@ from .core import (
 # unused here; the binding stays because perfbench's tracer test reads
 # strategy.legal_replies
 from .equivalence import legal_replies  # noqa: F401
-from .potential import QUARTER, Segment, _cycle_matches_xtzt, is_nesting_path, segment_potential, state_potential
+from .potential import QUARTER, Segment, is_nesting_path, segment_potential, state_potential, xtzt_start
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +290,10 @@ def _support(source: tuple, phase: BoundingPhase, state: GameState, reply: Cutte
     x, y, z = (state.cycles[ac.cycle][p] for p in chain.run)
     if which == "xz":
         host = cmap[chain.xz_cycle]
-        cyc = reply.next.cycles[host]
-        n = len(cyc)
-        for r in range(n):
-            if cyc[r] == x and cyc[(r + 2) % n] == z and cyc[(r + 1) % n] == cyc[(r + 3) % n]:
-                return host, ((r + 1) % n, (r + 2) % n, (r + 3) % n, r)
-        raise StrategyError(f"no (x,t,z,t) reading with x={x}, z={z}")
+        r = xtzt_start(reply.next.cycles[host], x, z)
+        if r is None:
+            raise StrategyError(f"no (x,t,z,t) reading with x={x}, z={z}")
+        return host, ((r + 1) % 4, (r + 2) % 4, (r + 3) % 4, r)
     host = cmap[chain.y_cycle]
     _, inner = _translate_nesting(chain.inner, chain.y_cycle, emap, cmap)
     inner_run = set(nesting_positions(inner))
@@ -507,7 +505,8 @@ class MarkerStrategy:
 def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool = False) -> None:
     """Structural audit of a bound configuration, atom by atom; raises
     StrategyError.  An ``"N"`` atom must hold a nesting binding, a
-    ``"U"`` atom or a variable an edge position."""
+    ``"U"`` atom or a variable an edge position, and each cycle's atoms
+    must read its edges in order, once round from the first atom's."""
     template = TEMPLATES[phase.config]
     if len(phase.actives) != len(template.cycles):
         raise StrategyError("active count does not match the template")
@@ -538,8 +537,8 @@ def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool =
                 bound = var_labels.setdefault(atom, lab)
                 if bound != lab:
                     raise StrategyError(f"variable {atom} bound to {bound} but edge reads {lab}")
-        if sorted(covered) != list(range(len(cyc))):
-            raise StrategyError(f"atoms do not partition cycle {ac.cycle}")
+        if covered != [(covered[0] + k) % len(cyc) for k in range(len(cyc))]:
+            raise StrategyError(f"atoms do not read cycle {ac.cycle} in order")
 
 
 def _verify_nesting(state: GameState, host: int, binding: Nesting, allow_pseudo: bool) -> None:
@@ -560,13 +559,13 @@ def _verify_nesting(state: GameState, host: int, binding: Nesting, allow_pseudo:
         x, m, x2 = labels
         if x != x2 or x == m:
             raise StrategyError("pseudo edge must read (x, m, x)")
-        if any(l == x for ci, c in enumerate(state.cycles) if ci != host for l in c):
+        if counts[x] != cyc.count(x):
             raise StrategyError("pseudo outer label is not isolated")
         return
     x, y, z = labels
     if counts[x] != 2 or counts[y] != 2 or counts[z] != 2:
         raise StrategyError("nesting labels must occur twice")
-    if not _cycle_matches_xtzt(state.cycles[binding.xz_cycle], x, z):
+    if xtzt_start(state.cycles[binding.xz_cycle], x, z) is None:
         raise StrategyError("xz support cycle does not read (x,t,z,t)")
     inner_run = set(nesting_positions(binding.inner))
     y_cyc = state.cycles[binding.y_cycle]

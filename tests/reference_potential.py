@@ -4,6 +4,10 @@
 computes each state's profile once.  The tests keep the per-edge
 ``Fraction`` computation it replaced here, recomputed on every call, so
 that nothing it returns comes from the code under test.
+
+It also keeps the nesting-path predicate that ``is_nesting_path``
+replaced, :func:`reference_is_nesting_path`, which decides isolation by
+scanning every cycle for each label.
 """
 
 from __future__ import annotations
@@ -66,3 +70,70 @@ def reference_positive_component_sum(state: GameState) -> Fraction:
 def reference_state_potential(state: GameState) -> Fraction:
     base = Fraction(4 * (state.initial_genus - state.genus) - 3 * value(state))
     return base + reference_positive_component_sum(state)
+
+
+def _cycle_matches_xtzt(cycle: tuple[int, ...], x: int, z: int) -> bool:
+    """Whether the cycle reads (x, t, z, t) for some label t, up to
+    rotation."""
+    if len(cycle) != 4:
+        return False
+    for r in range(4):
+        rot = cycle[r:] + cycle[:r]
+        if rot[0] == x and rot[2] == z and rot[1] == rot[3] and rot[1] not in (x, z):
+            return True
+    return False
+
+
+def reference_is_nesting_path(segment: Segment, state: GameState, allow_pseudo: bool = False,
+                              _visited: Optional[frozenset] = None) -> bool:
+    """Whether the segment is a nesting path, by the definition of
+    ``cutgame.potential.is_nesting_path``."""
+    labels = [state.cycles[segment.cycle][p] for p in segment.positions]
+    counts = state.label_counts()
+
+    if len(labels) == 1:
+        return counts[labels[0]] == 1
+
+    if len(labels) != 3:
+        return False
+
+    if allow_pseudo and labels[0] == labels[2] and labels[0] != labels[1]:
+        occurrences = [
+            (ci, p)
+            for ci, cyc in enumerate(state.cycles)
+            for p, lab in enumerate(cyc)
+            if lab == labels[0]
+        ]
+        if all(ci == segment.cycle for ci, _ in occurrences):
+            return True
+
+    x, y, z = labels
+    if len({x, y, z}) != 3:
+        return False
+    # non-isolated: each label must occur on a second, different cycle
+    for lab in (x, y, z):
+        others = {ci for ci, cyc in enumerate(state.cycles) for l in cyc if l == lab}
+        if others == {segment.cycle}:
+            return False
+
+    has_anchor = any(
+        ci != segment.cycle and _cycle_matches_xtzt(cyc, x, z)
+        for ci, cyc in enumerate(state.cycles)
+    )
+    if not has_anchor:
+        return False
+
+    visited = _visited or frozenset()
+    for ci, cyc in enumerate(state.cycles):
+        if ci == segment.cycle:
+            continue
+        for p, lab in enumerate(cyc):
+            if lab != y or (ci, p) in visited:
+                continue
+            rest = tuple(q % len(cyc) for q in range(p + 1, p + len(cyc)))
+            if not rest:
+                continue
+            inner = Segment(ci, rest)
+            if reference_is_nesting_path(inner, state, allow_pseudo, visited | {(ci, p)}):
+                return True
+    return False

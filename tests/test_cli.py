@@ -108,6 +108,20 @@ def test_strategy_error_exits_70(monkeypatch, capsys):
     assert "cannot absorb" in _internal_error(["play", "--g0", "2"], capsys)
 
 
+def test_transition_key_error_exits_70(monkeypatch, capsys):
+    """A ``KeyError`` out of the marker strategy's transition is the
+    strategy's failure in ``verify-marker`` and in ``play`` alike."""
+    def lost(self, phase, state, reply):
+        raise KeyError((0, 5))
+
+    monkeypatch.setattr(MarkerStrategy, "advance", lost)
+    # the verifier fails on the first legal reply, the play on the cutter's
+    assert dispatch(["verify-marker", "--g0", "2"]) == EXIT_FAIL
+    assert "failure: transition from preparatory(0) on kind A: (0, 5)" in capsys.readouterr().out
+    assert (_internal_error(["play", "--g0", "2"], capsys)
+            == "error: internal: transition from preparatory(0) on kind B: (0, 5)")
+
+
 def test_genus_command(capsys):
     code = dispatch(["genus", "--g6", "D~{"])
     assert code == EXIT_PASS

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import cutgame
-from cutgame import arena
+from cutgame import arena, strategy
 from cutgame.core import GameState, empty_state, split_cycle
 from cutgame.equivalence import canonical_key
 from cutgame.potential import (
@@ -19,12 +19,14 @@ from cutgame.potential import (
     potential_text,
     segment_potential,
     state_potential,
+    xtzt_start,
 )
 
 from fuzz import mark_relation, nesting_state, random_state
 from reference_potential import (
     edge_potential,
     reference_component_potential,
+    reference_is_nesting_path,
     reference_positive_component_sum,
     reference_segment_potential,
     reference_state_potential,
@@ -133,6 +135,50 @@ def test_nesting_recursion_terminates_on_cyclic_support():
     # two y-cycles referring to each other cannot loop the checker
     state = GameState(((1, 2, 3, 9), (1, 4, 3, 4), (2, 5), (5, 2)), 0, 0, 10)
     is_nesting_path(Segment(0, (0, 1, 2)), state)  # must return, value irrelevant
+
+
+def test_xtzt_start_examples():
+    assert xtzt_start((7, 1, 3, 1), 7, 3) == 0
+    assert xtzt_start((1, 3, 1, 7), 7, 3) == 3
+    assert xtzt_start((7, 1, 3, 1), 3, 7) == 2
+    assert xtzt_start((7, 1, 3, 2), 7, 3) is None  # the two t edges differ
+    assert xtzt_start((7, 3, 3, 3), 7, 3) is None  # t must differ from x and z
+    assert xtzt_start((7, 1, 3, 1, 7, 1), 7, 3) is None  # not a four-cycle
+
+
+def test_nesting_path_matches_reference(monkeypatch):
+    """Every call the classifier makes while marker g0=0..9 and refined
+    g0=1..9 pass, and every run of one to four edges on every cycle of
+    those states, with pseudo edges allowed and not: the label-count
+    predicate answers as the replaced per-label cycle scans do."""
+    calls = []
+    real = strategy.is_nesting_path
+
+    def recording(segment, state, allow_pseudo=False):
+        calls.append((segment, state, allow_pseudo))
+        return real(segment, state, allow_pseudo=allow_pseudo)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(strategy, "is_nesting_path", recording)
+        for g0 in range(10):
+            assert arena.verify_marker_bound(g0).verdict == "pass"
+        for g0 in range(1, 10):
+            assert arena.verify_refined(g0).verdict == "pass"
+    assert len(calls) > 5000
+    for state in {id(state): state for _, state, _ in calls}.values():
+        for ci, cyc in enumerate(state.cycles):
+            n = len(cyc)
+            for k in range(1, min(4, n) + 1):
+                for p in range(n):
+                    run = Segment(ci, tuple((p + j) % n for j in range(k)))
+                    calls += [(run, state, False), (run, state, True)]
+    answers = set()
+    for segment, state, allow_pseudo in calls:
+        got = is_nesting_path(segment, state, allow_pseudo)
+        assert got == reference_is_nesting_path(segment, state, allow_pseudo), (
+            state.cycles, segment.cycle, segment.positions, allow_pseudo)
+        answers.add(got)
+    assert answers == {True, False}
 
 
 def test_mark_relation_examples():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -309,6 +310,29 @@ def test_verify_bindings_rejects_mistyped_bindings(monkeypatch):
             with pytest.raises(StrategyError, match="bound to"):
                 verify_bindings(state, wrong)
     assert min(kinds.values()) > 0 and kinds["N"] + kinds["U"] == 1223
+
+
+def test_verify_bindings_reads_atoms_in_order(monkeypatch):
+    """On every bounding node of marker g0=0..9, swapping the positions
+    bound to two edge atoms of one active cycle fails the audit: the
+    positions still cover the cycle, but no longer read it in template
+    order.  On a two-cycle such a swap is a rotation and is not tried."""
+    runs = [lambda g0=g0: verify_marker_bound(g0) for g0 in range(10)]
+    calls = _recorded_calls(monkeypatch, "verify_bindings", runs)
+    swaps = 0
+    for state, phase, allow_pseudo in calls:
+        for a, ac in enumerate(phase.actives):
+            if len(state.cycles[ac.cycle]) == 2:
+                continue
+            edges = [i for i, p in enumerate(ac.pos) if isinstance(p, int)]
+            for i, j in itertools.combinations(edges, 2):
+                pos = list(ac.pos)
+                pos[i], pos[j] = pos[j], pos[i]
+                actives = phase.actives[:a] + (ActiveCycle(ac.cycle, tuple(pos)),) + phase.actives[a + 1:]
+                swaps += 1
+                with pytest.raises(StrategyError):
+                    verify_bindings(state, BoundingPhase(phase.config, actives), allow_pseudo)
+    assert swaps > 5000
 
 
 def test_every_arrow_has_one_source_per_target_cycle():
