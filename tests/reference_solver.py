@@ -6,16 +6,21 @@ replies only where it recurses, and its legality reads the marked state
 alone.  The tests keep the solver it replaced here: at every state it
 builds the replies to every mark and keeps those the paper's rule allows
 over the whole play (``restricted_replies``), so restricted legality
-alone decides each ending.
+alone decides each ending.  ``reference_ending_marks`` is the
+``split_cycle`` form of ``arena.ending_marks``, which decides each mark
+from label positions without building arcs.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Union
 
 from cutgame import equivalence
 from cutgame.arena import INCONCLUSIVE, SearchBudget, _start, marker_value_bound
-from cutgame.core import CutterReply, GameState, MarkedState, cutter_replies, enumerate_marker_moves, value
+from cutgame.core import (
+    CutterReply, GameState, MarkedState, cutter_replies, enumerate_marker_moves, split_cycle, value,
+)
 from cutgame.equivalence import canonical_key
 
 
@@ -32,6 +37,23 @@ def restricted_replies(play: tuple[GameState, ...], marked: MarkedState) -> list
     top = max(map(value, play))
     return [r for r in cutter_replies(marked)
             if value(r.next) > top or not any(equivalence.precedes(r.next, s) for s in reversed(play))]
+
+
+def reference_ending_marks(state: GameState) -> list[MarkedState]:
+    """The marks of ``arena.ending_marks``, read off ``split_cycle``'s
+    arcs: two points of one cycle at genus 0 whose arcs each miss some
+    label that no other cycle carries."""
+    if state.genus:
+        return []
+    counts = state.label_counts()
+    out = []
+    for ci, cyc in enumerate(state.cycles):
+        private = {lab for lab in cyc if counts[lab] == cyc.count(lab)}
+        for i, j in itertools.combinations(range(len(cyc)), 2):
+            p, q = split_cycle(cyc, i, j)
+            if not private <= {cyc[k] for k in p} and not private <= {cyc[k] for k in q}:
+                out.append(MarkedState(state, (ci, i), (ci, j)))
+    return out
 
 
 def reference_exact_value(g0: int, budget: Optional[SearchBudget] = None,

@@ -6,7 +6,7 @@ import pytest
 from cutgame import arena, cli, equivalence
 from cutgame.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_SOFTWARE, EXIT_USAGE, dispatch
 from cutgame.core import cutter_replies
-from cutgame.strategy import ActiveCycle, MarkerStrategy, StrategyError
+from cutgame.strategy import ActiveCycle, BoundingPhase, MarkerStrategy, StrategyError
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "corpus")
 
@@ -337,3 +337,25 @@ def test_cop_number_above_k_max_exits_2(capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("inconclusive: ")
+
+
+def test_binding_off_the_cycle_is_a_failure(monkeypatch, tmp_path, capsys):
+    """A marker strategy that binds a position past its cycle's end
+    fails ``verify-marker`` with a witness; it is not a traceback."""
+    real = MarkerStrategy._advance_prep
+
+    def shifted(self, phase, reply):
+        nxt = real(self, phase, reply)
+        if isinstance(nxt, BoundingPhase):
+            (ac,) = nxt.actives
+            u, nesting = ac.pos
+            nxt = BoundingPhase(nxt.config, (ActiveCycle(ac.cycle, (u + 7, nesting)),))
+        return nxt
+
+    monkeypatch.setattr(MarkerStrategy, "_advance_prep", shifted)
+    out = os.path.join(tmp_path, "report.json")
+    assert dispatch(["--out", out, "verify-marker", "--g0", "2"]) == EXIT_FAIL
+    report = json.load(open(out))
+    assert report["verdict"] == "fail"
+    assert report["failure"] == "binding audit failed in configuration 1: bound position 7 is off a cycle of 2 edges"
+    assert [rec["ply"] for rec in report["witness"]] == [0, 1, 2]

@@ -406,3 +406,49 @@ def test_transition_table_matches_reference_handlers(monkeypatch):
     assert refused > 0
     # every arrow is taken
     assert absorbed == {(cfg, kind) for cfg, t in TEMPLATES.items() for kind in t.arrows}
+
+
+def _off_the_end(binding, state: GameState, host: int):
+    """(what moved, copy) for each copy of a nesting binding on cycle
+    ``host`` with one position moved a lap past its cycle's end, or one
+    support cycle past the state's last cycle."""
+    n, m = len(state.cycles[host]), len(state.cycles)
+    if isinstance(binding, NestUnique):
+        yield "unique", NestUnique(binding.pos + n)
+        return
+    for i in range(len(binding.run)):
+        run = binding.run[:i] + (binding.run[i] + n,) + binding.run[i + 1:]
+        if isinstance(binding, NestPseudo):
+            yield "pseudo", NestPseudo(run)
+        else:
+            yield "chain", NestChain(run, binding.xz_cycle, binding.y_cycle, binding.inner)
+    if isinstance(binding, NestChain):
+        yield "xz", NestChain(binding.run, binding.xz_cycle + m, binding.y_cycle, binding.inner)
+        yield "y", NestChain(binding.run, binding.xz_cycle, binding.y_cycle + m, binding.inner)
+        for _, inner in _off_the_end(binding.inner, state, binding.y_cycle):
+            yield "inner", NestChain(binding.run, binding.xz_cycle, binding.y_cycle, inner)
+
+
+def test_verify_bindings_rejects_positions_off_the_state(monkeypatch):
+    """On every bounding node of marker g0=0..9 and refined g0=1..9,
+    moving one bound position a lap past its cycle's end, or one active
+    or support cycle past the last, fails the audit with a
+    ``StrategyError``: the position names the right edge modulo the
+    cycle, but indexing with it would raise ``IndexError``."""
+    runs = [lambda g0=g0: verify_marker_bound(g0) for g0 in range(10)]
+    runs += [lambda g0=g0: verify_refined(g0) for g0 in range(1, 10)]
+    calls = _recorded_calls(monkeypatch, "verify_bindings", runs)
+    moved = dict.fromkeys(("active", "edge", "unique", "pseudo", "chain", "xz", "y", "inner"), 0)
+    for state, phase, allow_pseudo in calls:
+        for a, ac in enumerate(phase.actives):
+            n = len(state.cycles[ac.cycle])
+            variants = [("active", ActiveCycle(ac.cycle + len(state.cycles), ac.pos))]
+            for i, p in enumerate(ac.pos):
+                for what, q in [("edge", p + n)] if isinstance(p, int) else _off_the_end(p, state, ac.cycle):
+                    variants.append((what, ActiveCycle(ac.cycle, ac.pos[:i] + (q,) + ac.pos[i + 1:])))
+            for what, moved_ac in variants:
+                actives = phase.actives[:a] + (moved_ac,) + phase.actives[a + 1:]
+                with pytest.raises(StrategyError):
+                    verify_bindings(state, BoundingPhase(phase.config, actives), allow_pseudo)
+                moved[what] += 1
+    assert min(moved.values()) > 0, moved
