@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .core import GameState
+from .core import Edge, GameState
 
 QUARTER = 4  # the potential's unit: every potential is a whole number of quarters
 
@@ -108,49 +108,67 @@ def xtzt_start(cycle: tuple[int, ...], x: int, z: int) -> Optional[int]:
     return None
 
 
-def is_nesting_path(segment: Segment, state: GameState, allow_pseudo: bool = False,
-                    _visited: Optional[frozenset] = None) -> bool:
+def nesting_supports(state: GameState, host: int, run: tuple[int, ...]
+                     ) -> Optional[tuple[int, Edge, tuple[int, ...]]]:
+    """Where the supports of the run (x, y, z) on cycle ``host`` must lie:
+    the cycle of x's other edge, y's other edge, and the run of the rest
+    of y's cycle, in path order from the edge after y.  None unless the
+    run has three distinct labels, none isolated on ``host``.
+
+    Every label lies on at most two edges, so a run's labels determine
+    its supports: the (x, t, z, t) cycle can only be the one through x's
+    other edge, and the y-cycle only the one through y's.
+    """
+    cyc = state.cycles[host]
+    if len(run) != 3:
+        return None
+    labels = tuple(cyc[p] for p in run)
+    x, y, _ = labels
+    counts = state.label_counts()
+    if len(set(labels)) != 3 or any(counts[lab] == cyc.count(lab) for lab in labels):
+        return None
+    for ci, other in enumerate(state.cycles):
+        if ci != host:
+            for p, lab in enumerate(other):
+                if lab == x:
+                    xz_cycle = ci
+                elif lab == y:
+                    y_edge = (ci, p)
+    n = len(state.cycles[y_edge[0]])
+    return xz_cycle, y_edge, tuple((y_edge[1] + k) % n for k in range(1, n))
+
+
+def is_nesting_path(segment: Segment, state: GameState, allow_pseudo: bool = False) -> bool:
     """Whether the segment is a nesting path.
 
     Base case: a single edge whose label is uniquely appearing.  Recursive
     case: labels (x, y, z), none isolated, where x and z also sit on a
     cycle reading (x, t, z, t) and y's other edge lies on a cycle made of
-    that edge plus a nesting path.
+    that edge plus a nesting path.  :func:`nesting_supports` locates both
+    cycles; supports that lead back to a run already read make no
+    nesting path.
 
     ``allow_pseudo`` additionally accepts a three-edge run (x, m, x) whose
     outer label is isolated on its cycle — the stand-in used when a path
     plays the role of a uniquely appearing edge.  A label is isolated on
     a cycle when that cycle carries every edge of it.
     """
-    host = state.cycles[segment.cycle]
-    labels = [host[p] for p in segment.positions]
     counts = state.label_counts()
-
-    if len(labels) == 1:
-        return counts[labels[0]] == 1
-
-    if len(labels) != 3:
-        return False
-
-    x, y, z = labels
-    if allow_pseudo and x == z != y and counts[x] == host.count(x):
-        return True
-    # none isolated: implied by the anchor and the y-cycle, both off the
-    # host, but cheaper to test first
-    if len({x, y, z}) != 3 or any(counts[lab] == host.count(lab) for lab in labels):
-        return False
-
-    if all(ci == segment.cycle or xtzt_start(cyc, x, z) is None for ci, cyc in enumerate(state.cycles)):
-        return False
-
-    visited = _visited or frozenset()
-    for ci, cyc in enumerate(state.cycles):
-        if ci == segment.cycle:
-            continue
-        for p, lab in enumerate(cyc):
-            if lab != y or (ci, p) in visited:
-                continue
-            rest = tuple(q % len(cyc) for q in range(p + 1, p + len(cyc)))
-            if rest and is_nesting_path(Segment(ci, rest), state, allow_pseudo, visited | {(ci, p)}):
-                return True
+    host, run = segment.cycle, tuple(segment.positions)
+    seen = set()
+    while (host, run) not in seen:
+        seen.add((host, run))
+        cyc = state.cycles[host]
+        labels = [cyc[p] for p in run]
+        if len(labels) == 1:
+            return counts[labels[0]] == 1
+        if len(labels) != 3:
+            return False
+        x, y, z = labels
+        if allow_pseudo and x == z != y and counts[x] == cyc.count(x):
+            return True
+        supports = nesting_supports(state, host, run)
+        if supports is None or xtzt_start(state.cycles[supports[0]], x, z) is None:
+            return False
+        _, (host, _), run = supports
     return False

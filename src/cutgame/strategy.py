@@ -14,7 +14,10 @@ appearing edge (``"U"``), a nesting path (``"N"``), and shared labels
 (small integers, each occurring twice among the active cycles).  The
 automaton is one table, ``TEMPLATES``: each configuration's arrows name
 the next configuration and where each of its active cycles comes from,
-and ``MarkerStrategy._advance_bounding`` applies them.  The
+and ``MarkerStrategy._advance_bounding`` applies them.  A nesting path
+is bound as its run of one or three edge positions; the passive cycles
+that support a three-edge run are read off its labels, by
+``potential.nesting_supports``, when a reply discards the run.  The
 refinement for seeded games additionally lets a three-edge path whose
 outer label is isolated stand in for a uniquely appearing edge (a
 *pseudo edge*), re-anchoring it when the genus counter hits the two
@@ -42,69 +45,7 @@ from .core import (
 # unused here; the binding stays because perfbench's tracer test reads
 # strategy.legal_replies
 from .equivalence import legal_replies  # noqa: F401
-from .potential import QUARTER, Segment, is_nesting_path, segment_potential, state_potential, xtzt_start
-
-
-# ---------------------------------------------------------------------------
-# nesting-path bindings
-#
-# The binding and phase types are ``__slots__`` classes, cheaper to import
-# than dataclasses; ``_Fields`` lets the marker search merge equal phases.
-
-
-class _Fields:
-    """Equal, and hashing alike, exactly when the type and every slot are:
-    a slot added to a subclass takes part by construction."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return (type(self), *(getattr(self, name) for name in self.__slots__))
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-
-class NestUnique(_Fields):
-    """A nesting path that is a single uniquely appearing edge."""
-
-    __slots__ = ("pos",)
-
-    def __init__(self, pos: int):
-        self.pos = pos
-
-
-class NestPseudo(_Fields):
-    """A pseudo edge: run (x, m, x) with x isolated on the host cycle."""
-
-    __slots__ = ("run",)
-
-    def __init__(self, run: tuple[int, int, int]):
-        self.run = run
-
-
-class NestChain(_Fields):
-    """A three-edge nesting path with its supporting passive cycles.
-
-    ``run`` holds the host positions of the (x, y, z) edges in path
-    order.  ``xz_cycle`` reads (x, t, z, t); ``y_cycle`` consists of the
-    other y-edge plus ``inner``, a nesting path on that cycle.
-    """
-
-    __slots__ = ("run", "xz_cycle", "y_cycle", "inner")
-
-    def __init__(self, run: tuple[int, int, int], xz_cycle: int, y_cycle: int, inner: "Nesting"):
-        self.run, self.xz_cycle, self.y_cycle, self.inner = run, xz_cycle, y_cycle, inner
-
-
-Nesting = Union[NestUnique, NestPseudo, NestChain]
-
-
-def nesting_positions(binding: Nesting) -> tuple[int, ...]:
-    return (binding.pos,) if isinstance(binding, NestUnique) else binding.run
+from .potential import QUARTER, Segment, is_nesting_path, nesting_supports, segment_potential, state_potential, xtzt_start
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +65,13 @@ class Template:
     * a tuple with one entry per target atom, each entry one of
       ``(a, i)``, atom ``i`` of active cycle ``a`` mapped through the
       reply; ``"f"`` or ``"g"``, the reply's first or second new edge;
-      or ``("chain", run, a, (b, i))``, a three-edge nesting path whose
-      run entries are placed like atoms, whose (x, t, z, t) support is
-      active cycle ``a`` and whose inner path is atom ``i`` of active
-      cycle ``b``;
+      or ``("run", e1, e2, e3)``, a three-edge nesting path whose
+      entries are placed like atoms;
     * ``("xz", a, i)`` or ``("y", a, i)``: a supporting cycle of the
       nesting path at atom ``i`` of active cycle ``a``, which the reply
       discarded; the (x, t, z, t) cycle reads (t, U, t, U) and the
-      y-cycle (U, N).
+      y-cycle (U, N).  Both are located by ``nesting_supports`` on the
+      pre-reply state.
 
     The new cycle of a placed source is where its atoms land.  A kind
     with no arrow is refused: configurations 1 and 8 have no C arrow
@@ -160,7 +100,7 @@ TEMPLATES: dict[int, Template] = {
         "A": (4, (((0, 1), (0, 2), (0, 3), "f"), ((0, 0), "g", (0, 4), (0, 5)))),
     }),
     4: Template(((0, 1, 0, 2), ("N", 2, "U", 1)), ((1, 0), (1, 1)), {
-        "A": (1, (((1, 2), ("chain", ((1, 3), "g", (1, 1)), 0, (1, 0))),)),
+        "A": (1, (((1, 2), ("run", (1, 3), "g", (1, 1))),)),
         "C": (5, (0, ("f", (1, 1), (1, 2), (1, 3)), ("xz", 1, 0), ("y", 1, 0))),
     }),
     5: Template(((0, 1, 0, 2), ("U", 2, "U", 1), (3, "U", 3, "U"), ("U", "N")), ((2, 1), (2, 2)), {
@@ -191,13 +131,36 @@ ACTIVE_SUM_CAP = 5 * QUARTER
 CAP_CONFIGS = {5, 9}
 
 
+# ---------------------------------------------------------------------------
+# phases
+#
+# The phase types are ``__slots__`` classes, cheaper to import than
+# dataclasses; ``_Fields`` lets the marker search merge equal phases.
+
+
+class _Fields:
+    """Equal, and hashing alike, exactly when the type and every slot are:
+    a slot added to a subclass takes part by construction."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return (type(self), *(getattr(self, name) for name in self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
 class ActiveCycle(_Fields):
     """One active component bound to a template cycle.
 
     ``pos`` parallels the atoms of the bound phase's template cycle,
     ``TEMPLATES[config].cycles[a]`` for active cycle ``a``: an edge
-    position for "U" and variable atoms, a :class:`Nesting` binding for
-    "N" atoms.
+    position for "U" and variable atoms, and for "N" atoms a run, the
+    tuple of one or three positions of the nesting path in path order.
     """
 
     __slots__ = ("cycle", "pos")
@@ -207,9 +170,7 @@ class ActiveCycle(_Fields):
 
     def mark_vertex(self, atom_idx: int) -> Vertex:
         p = self.pos[atom_idx]
-        if isinstance(p, int):
-            return (self.cycle, p)
-        return (self.cycle, nesting_positions(p)[0])
+        return (self.cycle, p if isinstance(p, int) else p[0])
 
 
 class BoundingPhase(_Fields):
@@ -259,49 +220,35 @@ Phase = Union[PreparatoryPhase, SeedPhase, BoundingPhase]
 # binding translation through a reply
 
 
-def _translate_nesting(binding: Nesting, host: int, emap: dict[Edge, Edge],
-                       cmap: dict[int, int]) -> tuple[int, Nesting]:
-    """Map a nesting binding through a reply.  Returns (new host, binding)."""
-    if isinstance(binding, NestUnique):
-        nci, npos = emap[(host, binding.pos)]
-        return nci, NestUnique(npos)
-    mapped = [emap[(host, p)] for p in binding.run]
-    if len({ci for ci, _ in mapped}) != 1:
-        what = "pseudo edge" if isinstance(binding, NestPseudo) else "nesting path"
+def _gather(placed: list[Edge], what: str) -> tuple[int, tuple[int, ...]]:
+    """(new cycle, positions) of edges placed by a reply, which must all
+    land on one cycle."""
+    if len({ci for ci, _ in placed}) != 1:
         raise StrategyError(f"{what} split across cycles")
-    run = tuple(p for _, p in mapped)
-    if isinstance(binding, NestPseudo):
-        return mapped[0][0], NestPseudo(run)
-    y_host, inner = _translate_nesting(binding.inner, binding.y_cycle, emap, cmap)
-    return mapped[0][0], NestChain(run, cmap[binding.xz_cycle], y_host, inner)
+    return placed[0][0], tuple(p for _, p in placed)
 
 
 def _support(source: tuple, phase: BoundingPhase, state: GameState, reply: CutterReply,
-             emap: dict[Edge, Edge], cmap: dict[int, int]) -> tuple[int, tuple]:
+             emap: dict[Edge, Edge]) -> tuple[int, tuple]:
     """(new cycle, positions) of a supporting cycle that becomes active
     when the reply discards the nesting path (x, y, z) at ``source``:
     the (x, t, z, t) cycle read as (t, U, t, U) from its first t, or the
     y-cycle as (U, N)."""
     which, a, i = source
     ac = phase.actives[a]
-    chain = ac.pos[i]
-    if not isinstance(chain, NestChain):
+    supports = nesting_supports(state, ac.cycle, ac.pos[i])
+    if supports is None:
         raise StrategyError("discarded nesting path has no supporting cycles")
-    x, y, z = (state.cycles[ac.cycle][p] for p in chain.run)
+    xz_cycle, y_edge, inner = supports
     if which == "xz":
-        host = cmap[chain.xz_cycle]
+        x, _, z = (state.cycles[ac.cycle][p] for p in ac.pos[i])
+        host = emap[(xz_cycle, 0)][0]  # a passive support is carried whole
         r = xtzt_start(reply.next.cycles[host], x, z)
         if r is None:
             raise StrategyError(f"no (x,t,z,t) reading with x={x}, z={z}")
         return host, ((r + 1) % 4, (r + 2) % 4, (r + 3) % 4, r)
-    host = cmap[chain.y_cycle]
-    _, inner = _translate_nesting(chain.inner, chain.y_cycle, emap, cmap)
-    inner_run = set(nesting_positions(inner))
-    y_cyc = reply.next.cycles[host]
-    y_edge = [p for p in range(len(y_cyc)) if p not in inner_run]
-    if len(y_edge) != 1 or y_cyc[y_edge[0]] != y:
-        raise StrategyError("y-cycle is not one y-edge plus the nesting path")
-    return host, (y_edge[0], inner)
+    host, run = _gather([emap[y_edge]] + [emap[(y_edge[0], p)] for p in inner], "y-cycle")
+    return host, (run[0], run[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +343,7 @@ class MarkerStrategy:
         kept = reply.derived[0]
         f_pos = reply.new_edges[0][1]
         u_pos = 1 - f_pos
-        active = ActiveCycle(kept, (u_pos, NestUnique(f_pos)))
+        active = ActiveCycle(kept, (u_pos, (f_pos,)))
         return BoundingPhase(1, (active,))
 
     def _advance_seed(self, reply: CutterReply) -> Phase:
@@ -412,21 +359,23 @@ class MarkerStrategy:
             raise StrategyError("seed split left more than one unique label on the long side")
         u = u_pos[0]
         run = tuple((u + 1 + i) % 4 for i in range(3))
-        active = ActiveCycle(c2, (u, NestPseudo(run)))
+        active = ActiveCycle(c2, (u, run))
         return BoundingPhase(1, (active,))
 
     def _rebind_pseudo(self, phase: BoundingPhase, state: GameState) -> BoundingPhase:
-        host = phase.actives[1].cycle
-        node = phase.actives[1].pos[1]
-        while isinstance(node, NestChain):
-            host = node.y_cycle
-            node = node.inner
-        if not isinstance(node, NestPseudo):
-            raise StrategyError("refined play lost track of the pseudo edge")
+        # the pseudo edge is the innermost path of the nesting chain
+        host, run = phase.actives[1].cycle, phase.actives[1].pos[1]
+        seen = set()
+        while (supports := nesting_supports(state, host, run)) is not None:
+            if (host, run) in seen:
+                raise StrategyError("nesting supports lead back to a run already read")
+            seen.add((host, run))
+            _, (host, _), run = supports
         cyc = state.cycles[host]
+        if len(run) != 3 or not cyc[run[0]] == cyc[run[2]] != cyc[run[1]]:
+            raise StrategyError("refined play lost track of the pseudo edge")
         if len(cyc) != 4:
             raise StrategyError("pseudo carrier is not a four-cycle")
-        run = node.run
         mid_pos = run[1]
         q_pos = next(p for p in range(4) if p not in run)
         mid = cyc[mid_pos]
@@ -445,7 +394,7 @@ class MarkerStrategy:
         other = pcyc[1 - pp]
         if state.label_counts()[other] != 1:
             raise StrategyError("pseudo partner's second label is not unique")
-        rebound = NestPseudo((run[2], q_pos, run[0]))
+        rebound = (run[2], q_pos, run[0])
         c0 = ActiveCycle(pci, (pp, 1 - pp))
         c1 = ActiveCycle(host, (mid_pos, rebound))
         return BoundingPhase(2, (c0, c1))
@@ -458,42 +407,29 @@ class MarkerStrategy:
         if arrow is None:
             raise StrategyError(f"configuration {phase.config} cannot absorb a kind-{reply.kind} reply")
         target, sources = arrow
-        # where each surviving old edge landed, and where each old cycle's
-        # first surviving edge did
-        emap = dict(reply.edge_map)
-        cmap = {oci: nci for (oci, _), (nci, _) in reversed(reply.edge_map)}
+        emap = dict(reply.edge_map)  # where each surviving old edge landed
 
         def place(entry) -> tuple[int, object]:
-            """(new cycle, edge position or nesting binding) of one atom."""
+            """(new cycle, edge position or run) of one atom."""
             if entry == "f" or entry == "g":
                 return reply.new_edges[entry == "g"]
-            if entry[0] == "chain":
-                _, run, a, (b, i) = entry
-                placed = [place(e) for e in run]
-                if len({ci for ci, _ in placed}) != 1:
-                    raise StrategyError("nesting path split across cycles")
-                inner_ac = phase.actives[b]
-                y_cycle, inner = _translate_nesting(inner_ac.pos[i], inner_ac.cycle, emap, cmap)
-                chain = NestChain(tuple(p for _, p in placed), cmap[phase.actives[a].cycle], y_cycle, inner)
-                return placed[0][0], chain
+            if entry[0] == "run":
+                return _gather([place(e) for e in entry[1:]], "nesting path")
             a, i = entry
             ac = phase.actives[a]
             p = ac.pos[i]
             if isinstance(p, int):
                 return emap[(ac.cycle, p)]
-            return _translate_nesting(p, ac.cycle, emap, cmap)
+            return _gather([emap[(ac.cycle, q)] for q in p], "nesting path")
 
         actives = []
         for atoms, source in zip(TEMPLATES[target].cycles, sources, strict=True):
             if isinstance(source, int):
                 source = tuple((source, i) for i in range(len(atoms)))
             if source[0] == "xz" or source[0] == "y":
-                cycle, pos = _support(source, phase, state, reply, emap, cmap)
+                cycle, pos = _support(source, phase, state, reply, emap)
             else:
-                placed = [place(e) for e in source]
-                if len({ci for ci, _ in placed}) != 1:
-                    raise StrategyError("active cycle split unexpectedly")
-                cycle, pos = placed[0][0], tuple(p for _, p in placed)
+                cycle, pos = _gather([place(e) for e in source], "active cycle")
             actives.append(ActiveCycle(cycle, pos))
         return BoundingPhase(target, tuple(actives))
 
@@ -504,10 +440,11 @@ class MarkerStrategy:
 
 def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool = False) -> None:
     """Structural audit of a bound configuration, atom by atom; raises
-    StrategyError.  An ``"N"`` atom must hold a nesting binding, a
-    ``"U"`` atom or a variable an edge position, and each cycle's atoms
-    must read its edges in order, once round from the first atom's.
-    Every bound position and support cycle must exist in ``state``."""
+    StrategyError.  An ``"N"`` atom must hold a run of one or three
+    positions that forms a nesting path by ``is_nesting_path``, a ``"U"``
+    atom or a variable an edge position, and each cycle's atoms must
+    read its edges in order, once round from the first atom's.  Every
+    bound cycle and position must exist in ``state``."""
     template = TEMPLATES[phase.config]
     if len(phase.actives) != len(template.cycles):
         raise StrategyError("active count does not match the template")
@@ -520,10 +457,13 @@ def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool =
         covered: list[int] = []
         for atom, p in zip(atoms, ac.pos):
             if atom == "N":
-                if not isinstance(p, Nesting):
-                    raise StrategyError(f"nesting atom bound to {type(p).__name__}, not a nesting path")
-                covered.extend(nesting_positions(p))
-                _verify_nesting(state, ac.cycle, p, allow_pseudo)
+                if not (isinstance(p, tuple) and len(p) in (1, 3)):
+                    raise StrategyError(f"nesting atom bound to {p!r}, not a run of one or three edges")
+                for q in p:
+                    _bound_label(cyc, q)
+                if not is_nesting_path(Segment(ac.cycle, p), state, allow_pseudo):
+                    raise StrategyError(f"run {p} of cycle {ac.cycle} is not a nesting path")
+                covered.extend(p)
                 continue
             if not isinstance(p, int):
                 raise StrategyError(f"atom {atom!r} bound to {type(p).__name__}, not an edge position")
@@ -553,40 +493,6 @@ def _bound_label(cyc: tuple[int, ...], p: object) -> int:
     if not (isinstance(p, int) and 0 <= p < len(cyc)):
         raise StrategyError(f"bound position {p!r} is off a cycle of {len(cyc)} edges")
     return cyc[p]
-
-
-def _verify_nesting(state: GameState, host: int, binding: Nesting, allow_pseudo: bool) -> None:
-    counts = state.label_counts()
-    cyc = state.cycles[host]
-    if isinstance(binding, NestUnique):
-        if counts[_bound_label(cyc, binding.pos)] != 1:
-            raise StrategyError("nesting edge is not uniquely appearing")
-        return
-    run = binding.run
-    labels = tuple(_bound_label(cyc, p) for p in run)
-    for i in range(len(run) - 1):
-        if (run[i] + 1) % len(cyc) != run[i + 1]:
-            raise StrategyError("nesting run is not contiguous")
-    if isinstance(binding, NestPseudo):
-        if not allow_pseudo:
-            raise StrategyError("pseudo edge outside refined play")
-        x, m, x2 = labels
-        if x != x2 or x == m:
-            raise StrategyError("pseudo edge must read (x, m, x)")
-        if counts[x] != cyc.count(x):
-            raise StrategyError("pseudo outer label is not isolated")
-        return
-    x, y, z = labels
-    if counts[x] != 2 or counts[y] != 2 or counts[z] != 2:
-        raise StrategyError("nesting labels must occur twice")
-    if xtzt_start(_bound_cycle(state, binding.xz_cycle), x, z) is None:
-        raise StrategyError("xz support cycle does not read (x,t,z,t)")
-    inner_run = set(nesting_positions(binding.inner))
-    y_cyc = _bound_cycle(state, binding.y_cycle)
-    rest = [p for p in range(len(y_cyc)) if p not in inner_run]
-    if len(rest) != 1 or y_cyc[rest[0]] != y:
-        raise StrategyError("y support cycle is not y-edge plus nesting path")
-    _verify_nesting(state, binding.y_cycle, binding.inner, allow_pseudo)
 
 
 def classify_configuration(active_cycles: tuple[int, ...], state: GameState,

@@ -7,7 +7,8 @@ that nothing it returns comes from the code under test.
 
 It also keeps the nesting-path predicate that ``is_nesting_path``
 replaced, :func:`reference_is_nesting_path`, which decides isolation by
-scanning every cycle for each label.
+scanning every cycle for each label and looks for the supports on every
+cycle; :func:`reference_nesting_y_edge` names the y-edge it accepts.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def reference_state_potential(state: GameState) -> Fraction:
     return base + reference_positive_component_sum(state)
 
 
-def _cycle_matches_xtzt(cycle: tuple[int, ...], x: int, z: int) -> bool:
+def reads_xtzt(cycle: tuple[int, ...], x: int, z: int) -> bool:
     """Whether the cycle reads (x, t, z, t) for some label t, up to
     rotation."""
     if len(cycle) != 4:
@@ -117,12 +118,20 @@ def reference_is_nesting_path(segment: Segment, state: GameState, allow_pseudo: 
             return False
 
     has_anchor = any(
-        ci != segment.cycle and _cycle_matches_xtzt(cyc, x, z)
+        ci != segment.cycle and reads_xtzt(cyc, x, z)
         for ci, cyc in enumerate(state.cycles)
     )
     if not has_anchor:
         return False
+    return reference_nesting_y_edge(segment, state, allow_pseudo, _visited) is not None
 
+
+def reference_nesting_y_edge(segment: Segment, state: GameState, allow_pseudo: bool = False,
+                             _visited: Optional[frozenset] = None) -> Optional[Edge]:
+    """The first edge off the segment's cycle that carries the label of
+    its middle edge y and whose cycle's other edges form a nesting path,
+    or None."""
+    y = state.cycles[segment.cycle][segment.positions[1]]
     visited = _visited or frozenset()
     for ci, cyc in enumerate(state.cycles):
         if ci == segment.cycle:
@@ -135,5 +144,5 @@ def reference_is_nesting_path(segment: Segment, state: GameState, allow_pseudo: 
                 continue
             inner = Segment(ci, rest)
             if reference_is_nesting_path(inner, state, allow_pseudo, visited | {(ci, p)}):
-                return True
-    return False
+                return ci, p
+    return None

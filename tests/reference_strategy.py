@@ -10,6 +10,13 @@ state, since phases no longer store those labels.  Each handler writes
 the atoms of every cycle it builds by hand (:class:`RefCycle`), so the
 cross-check also checks the table's atom lists.
 
+The strategy binds a nesting path as its run alone and reads its
+supporting cycles off the labels.  The handlers keep the explicit
+bindings it replaced, :class:`NestUnique`, :class:`NestPseudo` and
+:class:`NestChain`, and carry each chain's supports through the reply
+themselves; :func:`lift` finds the supports of a bound phase's runs by
+scanning every cycle, as ``reference_is_nesting_path`` does.
+
 It also keeps the configuration matcher that
 ``strategy.classify_configuration``'s template walk replaced:
 :func:`reference_classify` sizes every nesting path up front and tries
@@ -19,22 +26,84 @@ every size combination from every rotation start.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Union
 
 from cutgame.core import CutterReply, Edge, GameState
 from cutgame.potential import Segment, is_nesting_path
-from cutgame.strategy import (
-    TEMPLATES,
-    ActiveCycle,
-    Atom,
-    BoundingPhase,
-    NestChain,
-    NestPseudo,
-    NestUnique,
-    Nesting,
-    StrategyError,
-    nesting_positions,
-)
+from cutgame.strategy import TEMPLATES, ActiveCycle, Atom, BoundingPhase, StrategyError
+
+from reference_potential import reads_xtzt, reference_is_nesting_path, reference_nesting_y_edge
+
+
+# ---------------------------------------------------------------------------
+# nesting-path bindings with explicit supports
+
+
+@dataclass(frozen=True)
+class NestUnique:
+    """A nesting path that is a single uniquely appearing edge."""
+
+    pos: int
+
+
+@dataclass(frozen=True)
+class NestPseudo:
+    """A pseudo edge: run (x, m, x) with x isolated on the host cycle."""
+
+    run: tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class NestChain:
+    """A three-edge nesting path with its supporting passive cycles.
+
+    ``run`` holds the host positions of the (x, y, z) edges in path
+    order.  ``xz_cycle`` reads (x, t, z, t); ``y_cycle`` consists of the
+    other y-edge plus ``inner``, a nesting path on that cycle.
+    """
+
+    run: tuple[int, int, int]
+    xz_cycle: int
+    y_cycle: int
+    inner: "Nesting"
+
+
+Nesting = Union[NestUnique, NestPseudo, NestChain]
+
+
+def run_of(binding: Nesting) -> tuple[int, ...]:
+    """The run a nesting binding covers, as the strategy binds it."""
+    return (binding.pos,) if isinstance(binding, NestUnique) else binding.run
+
+
+def _lift_nesting(state: GameState, host: int, run: tuple[int, ...]) -> Nesting:
+    """The explicit binding of the nesting path ``run`` on cycle
+    ``host``: its supports found by scanning every cycle."""
+    if len(run) == 1:
+        return NestUnique(run[0])
+    cyc = state.cycles[host]
+    x, _, z = (cyc[p] for p in run)
+    if x == z:
+        return NestPseudo(run)
+    segment = Segment(host, run)
+    if not reference_is_nesting_path(segment, state, allow_pseudo=True):
+        raise StrategyError(f"run {run} of cycle {host} is not a nesting path")
+    (xz_cycle,) = [ci for ci, c in enumerate(state.cycles) if ci != host and reads_xtzt(c, x, z)]
+    y_cycle, p = reference_nesting_y_edge(segment, state, allow_pseudo=True)
+    n = len(state.cycles[y_cycle])
+    inner = tuple((p + k) % n for k in range(1, n))
+    return NestChain(run, xz_cycle, y_cycle, _lift_nesting(state, y_cycle, inner))
+
+
+def lift(phase: BoundingPhase, state: GameState) -> BoundingPhase:
+    """``phase`` with each run bound to an "N" atom replaced by its
+    explicit binding."""
+    actives = tuple(
+        ActiveCycle(ac.cycle, tuple(_lift_nesting(state, ac.cycle, p) if atom == "N" else p
+                                    for atom, p in zip(atoms, ac.pos)))
+        for ac, atoms in zip(phase.actives, TEMPLATES[phase.config].cycles, strict=True))
+    return BoundingPhase(phase.config, actives)
 
 
 class RefCycle(NamedTuple):
@@ -66,19 +135,11 @@ def var_labels(cycles: tuple[RefCycle, ...], state: GameState) -> tuple[tuple[in
     return tuple(sorted(labels.items()))
 
 
-def _nesting_signature(binding: Nesting) -> tuple:
-    if isinstance(binding, NestUnique):
-        return ("unique", binding.pos)
-    if isinstance(binding, NestPseudo):
-        return ("pseudo", binding.run)
-    return ("chain", binding.run, binding.xz_cycle, binding.y_cycle, _nesting_signature(binding.inner))
-
-
 def phase_signature(config: int, cycles: tuple[RefCycle, ...], state: GameState) -> tuple:
     """Everything a bound configuration says about ``state``: config,
-    active cycles, atoms, positions, nesting bindings and variable labels."""
+    active cycles, atoms, positions, nesting runs and variable labels."""
     actives = tuple(
-        (rc.cycle, rc.atoms, tuple(p if isinstance(p, int) else _nesting_signature(p) for p in rc.pos))
+        (rc.cycle, rc.atoms, tuple(p if isinstance(p, (int, tuple)) else run_of(p) for p in rc.pos))
         for rc in cycles
     )
     return (config, actives, var_labels(cycles, state))
@@ -154,7 +215,7 @@ def _activated_support(chain: NestChain, state: GameState, labels: tuple[int, ..
     xz = state.cycles[chain.xz_cycle]
     p_t1, p_z, p_t2, p_x = _xtzt_positions(xz, x, z)
     xtzt = RefCycle(chain.xz_cycle, (var, "U", var, "U"), (p_t1, p_z, p_t2, p_x))
-    inner_run = set(nesting_positions(chain.inner))
+    inner_run = set(run_of(chain.inner))
     y_cyc = state.cycles[chain.y_cycle]
     y_edge = [p for p in range(len(y_cyc)) if p not in inner_run]
     if len(y_edge) != 1 or y_cyc[y_edge[0]] != y:
@@ -391,7 +452,7 @@ def reference_advance(phase: BoundingPhase, state: GameState, reply: CutterReply
     if arrow is None:
         raise StrategyError(f"configuration {phase.config} cannot absorb a kind-{reply.kind} reply")
     target, handler = arrow
-    cycles, labels = handler(phase, state, reply)
+    cycles, labels = handler(lift(phase, state), state, reply)
     return target, cycles, labels
 
 

@@ -15,6 +15,7 @@ from cutgame.potential import (
     Segment,
     component_potential,
     is_nesting_path,
+    nesting_supports,
     positive_component_sum,
     potential_text,
     segment_potential,
@@ -25,8 +26,10 @@ from cutgame.potential import (
 from fuzz import mark_relation, nesting_state, random_state
 from reference_potential import (
     edge_potential,
+    reads_xtzt,
     reference_component_potential,
     reference_is_nesting_path,
+    reference_nesting_y_edge,
     reference_positive_component_sum,
     reference_segment_potential,
     reference_state_potential,
@@ -135,6 +138,12 @@ def test_nesting_recursion_terminates_on_cyclic_support():
     # two y-cycles referring to each other cannot loop the checker
     state = GameState(((1, 2, 3, 9), (1, 4, 3, 4), (2, 5), (5, 2)), 0, 0, 10)
     is_nesting_path(Segment(0, (0, 1, 2)), state)  # must return, value irrelevant
+    # (1, 2, 3)'s y-cycle holds the run (5, 4, 6), whose y-cycle is the
+    # host again: supports that lead round make no nesting path
+    looped = GameState(((1, 2, 3, 4), (2, 5, 4, 6), (1, 7, 3, 7), (5, 8, 6, 8)), 0, 0, 9)
+    for run in ((0, 1, 2), (1, 2, 3)):
+        assert nesting_supports(looped, run[0], run) is not None
+        assert not is_nesting_path(Segment(run[0], run), looped)
 
 
 def test_xtzt_start_examples():
@@ -172,13 +181,20 @@ def test_nesting_path_matches_reference(monkeypatch):
                 for p in range(n):
                     run = Segment(ci, tuple((p + j) % n for j in range(k)))
                     calls += [(run, state, False), (run, state, True)]
-    answers = set()
+    answers, chains = set(), 0
     for segment, state, allow_pseudo in calls:
         got = is_nesting_path(segment, state, allow_pseudo)
         assert got == reference_is_nesting_path(segment, state, allow_pseudo), (
             state.cycles, segment.cycle, segment.positions, allow_pseudo)
         answers.add(got)
-    assert answers == {True, False}
+        labels = [state.cycles[segment.cycle][p] for p in segment.positions]
+        if got and len(labels) == 3 and len(set(labels)) == 3:
+            # the reader's supports are the ones the scans found
+            xz_cycle, y_edge, _ = nesting_supports(state, segment.cycle, segment.positions)
+            assert reads_xtzt(state.cycles[xz_cycle], labels[0], labels[2])
+            assert y_edge == reference_nesting_y_edge(segment, state, allow_pseudo)
+            chains += 1
+    assert answers == {True, False} and chains > 0
 
 
 def test_mark_relation_examples():

@@ -7,14 +7,11 @@ from cutgame import arena
 from cutgame.arena import verify_marker_bound, verify_refined
 from cutgame.core import GameState, MarkedState, cutter_replies, empty_state, value
 from cutgame.equivalence import legal_replies
-from cutgame.potential import QUARTER, state_potential
+from cutgame.potential import QUARTER, nesting_supports, state_potential
 from cutgame.strategy import (
     ActiveCycle,
     BoundingPhase,
     MarkerStrategy,
-    NestChain,
-    NestPseudo,
-    NestUnique,
     PreparatoryPhase,
     SeedPhase,
     StrategyError,
@@ -24,7 +21,15 @@ from cutgame.strategy import (
     cutter_move,
     verify_bindings,
 )
-from reference_strategy import bound_cycles, phase_signature, reference_advance, reference_classify, var_labels
+from reference_strategy import (
+    NestChain,
+    bound_cycles,
+    phase_signature,
+    reference_advance,
+    reference_classify,
+    run_of,
+    var_labels,
+)
 
 
 def marker_move(phase: BoundingPhase, state: GameState) -> tuple[MarkedState, dict]:
@@ -38,7 +43,7 @@ def _config3_state(genus: int) -> tuple[GameState, BoundingPhase]:
     state = GameState(((9, 1, 2, 1, 8, 2),), genus, max(genus, 1), 10)
     phase = BoundingPhase(
         3,
-        (ActiveCycle(0, (NestUnique(0), 1, 2, 3, 4, 5)),),
+        (ActiveCycle(0, ((0,), 1, 2, 3, 4, 5)),),
     )
     return state, phase
 
@@ -47,22 +52,21 @@ def _config2_state(genus: int) -> tuple[GameState, BoundingPhase]:
     state = GameState(((5, 6), (5, 7)), genus, max(genus, 1), 8)
     phase = BoundingPhase(
         2,
-        (ActiveCycle(0, (0, 1)), ActiveCycle(1, (0, NestUnique(1)))),
+        (ActiveCycle(0, (0, 1)), ActiveCycle(1, (0, (1,)))),
     )
     return state, phase
 
 
 def test_phases_are_equal_exactly_when_every_field_is():
-    def phase(inner: int) -> BoundingPhase:
-        chain = NestChain((1, 2, 3), 2, 3, NestUnique(inner))
-        return BoundingPhase(4, (ActiveCycle(0, (0, 1, 2, 3)), ActiveCycle(1, (chain, 4, 0, 5))))
+    def phase(run: tuple[int, ...]) -> BoundingPhase:
+        return BoundingPhase(4, (ActiveCycle(0, (0, 1, 2, 3)), ActiveCycle(1, (run, 4, 0, 5))))
 
-    assert phase(0) == phase(0) and hash(phase(0)) == hash(phase(0))
-    assert phase(0) != phase(1)  # differ only in the chain's inner binding
-    assert NestChain((1, 2, 3), 2, 3, NestUnique(0)) != NestChain((1, 2, 3), 2, 3, NestPseudo((0, 1, 2)))
+    assert phase((1, 2, 3)) == phase((1, 2, 3)) and hash(phase((1, 2, 3))) == hash(phase((1, 2, 3)))
+    assert phase((1, 2, 3)) != phase((2, 3, 1))  # differ only in the nesting run
+    assert phase((1,)) != phase((1, 2, 3))
     assert PreparatoryPhase(1) == PreparatoryPhase(1) != PreparatoryPhase(0)
     assert SeedPhase() == SeedPhase() != PreparatoryPhase(0)
-    assert len({phase(0), phase(0), phase(1), SeedPhase(), SeedPhase()}) == 3
+    assert len({phase((1, 2, 3)), phase((1, 2, 3)), phase((2, 3, 1)), SeedPhase(), SeedPhase()}) == 3
 
 
 def test_preparatory_marks():
@@ -157,8 +161,9 @@ def test_seed_phase_marks_short_edge():
     nxt = strat.advance(phase, seed, legal[0])
     assert isinstance(nxt, BoundingPhase) and nxt.config == 1
     verify_bindings(legal[0].next, nxt, allow_pseudo=True)
-    active = nxt.actives[0]
-    assert isinstance(active.pos[1], NestPseudo)
+    run = nxt.actives[0].pos[1]
+    cyc = legal[0].next.cycles[nxt.actives[0].cycle]
+    assert len(run) == 3 and cyc[run[0]] == cyc[run[2]] != cyc[run[1]]  # a pseudo edge (x, m, x)
 
 
 def test_seed_phase_dead_at_zero_genus():
@@ -174,7 +179,7 @@ def test_switch_to_cops_at_genus_one():
     state = GameState(((2, 3), (0, 1, 0, 3)), 2, 4, 4)
     phase = BoundingPhase(
         1,
-        (ActiveCycle(1, (1, NestPseudo((2, 3, 0)))),),
+        (ActiveCycle(1, (1, (2, 3, 0))),),
     )
     verify_bindings(state, phase, allow_pseudo=True)
     marked = strat.mark(phase, state)
@@ -190,7 +195,7 @@ def test_pseudo_rebind_at_genus_four():
     state = GameState(((2, 3), (0, 1, 0, 3)), 5, 7, 4)
     phase = BoundingPhase(
         1,
-        (ActiveCycle(1, (1, NestPseudo((2, 3, 0)))),),
+        (ActiveCycle(1, (1, (2, 3, 0))),),
     )
     marked = strat.mark(phase, state)
     legal = legal_replies(marked)
@@ -199,7 +204,24 @@ def test_pseudo_rebind_at_genus_four():
     # the pseudo edge was re-anchored around the new shared label
     verify_bindings(legal[0].next, nxt, allow_pseudo=True)
     rebound = nxt.actives[1].pos[1]
-    assert isinstance(rebound, NestPseudo)
+    cyc = legal[0].next.cycles[nxt.actives[1].cycle]
+    assert len(rebound) == 3 and cyc[rebound[0]] == cyc[rebound[2]] != cyc[rebound[1]]
+
+
+def test_pseudo_rebind_refuses_cyclic_supports():
+    """Re-anchoring walks the nesting chain down to the pseudo edge by
+    its supports; supports that lead back round, or a chain that ends
+    anywhere but at a pseudo edge, are a StrategyError, never a hang."""
+    strat = MarkerStrategy(refined=True)
+    # (1, 2, 3)'s y-cycle (2, 5, 4, 6) holds the run (5, 4, 6), whose
+    # y-cycle is the host again, with the run (1, 2, 3)
+    looped = GameState(((1, 2, 3, 4), (2, 5, 4, 6), (1, 7, 3, 7), (5, 8, 6, 8)), 4, 6, 9)
+    # the state of test_nesting_recursion_terminates_on_cyclic_support
+    tangled = GameState(((1, 2, 3, 9), (1, 4, 3, 4), (2, 5), (5, 2)), 4, 6, 10)
+    for state, match in ((looped, "lead back"), (tangled, "lost track")):
+        phase = BoundingPhase(2, (ActiveCycle(2, (0, 1)), ActiveCycle(0, (3, (0, 1, 2)))))
+        with pytest.raises(StrategyError, match=match):
+            strat._rebind_pseudo(phase, state)
 
 
 def test_cutter_prefers_forced_amalgamation():
@@ -256,6 +278,30 @@ def _recorded_calls(monkeypatch, name: str, runs) -> list:
     return calls
 
 
+def test_verify_bindings_rejects_runs_without_their_supports(monkeypatch):
+    """On every bounding node of marker g0=0..9, giving the second t edge
+    of a three-edge run's (x, t, z, t) support a fresh label fails the
+    audit: the run reads the same labels, but is no nesting path."""
+    runs = [lambda g0=g0: verify_marker_bound(g0) for g0 in range(10)]
+    broken = 0
+    for state, phase, _ in _recorded_calls(monkeypatch, "verify_bindings", runs):
+        for ac, atoms in zip(phase.actives, TEMPLATES[phase.config].cycles):
+            for atom, run in zip(atoms, ac.pos):
+                if atom != "N" or len(run) == 1:
+                    continue
+                xz_cycle = nesting_supports(state, ac.cycle, run)[0]
+                cyc = state.cycles[xz_cycle]
+                x = state.cycles[ac.cycle][run[0]]
+                q = (cyc.index(x) + 3) % 4
+                cycles = list(state.cycles)
+                cycles[xz_cycle] = cyc[:q] + (state.next_label,) + cyc[q + 1:]
+                unsupported = GameState(tuple(cycles), state.genus, state.initial_genus, state.next_label + 1)
+                with pytest.raises(StrategyError, match="is not a nesting path"):
+                    verify_bindings(unsupported, phase)
+                broken += 1
+    assert broken > 100
+
+
 def test_classifier_matches_reference_matcher(monkeypatch):
     """The template walk and the replaced size-combination matcher agree
     on every bounding node of marker g0=0..13 and refined g0=1..11, and
@@ -280,36 +326,38 @@ def test_classifier_matches_reference_matcher(monkeypatch):
     assert None in answers and len(answers) > 1
 
 
-def _retyped(phase: BoundingPhase):
+def _retyped(phase: BoundingPhase, state: GameState):
     """Each copy of ``phase`` with one atom bound to the wrong kind: an
-    "N" atom's lone edge as a position, or a "U" or variable atom's
-    edge as a one-edge nesting path."""
+    "N" atom's lone edge as a position, a "U" or variable atom's edge as
+    a one-edge run, an "N" atom's three-edge run as its first position,
+    or an "N" atom's run as the two edges from its first."""
     for a, (ac, atoms) in enumerate(zip(phase.actives, TEMPLATES[phase.config].cycles)):
+        n = len(state.cycles[ac.cycle])
         for i, (atom, p) in enumerate(zip(atoms, ac.pos)):
-            if atom == "N" and isinstance(p, NestUnique):
-                q = p.pos
-            elif atom != "N":
-                q = NestUnique(p)
+            if atom != "N":
+                wrongs = [(atom if isinstance(atom, str) else "variable", (p,))]
             else:
-                continue
-            pos = ac.pos[:i] + (q,) + ac.pos[i + 1:]
-            actives = phase.actives[:a] + (ActiveCycle(ac.cycle, pos),) + phase.actives[a + 1:]
-            yield atom, BoundingPhase(phase.config, actives)
+                wrongs = [("N" if len(p) == 1 else "three-edge run as int", p[0]),
+                          ("two-edge run", (p[0], (p[0] + 1) % n))]
+            for what, q in wrongs:
+                pos = ac.pos[:i] + (q,) + ac.pos[i + 1:]
+                actives = phase.actives[:a] + (ActiveCycle(ac.cycle, pos),) + phase.actives[a + 1:]
+                yield what, BoundingPhase(phase.config, actives)
 
 
 def test_verify_bindings_rejects_mistyped_bindings(monkeypatch):
     """On every bounding node of marker g0=9, binding one atom to the
     wrong kind fails the audit, though the edge it names is the atom's
-    own."""
+    own: an "N" atom takes only a run of one or three edges."""
     calls = _recorded_calls(monkeypatch, "verify_bindings", [lambda: verify_marker_bound(9)])
-    kinds = {"N": 0, "U": 0, "variable": 0}
+    kinds = dict.fromkeys(("N", "U", "variable", "three-edge run as int", "two-edge run"), 0)
     for state, phase, _ in calls:
         verify_bindings(state, phase)
-        for atom, wrong in _retyped(phase):
-            kinds[atom if isinstance(atom, str) else "variable"] += 1
+        for what, wrong in _retyped(phase, state):
+            kinds[what] += 1
             with pytest.raises(StrategyError, match="bound to"):
                 verify_bindings(state, wrong)
-    assert min(kinds.values()) > 0 and kinds["N"] + kinds["U"] == 1223
+    assert min(kinds.values()) > 0 and kinds["N"] + kinds["U"] == 1223, kinds
 
 
 def test_verify_bindings_reads_atoms_in_order(monkeypatch):
@@ -382,7 +430,7 @@ def test_transition_table_matches_reference_handlers(monkeypatch):
     strat = MarkerStrategy()
     nodes = _bounding_nodes(monkeypatch)
     assert len(nodes) > 1000
-    absorbed, refused = set(), 0
+    absorbed, refused, chains = set(), 0, 0
     for phase, state in nodes:
         for reply in cutter_replies(strat.mark(phase, state)):
             try:
@@ -403,42 +451,40 @@ def test_transition_table_matches_reference_handlers(monkeypatch):
             assert (phase_signature(nxt.config, bound_cycles(nxt), reply.next)
                     == phase_signature(target, ref_cycles, reply.next))
             assert var_labels(ref_cycles, reply.next) == ref_labels
-    assert refused > 0
+            # the supports the handlers carried are the ones the labels read
+            for rc in ref_cycles:
+                for atom, binding in zip(rc.atoms, rc.pos):
+                    host = rc.cycle
+                    while atom == "N" and isinstance(binding, NestChain):
+                        xz_cycle, (y_cycle, _), inner = nesting_supports(reply.next, host, binding.run)
+                        assert (xz_cycle, y_cycle, inner) == (
+                            binding.xz_cycle, binding.y_cycle, run_of(binding.inner)), (phase.config, reply.kind)
+                        chains += 1
+                        host, binding = binding.y_cycle, binding.inner
+    assert refused > 0 and chains > 0
     # every arrow is taken
     assert absorbed == {(cfg, kind) for cfg, t in TEMPLATES.items() for kind in t.arrows}
 
 
-def _off_the_end(binding, state: GameState, host: int):
-    """(what moved, copy) for each copy of a nesting binding on cycle
-    ``host`` with one position moved a lap past its cycle's end, or one
-    support cycle past the state's last cycle."""
-    n, m = len(state.cycles[host]), len(state.cycles)
-    if isinstance(binding, NestUnique):
-        yield "unique", NestUnique(binding.pos + n)
-        return
-    for i in range(len(binding.run)):
-        run = binding.run[:i] + (binding.run[i] + n,) + binding.run[i + 1:]
-        if isinstance(binding, NestPseudo):
-            yield "pseudo", NestPseudo(run)
-        else:
-            yield "chain", NestChain(run, binding.xz_cycle, binding.y_cycle, binding.inner)
-    if isinstance(binding, NestChain):
-        yield "xz", NestChain(binding.run, binding.xz_cycle + m, binding.y_cycle, binding.inner)
-        yield "y", NestChain(binding.run, binding.xz_cycle, binding.y_cycle + m, binding.inner)
-        for _, inner in _off_the_end(binding.inner, state, binding.y_cycle):
-            yield "inner", NestChain(binding.run, binding.xz_cycle, binding.y_cycle, inner)
+def _off_the_end(run: tuple[int, ...], state: GameState, host: int):
+    """(what moved, copy) for each copy of a nesting run on cycle
+    ``host`` with one position moved a lap past its cycle's end."""
+    cyc = state.cycles[host]
+    what = "unique" if len(run) == 1 else "pseudo" if cyc[run[0]] == cyc[run[2]] else "chain"
+    for i in range(len(run)):
+        yield what, run[:i] + (run[i] + len(cyc),) + run[i + 1:]
 
 
 def test_verify_bindings_rejects_positions_off_the_state(monkeypatch):
     """On every bounding node of marker g0=0..9 and refined g0=1..9,
     moving one bound position a lap past its cycle's end, or one active
-    or support cycle past the last, fails the audit with a
-    ``StrategyError``: the position names the right edge modulo the
-    cycle, but indexing with it would raise ``IndexError``."""
+    cycle past the last, fails the audit with a ``StrategyError``: the
+    position names the right edge modulo the cycle, but indexing with it
+    would raise ``IndexError``."""
     runs = [lambda g0=g0: verify_marker_bound(g0) for g0 in range(10)]
     runs += [lambda g0=g0: verify_refined(g0) for g0 in range(1, 10)]
     calls = _recorded_calls(monkeypatch, "verify_bindings", runs)
-    moved = dict.fromkeys(("active", "edge", "unique", "pseudo", "chain", "xz", "y", "inner"), 0)
+    moved = dict.fromkeys(("active", "edge", "unique", "pseudo", "chain"), 0)
     for state, phase, allow_pseudo in calls:
         for a, ac in enumerate(phase.actives):
             n = len(state.cycles[ac.cycle])

@@ -19,9 +19,12 @@ families are
   files;
 - ``forced-fail``: the reports of the marker, refined and cutter
   verifiers, exhaustive and sampled, with ``equivalence.precedes``
-  forced False, each a FAIL with a witness.
+  forced False, each a FAIL with a witness;
+- ``deep``: JSON reports of ``verify_marker_bound`` and
+  ``verify_refined`` g0 12..15, where nesting chains first reach depth
+  4 and 5 (chain depth grows about g0/3).
 
-Each line reads ``family outputs sha256``.  A full run takes about 7 s
+Each line reads ``family outputs sha256``.  A full run takes about 12 s
 on a 2-core x86-64 VM with Python 3.11.
 """
 
@@ -71,6 +74,9 @@ def families():
     if any(r.verdict != arena.FAIL or not r.witness for r in failed):
         raise SystemExit("a forced fault did not fail with a witness")
     yield "forced-fail", [r.to_json() for r in failed]
+
+    yield "deep", [verify(g0).to_json() for verify in (arena.verify_marker_bound, arena.verify_refined)
+                   for g0 in range(12, 16)]
 
 
 def digest(outputs) -> str:
