@@ -620,8 +620,9 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
     ``"random"`` (uniform legal choices from the given seed).  The play
     is audited like the verifiers' searches: every state must pass
     ``validate``, every legal reply must raise the value by exactly one,
-    and the marker strategy must mark vertices of the state and take
-    each reply without a fault; a failure raises ``RuntimeError``.
+    the marker strategy must mark vertices of the state and take each
+    reply without a fault, and the auto cutter must find a reply that
+    keeps the potential from rising; a failure raises ``RuntimeError``.
     """
     start = _start(g0, refined)
     rng = random.Random(seed)
@@ -637,7 +638,12 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
                 result = "cutter_stuck"
                 break
             node.check_replies(marked, legal)
-            reply = cutter_move(marked, legal)[0] if cutter == "auto" else rng.choice(legal)
+            if cutter == "auto":
+                reply, anomaly = cutter_move(marked, legal)
+                if anomaly:
+                    raise RuntimeError("cutter had no potential-non-increasing reply")
+            else:
+                reply = rng.choice(legal)
             node = node.advanced(strat, marked, reply) if strat else node.child(marked, reply)
             if isinstance(node.phase, SwitchToCops):
                 result, switch = "switch_to_cops", {"value": node.phase.value, "genus": node.phase.genus}

@@ -14,9 +14,10 @@ unreadable file), with one ``error:`` line on stderr, 70 = internal
 error (a ``RuntimeError`` or a ``StrategyError`` out of an engine, such
 as the exact solver meeting a legal reply that does not raise the value
 by one, or a ``play`` whose state fails ``validate``, whose legal reply
-does not raise the value by one, or whose marker marks a vertex the
-state lacks or faults in a transition), with one ``error: internal:``
-line on stderr.
+does not raise the value by one, whose marker marks a vertex the state
+lacks or faults in a transition, or whose auto cutter has no reply that
+keeps the potential from rising), with one ``error: internal:`` line on
+stderr.
 ``exact-value`` searches past the marker bound and fails when the value
 lies outside ``[cutter_value_threshold(g0), marker_value_bound(g0)]``.
 Every run echoes its resolved configuration, seeds included; JSON is the

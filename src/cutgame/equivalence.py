@@ -16,11 +16,11 @@ Equivalence compares canonical keys: the lexicographically least
 encoding of the cycles under rotation, reordering and first-occurrence
 renaming (``_canonical_shape``, which merges and defers tied partial
 orderings instead of expanding each one).  ``precedes`` decides the
-reduction relation: first by a kept-label witness on the concrete
-labels, which settles every reply a value-monotone play refuses, then
-on canonical cycles by a backtracking match (``_shape_precedes``)
-instead of enumerating contractions.  The enumerating versions of both
-stay in the tests as the reference.
+reduction relation: by the genus, then by a kept-label witness on the
+concrete labels, which settles every reply a value-monotone play
+refuses, then on canonical cycles by a backtracking match
+(``_shape_precedes``) instead of enumerating contractions.  The
+enumerating versions of both stay in the tests as the reference.
 """
 
 from __future__ import annotations
@@ -401,31 +401,13 @@ def precedes(candidate: GameState, earlier: GameState) -> bool:
     earlier.genus`` is required on that coordinate.  The kept-label
     witness (``_kept_label_witness``) answers True on the concrete
     labels, with no canonical form; it settles every reply a driver
-    rejects.  Otherwise label multiplicity and cycle-count arguments
-    prune before the match on canonical cycles (``_shape_precedes``),
-    whose cache is keyed on them.
+    rejects.  Otherwise the match on canonical cycles
+    (``_shape_precedes``) decides.
     """
     if candidate.genus > earlier.genus:
         return False
     if _kept_label_witness(candidate, earlier):
         return True
-    if candidate.edge_count() > earlier.edge_count():
-        return False
-    if value(candidate) > value(earlier):
-        return False
-    if len(candidate.cycles) > len(earlier.cycles):
-        return False
-    cand_lengths = sorted(len(c) for c in candidate.cycles)
-    earl_lengths = sorted(len(c) for c in earlier.cycles)
-    if any(
-        sum(1 for l in earl_lengths if l >= n) < sum(1 for m in cand_lengths if m >= n)
-        for n in cand_lengths
-    ):
-        return False
-    doubled_cand = sum(1 for n in candidate.label_counts().values() if n == 2)
-    doubled_earl = sum(1 for n in earlier.label_counts().values() if n == 2)
-    if doubled_cand > doubled_earl:
-        return False
     # canonical forms make the check independent of concrete labels;
     # strip the length prefix off each encoded cycle
     cand_cycles = tuple(c[1:] for c in _cached_shape(candidate.cycles))

@@ -23,8 +23,8 @@ outer label is isolated stand in for a uniquely appearing edge (a
 *pseudo edge*), re-anchoring it when the genus counter hits the two
 awkward values.
 
-The cutter's counter-strategy simply refuses to let the potential rise,
-preferring whichever reply class the potential accounting licenses.
+The cutter's counter-strategy plays only the reply classes the
+potential accounting licenses, and only replies that keep it from rising.
 """
 
 from __future__ import annotations
@@ -559,12 +559,12 @@ def cutter_move(marked: MarkedState, legal: list[CutterReply]) -> tuple[CutterRe
     """The reply, among the legal replies ``legal`` to ``marked``, that
     keeps the potential from rising.
 
-    Prefers the reply classes the potential accounting licenses (burn
-    genus when both arcs are rich, amalgamate across components, discard
-    a poor arc), then any non-increasing legal reply.  When every legal
-    reply raises the potential — which the accounting rules out while
-    their preconditions hold — the minimal-potential reply is returned
-    with the anomaly flag set.  An empty ``legal`` raises ``ValueError``.
+    Plays the best licensed reply that does not raise the potential:
+    burn genus when both arcs are rich, amalgamate across components,
+    discard a poor arc, ranked in that order.  When there is none — which
+    the accounting rules out while its preconditions hold — the
+    minimal-potential legal reply is returned with the anomaly flag set.
+    An empty ``legal`` raises ``ValueError``.
     """
     if not legal:
         raise ValueError("no legal replies: the game is over")
@@ -591,16 +591,9 @@ def cutter_move(marked: MarkedState, legal: list[CutterReply]) -> tuple[CutterRe
             elif r.kind == "C" and p_p < _HALF:
                 licensed.append(r)
 
+    # every legal reply raises the value by exactly one, so the rank decides
     rank = {"A": 0, "D": 1, "B": 2, "C": 3}
-
-    def choose(pool: list[CutterReply]) -> Optional[CutterReply]:
-        good = [r for r in pool if state_potential(r.next) <= p_now]
-        if not good:
-            return None
-        return min(good, key=lambda r: (rank[r.kind], -value(r.next)))
-
-    pick = choose(licensed) or choose(legal)
-    if pick is not None:
-        return pick, False
-    worst = min(legal, key=lambda r: (state_potential(r.next), rank[r.kind], -value(r.next)))
-    return worst, True
+    good = [r for r in licensed if state_potential(r.next) <= p_now]
+    if good:
+        return min(good, key=lambda r: rank[r.kind]), False
+    return min(legal, key=lambda r: (state_potential(r.next), rank[r.kind])), True

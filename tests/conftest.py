@@ -1,5 +1,8 @@
+import contextlib
 import os
+import signal
 import sys
+import time
 
 import pytest
 
@@ -37,3 +40,40 @@ def tripled_label(monkeypatch):
         return out
 
     monkeypatch.setattr(equivalence, "cutter_replies", tripled)
+
+
+@pytest.fixture
+def swapped_arcs(monkeypatch):
+    """The cutter strategy reads the two arcs of a mark the wrong way
+    round, so it licenses kind B where the accounting licenses C and C
+    where it licenses B."""
+    from cutgame import core, strategy
+
+    monkeypatch.setattr(strategy, "split_cycle", lambda cyc, v, w: core.split_cycle(cyc, v, w)[::-1])
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Raise ``TimeoutError`` in the block once it has run ``seconds``;
+    the previous SIGALRM handler and real-time timer are restored after
+    it, the timer less the time the block took."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    outer, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    started = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - started), 1e-3), interval)
+
+
+@pytest.fixture
+def time_limit():
+    """``with time_limit(seconds):`` fails a test whose block hangs
+    instead of hanging the run."""
+    return _time_limit

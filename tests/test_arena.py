@@ -358,6 +358,21 @@ def test_too_loose_legality_is_caught_by_every_engine(monkeypatch):
         play_game(2, marker="random", cutter="random")
 
 
+@pytest.mark.usefixtures("swapped_arcs")
+@pytest.mark.parametrize("g0, budget", [
+    (0, None), (1, None), (2, None),
+    (3, SearchBudget(marker_sampling="random", sample_plays=2_000, seed=7)),
+], ids=["exhaustive-0", "exhaustive-1", "exhaustive-2", "sampled-3"])
+def test_cutter_with_swapped_arcs_fails(g0, budget):
+    """A cutter that licenses B and C the wrong way round has no
+    licensed reply that keeps the potential from rising, and it plays
+    no other: the verifier fails with a witness."""
+    report = verify_cutter_bound(g0, budget)
+    assert report.verdict == "fail"
+    assert report.failure == "cutter had no potential-non-increasing reply"
+    assert report.witness and report.witness[-1]["mover"] == "cutter"
+
+
 def test_mark_off_the_state_is_a_strategy_failure(monkeypatch):
     """A marker strategy whose mark names a vertex the state lacks fails
     its verifier with a witness, and a play raises ``RuntimeError``: the

@@ -92,6 +92,13 @@ def test_play_value_audit_exits_70(monkeypatch, capsys):
     assert _internal_error(argv, capsys) == "error: internal: value did not increase by one"
 
 
+@pytest.mark.usefixtures("swapped_arcs")
+def test_play_without_a_licensed_reply_exits_70(capsys):
+    # the auto cutter reads its arcs the wrong way round
+    assert (_internal_error(["play", "--g0", "2"], capsys)
+            == "error: internal: cutter had no potential-non-increasing reply")
+
+
 def test_mark_off_the_state_is_not_bad_input(monkeypatch, capsys):
     monkeypatch.setattr(ActiveCycle, "mark_vertex", lambda self, atom_idx: (self.cycle, 99))
     assert dispatch(["verify-marker", "--g0", "3"]) == EXIT_FAIL

@@ -134,16 +134,17 @@ def test_nesting_path_requires_support():
     assert not is_nesting_path(Segment(0, (0, 1, 2)), state)
 
 
-def test_nesting_recursion_terminates_on_cyclic_support():
+def test_nesting_recursion_terminates_on_cyclic_support(time_limit):
     # two y-cycles referring to each other cannot loop the checker
     state = GameState(((1, 2, 3, 9), (1, 4, 3, 4), (2, 5), (5, 2)), 0, 0, 10)
-    is_nesting_path(Segment(0, (0, 1, 2)), state)  # must return, value irrelevant
     # (1, 2, 3)'s y-cycle holds the run (5, 4, 6), whose y-cycle is the
     # host again: supports that lead round make no nesting path
     looped = GameState(((1, 2, 3, 4), (2, 5, 4, 6), (1, 7, 3, 7), (5, 8, 6, 8)), 0, 0, 9)
-    for run in ((0, 1, 2), (1, 2, 3)):
-        assert nesting_supports(looped, run[0], run) is not None
-        assert not is_nesting_path(Segment(run[0], run), looped)
+    with time_limit(10):
+        is_nesting_path(Segment(0, (0, 1, 2)), state)  # must return, value irrelevant
+        for run in ((0, 1, 2), (1, 2, 3)):
+            assert nesting_supports(looped, run[0], run) is not None
+            assert not is_nesting_path(Segment(run[0], run), looped)
 
 
 def test_xtzt_start_examples():

@@ -208,7 +208,7 @@ def test_pseudo_rebind_at_genus_four():
     assert len(rebound) == 3 and cyc[rebound[0]] == cyc[rebound[2]] != cyc[rebound[1]]
 
 
-def test_pseudo_rebind_refuses_cyclic_supports():
+def test_pseudo_rebind_refuses_cyclic_supports(time_limit):
     """Re-anchoring walks the nesting chain down to the pseudo edge by
     its supports; supports that lead back round, or a chain that ends
     anywhere but at a pseudo edge, are a StrategyError, never a hang."""
@@ -220,7 +220,7 @@ def test_pseudo_rebind_refuses_cyclic_supports():
     tangled = GameState(((1, 2, 3, 9), (1, 4, 3, 4), (2, 5), (5, 2)), 4, 6, 10)
     for state, match in ((looped, "lead back"), (tangled, "lost track")):
         phase = BoundingPhase(2, (ActiveCycle(2, (0, 1)), ActiveCycle(0, (3, (0, 1, 2)))))
-        with pytest.raises(StrategyError, match=match):
+        with time_limit(10), pytest.raises(StrategyError, match=match):
             strat._rebind_pseudo(phase, state)
 
 

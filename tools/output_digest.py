@@ -22,9 +22,11 @@ families are
   forced False, each a FAIL with a witness;
 - ``deep``: JSON reports of ``verify_marker_bound`` and
   ``verify_refined`` g0 12..15, where nesting chains first reach depth
-  4 and 5 (chain depth grows about g0/3).
+  4 and 5 (chain depth grows about g0/3);
+- ``cutter-deep``: the ``verify_cutter_bound`` reports at g0 4..6,
+  1 000 sampled plays each, seed 7.
 
-Each line reads ``family outputs sha256``.  A full run takes about 12 s
+Each line reads ``family outputs sha256``.  A full run takes about 15 s
 on a 2-core x86-64 VM with Python 3.11.
 """
 
@@ -77,6 +79,9 @@ def families():
 
     yield "deep", [verify(g0).to_json() for verify in (arena.verify_marker_bound, arena.verify_refined)
                    for g0 in range(12, 16)]
+
+    deep_sampled = SearchBudget(marker_sampling="random", sample_plays=1_000, seed=7)
+    yield "cutter-deep", [arena.verify_cutter_bound(g0, deep_sampled).to_json() for g0 in range(4, 7)]
 
 
 def digest(outputs) -> str:
