@@ -99,6 +99,19 @@ def test_play_without_a_licensed_reply_exits_70(capsys):
             == "error: internal: cutter had no potential-non-increasing reply")
 
 
+@pytest.mark.parametrize("refined", [False, True], ids=["plain", "refined"])
+def test_auto_play_exits_0_at_every_genus(capsys, refined):
+    # the cutter runs out of licensed replies at its threshold in the
+    # plain game (g0=3 first) and in the seeded game (g0=5 first); past
+    # its claim that is no fault, and the play goes on to its end
+    for g0 in range(1 if refined else 0, 31):
+        argv = ["play", "--g0", str(g0)] + (["--refined"] if refined else [])
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_PASS, (g0, captured.err)
+        assert json.loads(captured.out)["result"] in ("cutter_stuck", "switch_to_cops")
+
+
 def test_mark_off_the_state_is_not_bad_input(monkeypatch, capsys):
     monkeypatch.setattr(ActiveCycle, "mark_vertex", lambda self, atom_idx: (self.cycle, 99))
     assert dispatch(["verify-marker", "--g0", "3"]) == EXIT_FAIL

@@ -73,11 +73,18 @@ def test_exact_value_between_the_bounds(g0):
     assert cutter_value_threshold(g0) <= exact_value(g0) <= marker_value_bound(g0)
 
 
-@pytest.mark.slow
 def test_exact_value_three():
-    value = exact_value(3)
+    # with the genus-keeping replies tried first, about 36 k states
+    value = exact_value(3, SearchBudget(max_states=40_000))
     assert value == 7
     assert cutter_value_threshold(3) <= value <= marker_value_bound(3)
+
+
+@pytest.mark.slow
+def test_exact_value_four():
+    # about 592 k states and 25 s under the default budget; one solve
+    # meets both verified bounds
+    assert exact_value(4) == 8 == cutter_value_threshold(4) == marker_value_bound(4)
 
 
 def test_solver_raises_on_a_legal_reply_that_skips_a_value(monkeypatch):

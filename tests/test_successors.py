@@ -4,8 +4,8 @@
 on first read, ``enumerate_marker_moves`` builds each mark when it is
 read, and ``ending_marks`` decides marks from label positions.  Each is
 checked against its reference (``reference_core``, ``reference_solver``)
-on every mark of every proper state with at most four edges and on every
-mark the verifiers and the solver reach.
+on every mark of every proper state with at most four edges (five for
+``ending_marks``) and on every mark the verifiers and the solver reach.
 """
 
 import random
@@ -82,7 +82,7 @@ def test_replies_match_the_eager_builder(reached):
 def test_ending_marks_match_the_split_cycle_form(reached):
     _, states = reached
     ending = 0
-    for state in (*all_proper_states(4), *states):
+    for state in (*all_proper_states(5), *states):
         marks = ending_marks(state)
         assert list(map(_point, marks)) == list(map(_point, reference_ending_marks(state))), state
         assert all(m.state is state for m in marks)

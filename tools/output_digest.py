@@ -24,7 +24,10 @@ families are
   ``verify_refined`` g0 12..15, where nesting chains first reach depth
   4 and 5 (chain depth grows about g0/3);
 - ``cutter-deep``: the ``verify_cutter_bound`` reports at g0 4..6,
-  1 000 sampled plays each, seed 7.
+  1 000 sampled plays each, seed 7;
+- ``auto-plays``: auto marker against auto cutter, g0 0..30 plain and
+  1..30 seeded, each play's records and outcome, or the text of the
+  ``RuntimeError`` it raised.
 
 Each line reads ``family outputs sha256``.  A full run takes about 15 s
 on a 2-core x86-64 VM with Python 3.11.
@@ -82,6 +85,15 @@ def families():
 
     deep_sampled = SearchBudget(marker_sampling="random", sample_plays=1_000, seed=7)
     yield "cutter-deep", [arena.verify_cutter_bound(g0, deep_sampled).to_json() for g0 in range(4, 7)]
+
+    auto_plays = []
+    for refined in (False, True):
+        for g0 in range(int(refined), 31):
+            try:
+                auto_plays.append(json.dumps(arena.play_game(g0, refined=refined), sort_keys=True))
+            except RuntimeError as exc:
+                auto_plays.append(f"error: {exc}")
+    yield "auto-plays", auto_plays
 
 
 def digest(outputs) -> str:
