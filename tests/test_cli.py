@@ -19,6 +19,33 @@ def test_verify_marker_exit_and_report(tmp_path, capsys):
     assert data["bound"] == 6 and data["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("flag, value, other", [
+    ("--budget-states", "100", "2000000"),
+    ("--format", "json", "text"),
+    ("--out", "{tmp}/a.json", "{tmp}/b.json"),
+], ids=["budget-states", "format", "out"])
+def test_a_global_flag_reads_alike_on_either_side_of_the_subcommand(flag, value, other, tmp_path, capsys):
+    """Before or after the subcommand, a global flag gives the same exit
+    code, stdout and written files; given on both sides, the later wins."""
+    command = ["exact-value", "--g0", "2"]
+
+    def run(*argv):
+        code = dispatch([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        written = {}
+        for path in sorted(tmp_path.iterdir()):
+            written[path.name] = path.read_text()
+            path.unlink()
+        return code, capsys.readouterr(), written
+
+    outcomes = []
+    for first, last in ((value, other), (other, value)):
+        given = run(flag, last, *command)
+        assert run(*command, flag, last) == given
+        assert run(flag, first, *command, flag, last) == given
+        outcomes.append(given)
+    assert outcomes[0] != outcomes[1]  # the two values differ in effect
+
+
 def test_cop_number_prints_value(capsys):
     code = dispatch(["cop-number", "--g6", "C~", "--k-max", "3"])
     assert code == EXIT_PASS

@@ -3,7 +3,7 @@ exit code and never raises.
 
 The argv are bounded so the suite stays fast: starting genus -1..2,
 a state budget of at most 20 000 on every run, sampled runs of up to
-50 plays, graph6
+50 plays, global flags before or after the subcommand, graph6
 strings of at most six characters that may carry bytes outside the
 alphabet, and paths that do not exist.
 """
@@ -58,12 +58,24 @@ commands = st.one_of(
     st.lists(st.sampled_from(["--g0", "2", "play", "x", "--sample"]), max_size=3),
 )
 
+
+def either_side(tokens: st.SearchStrategy) -> st.SearchStrategy:
+    """``(tokens, after)``: a global flag goes before the subcommand or after it."""
+    return st.tuples(tokens, st.booleans())
+
+
+def place(drawn) -> list[str]:
+    *flags, cmd = drawn
+    return ([a for tokens, after in flags if not after for a in tokens] + cmd
+            + [a for tokens, after in flags if after for a in tokens])
+
+
 argvs = st.tuples(
-    st.integers(-1, 20_000).map(lambda n: ["--budget-states", str(n)]),
-    flag("--format", st.sampled_from(["json", "text"])),
-    flag("--out", st.just(MISSING)),
+    either_side(st.integers(-1, 20_000).map(lambda n: ["--budget-states", str(n)])),
+    either_side(flag("--format", st.sampled_from(["json", "text"]))),
+    either_side(flag("--out", st.just(MISSING))),
     commands,
-).map(lambda parts: [a for part in parts for a in part])
+).map(place)
 
 
 @given(argvs)

@@ -27,27 +27,69 @@ families are
   1 000 sampled plays each, seed 7;
 - ``auto-plays``: auto marker against auto cutter, g0 0..30 plain and
   1..30 seeded, each play's records and outcome, or the text of the
-  ``RuntimeError`` it raised.
+  ``RuntimeError`` it raised;
+- ``cli``: ``cli.dispatch`` over ``CLI_ARGV`` (the README's examples
+  but the 23 s ``exact-value --g0 4``, bad input that exits 64, budget
+  and ``--k-max`` runs that exit 2, ``--format json`` and ``--out``),
+  each run's exit code, stdout, stderr and the files it wrote.
 
-Each line reads ``family outputs sha256``.  A full run takes about 15 s
+Each line reads ``family outputs sha256``.  A full run takes about 21 s
 on a 2-core x86-64 VM with Python 3.11.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import sys
 import tempfile
 
+# ``{tmp}`` is a fresh directory per run, ``{corpus}`` the checkout's data/corpus,
+# ``{c300}`` the graph6 of a 300-cycle (two cops on it pass the pursuit budget)
+CLI_ARGV = [
+    ["verify-marker", "--g0", "4"],
+    ["verify-cutter", "--g0", "2", "--sample", "10000", "--seed", "7"],
+    ["exact-value", "--g0", "1"],
+    ["verify-refined", "--g0", "3"],
+    ["play", "--g0", "3", "--refined", "--trace", "{tmp}/game.jsonl"],
+    ["cop-number", "--g6", "C~", "--k-max", "3"],
+    ["genus", "--g6", "D~{"],
+    ["check-corpus", "--dir", "{corpus}"],
+    ["no-such-command"],
+    ["verify-marker", "--g0", "-1"],
+    ["verify-refined", "--g0", "0"],
+    ["verify-cutter", "--g0", "2", "--sample", "-3"],
+    ["--budget-states", "-1", "exact-value", "--g0", "1"],
+    ["genus", "--g6", "!!"],
+    ["cop-number", "--g6", "C?"],
+    ["cop-number", "--graph", "no-such-dir/graph.g6"],
+    ["check-corpus", "--k-max", "0"],
+    ["--budget-states", "3", "verify-marker", "--g0", "2"],
+    ["--budget-states", "100", "exact-value", "--g0", "2"],
+    ["--budget-states", "0", "genus", "--g6", "E~~w"],
+    ["cop-number", "--g6", "IheA@GUAo", "--k-max", "2"],
+    ["cop-number", "--g6", "{c300}", "--k-max", "2"],
+    ["--format", "json", "--out", "{tmp}/r.json", "verify-refined", "--g0", "2"],
+    ["--out", "{tmp}/r.json", "verify-cutter", "--g0", "2", "--sample", "50", "--seed", "3"],
+    ["--format", "json", "exact-value", "--g0", "0", "--no-memo"],
+    ["--format", "json", "play", "--g0", "2", "--marker", "random", "--cutter", "random", "--seed", "1"],
+    ["--format", "json", "--out", "{tmp}/r.json", "genus", "--g6", "H{S{aSf"],
+    ["--format", "json", "cop-number", "--g6", "IheA@GUAo", "--k-max", "3"],
+    ["--format", "json", "--out", "{tmp}/r.json", "--budget-states", "0", "check-corpus", "--k-max", "2"],
+]
 
-def families():
+
+def families(root: str):
     """(family, outputs) pairs, each output a string or bytes."""
     from cutgame import arena, equivalence
     from cutgame.arena import SearchBudget
+    from cutgame.cli import dispatch
+    from cutgame.graphs import cycle_graph, emit_graph6
 
     reports = [arena.verify_marker_bound(g0).to_json() for g0 in range(12)]
     reports += [arena.verify_refined(g0).to_json() for g0 in range(1, 12)]
@@ -95,6 +137,20 @@ def families():
                 auto_plays.append(f"error: {exc}")
     yield "auto-plays", auto_plays
 
+    fill = {"{corpus}": os.path.join(root, "data", "corpus"), "{c300}": emit_graph6(cycle_graph(300))}
+    runs = []
+    for argv in CLI_ARGV:
+        with tempfile.TemporaryDirectory() as tmp:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dispatch([fill.get(a, a).replace("{tmp}", tmp) for a in argv])
+            written = {}
+            for name in sorted(os.listdir(tmp)):
+                with open(os.path.join(tmp, name), encoding="utf-8") as fh:
+                    written[name] = fh.read()
+        runs.append(json.dumps([argv, code, out.getvalue(), err.getvalue(), written]))
+    yield "cli", runs
+
 
 def digest(outputs) -> str:
     """sha256 over the outputs, each length-prefixed so that no two
@@ -112,8 +168,9 @@ def main() -> None:
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     help="source checkout to digest (default: this one)")
     args = ap.parse_args()
-    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
-    for family, outputs in families():
+    root = os.path.abspath(args.root)
+    sys.path.insert(0, os.path.join(root, "src"))
+    for family, outputs in families(root):
         print(family, len(outputs), digest(outputs), flush=True)
 
 
