@@ -14,13 +14,14 @@ the marked state alone.
 
 Equivalence compares canonical keys: the lexicographically least
 encoding of the cycles under rotation, reordering and first-occurrence
-renaming (``_canonical_shape``, which merges and defers tied partial
-orderings instead of expanding each one).  ``precedes`` decides the
-reduction relation: by the genus, then by a kept-label witness on the
-concrete labels, which settles every reply a value-monotone play
-refuses, then on canonical cycles by a backtracking match
-(``_shape_precedes``) instead of enumerating contractions.  The
-enumerating versions of both stay in the tests as the reference.
+renaming (``_canonical_shape``, which merges, defers or skips tied
+partial orderings instead of expanding each one).  ``precedes``
+decides the reduction relation: by the genus, then by a kept-label
+witness on the concrete labels, which settles every reply a
+value-monotone play refuses, then on canonical cycles by a
+backtracking match (``_shape_precedes``) instead of enumerating
+contractions.  The enumerating versions of both stay in the tests as
+the reference.
 """
 
 from __future__ import annotations
@@ -77,15 +78,24 @@ def _free_label_signature(rest: tuple[tuple[int, ...], ...], renaming: dict[int,
     free blocks.  Renamed labels are written as their index and free
     labels numbered by first appearance (negative, so the two never
     collide)."""
+    get = renaming.get
     free: dict[int, int] = {}
 
     def encode(cyc: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(renaming[lab] if lab in renaming else free.setdefault(lab, -1 - len(free)) for lab in cyc)
+        out = []
+        for lab in cyc:
+            x = get(lab)
+            if x is None:
+                x = free.get(lab)
+                if x is None:
+                    x = free[lab] = -1 - len(free)
+            out.append(x)
+        return tuple(out)
 
-    ordered = sorted(rest, key=lambda c: (len(c), [renaming.get(lab, -1) for lab in c]))
+    ordered = sorted(rest, key=lambda c: (len(c), [get(lab, -1) for lab in c]))
     return (
-        tuple(encode(c) for c in ordered),
-        tuple((k, blocks, tuple(sorted([encode(c) for c in cycles]))) for k, (cycles, blocks) in sorted(pool.items())),
+        tuple([encode(c) for c in ordered]),
+        tuple([(k, blocks, tuple(sorted([encode(c) for c in cycles]))) for k, (cycles, blocks) in sorted(pool.items())]),
     )
 
 
@@ -176,6 +186,13 @@ def _place(
     return tuple(out), results
 
 
+def _twins(cycles: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
+    """The cycles that appear exactly twice and whose labels lie on
+    those two copies alone, one edge on each."""
+    counts = Counter(lab for c in cycles for lab in c)
+    return {c for c, k in Counter(cycles).items() if k == 2 and all(counts[lab] == 2 for lab in c)}
+
+
 def _canonical_shape(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
     """Lexicographically minimal encoding of a cycle multiset under
     rotation, reordering and first-occurrence label renaming.  Also
@@ -184,7 +201,7 @@ def _canonical_shape(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int
     Each level appends the least piece any tied partial ordering can
     produce.  A piece starts with its cycle's length, so the pieces come
     in blocks of equal length, and within one partial each distinct
-    cycle is tried once.  Two devices keep the tie set small:
+    cycle is tried once.  Three devices keep the tie set small:
 
     - *Merged ties.*  Tied partials with equal free-label signatures are
       merged.  Sound: equal signatures give a bijection of the free
@@ -201,8 +218,20 @@ def _canonical_shape(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int
       one.  The cycle is placed when a later piece first reads one of
       its labels (``_place``); those still unread at the end fill the
       remaining blocks in any order, which changes no piece.
+    - *Twin pairs.*  A cycle that appears exactly twice, its labels on
+      those two copies alone (``_twins``; the loop pairs (a)(a) of deep
+      marker states), is tried only if it is the first such cycle of
+      the level's length in its partial, while neither copy is placed.
+      Sound: exchanging the labels of two unplaced twin pairs of one
+      length, position by position, fixes every other cycle, the
+      renaming and the pool (a twin is never deferred: its labels lie
+      on a second cycle of its length), so placing one gives the image
+      of placing the other.  States with no repeated cycle skip the
+      pass.
     """
-    partials = [(tuple(cycles), {}, 0, {}, {})]
+    cycles = tuple(cycles)
+    twins = _twins(cycles) if len(set(cycles)) < len(cycles) else set()
+    partials = [(cycles, {}, 0, {}, {})]
     encoding = []
     block = 0
     for _ in range(len(cycles)):
@@ -230,9 +259,13 @@ def _canonical_shape(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int
                           [(rest, renaming, next_index + max(k) + 1, {**pool, k: (cs, bl + (next_index,))}, owner)])
             tried = set()
             for i, cyc in enumerate(rest):
-                if len(cyc) != n or cyc in tried:
+                if len(cyc) != n:
                     continue
-                tried.add(cyc)
+                # an unplaced twin pair stands for all those of its length
+                mark = None if cyc in twins and cyc[0] not in renaming else cyc
+                if mark in tried:
+                    continue
+                tried.add(mark)
                 others = rest[:i] + rest[i + 1 :]
                 reads_deferred = bool(owner) and any(lab in owner for lab in cyc)
                 for r in range(n):

@@ -29,7 +29,6 @@ potential accounting licenses, and only replies that keep it from rising.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Union
 
 from .core import (
@@ -495,6 +494,16 @@ def _bound_label(cyc: tuple[int, ...], p: object) -> int:
     return cyc[p]
 
 
+def _readers(components: tuple[int, ...], atoms: tuple[Atom, ...], state: GameState) -> list[int]:
+    """The components among ``components``, in order, whose length a
+    template cycle ``atoms`` can read: an ``"N"`` atom reads one or three
+    edges and every other atom one, so the length lies in
+    ``len(atoms) .. len(atoms) + 2·count("N")``."""
+    shortest = len(atoms)
+    longest = shortest + 2 * atoms.count("N")
+    return [ci for ci in components if shortest <= len(state.cycles[ci]) <= longest]
+
+
 def classify_configuration(active_cycles: tuple[int, ...], state: GameState,
                            allow_pseudo: bool = False) -> Optional[int]:
     """Match a set of active components against the twelve templates.
@@ -503,9 +512,12 @@ def classify_configuration(active_cycles: tuple[int, ...], state: GameState,
     start of its component, atom by atom.  ``"U"`` takes one uniquely
     appearing edge, ``"N"`` a run of one or three edges that forms a
     nesting path by its definition, and a variable one shared edge whose
-    label agrees with the variables read so far.  Components are tried
-    in every order, backtracking over the variable maps each reading
-    yields.  Returns the configuration id or None.
+    label agrees with the variables read so far.  The template cycles
+    are assigned in turn by backtracking: each takes any component not
+    yet used whose length lies in its window (``_readers``), under each
+    variable map its readings yield.  That tries the components in
+    every order, sharing each order's prefix with the others.  Returns
+    the configuration id or None.
     """
     counts = state.label_counts()
 
@@ -534,16 +546,21 @@ def classify_configuration(active_cycles: tuple[int, ...], state: GameState,
         elif counts[lab] != 1 and var_map.get(atom, lab) == lab:
             yield from readings(ci, rest, (p + 1) % n, left - 1, {**var_map, atom: lab})
 
-    def assign(components: tuple[int, ...], tcycles: tuple[tuple[Atom, ...], ...], var_map: dict) -> bool:
-        if not components:
+    def assign(tcycles: tuple[tuple[Atom, ...], ...], free: tuple[int, ...], var_map: dict) -> bool:
+        """Whether ``tcycles`` read distinct components of ``free`` under
+        one extension of ``var_map``."""
+        if not tcycles:
             return True
-        ci, n = components[0], len(state.cycles[components[0]])
-        return any(assign(components[1:], tcycles[1:], vm)
-                   for start in range(n) for vm in readings(ci, tcycles[0], start, n, var_map))
+        atoms, rest = tcycles[0], tcycles[1:]
+        for ci in _readers(free, atoms, state):
+            i = free.index(ci)
+            others, n = free[:i] + free[i + 1:], len(state.cycles[ci])
+            if any(assign(rest, others, vm) for start in range(n) for vm in readings(ci, atoms, start, n, var_map)):
+                return True
+        return False
 
     for cfg_id, template in TEMPLATES.items():
-        if len(template.cycles) == len(active_cycles) and any(
-                assign(perm, template.cycles, {}) for perm in itertools.permutations(active_cycles)):
+        if len(template.cycles) == len(active_cycles) and assign(template.cycles, active_cycles, {}):
             return cfg_id
     return None
 

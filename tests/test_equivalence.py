@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -395,6 +396,28 @@ def test_canonical_shape_agrees_with_reference_on_marker_states(monkeypatch):
     inputs |= {(state.cycles,) for pair in pairs for state in pair}
     assert len(inputs) > 1_000
     for (cycles,) in inputs:
+        shape, renaming = _canonical_shape(cycles)
+        assert shape == reference_canonical_shape(cycles)[0], cycles
+        assert _realises(cycles, renaming, shape), cycles
+
+
+def _loop_pairs(cycles) -> int:
+    return sum(1 for cyc, k in Counter(cycles).items() if len(cyc) == 1 and k == 2)
+
+
+def test_canonical_shape_agrees_with_reference_on_deep_marker_states(monkeypatch):
+    # marker g0=13 keys states with up to thirteen loop pairs (a)(a), where
+    # tied partial orderings are heaviest: a seeded sample of 60 of them,
+    # 20 with four loop pairs or more
+    equivalence._cached_shape.cache_clear()
+    inputs = _record_calls(monkeypatch, "_canonical_shape")
+    assert verify_marker_bound(13).verdict == "pass"
+    states = sorted(cycles for (cycles,) in inputs)
+    heavy = [cycles for cycles in states if _loop_pairs(cycles) >= 4]
+    rng = random.Random(13)
+    sample = rng.sample(heavy, 20) + rng.sample([cycles for cycles in states if _loop_pairs(cycles) < 4], 40)
+    assert max(_loop_pairs(cycles) for cycles in sample) >= 10
+    for cycles in sample:
         shape, renaming = _canonical_shape(cycles)
         assert shape == reference_canonical_shape(cycles)[0], cycles
         assert _realises(cycles, renaming, shape), cycles

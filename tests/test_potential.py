@@ -157,8 +157,8 @@ def test_xtzt_start_examples():
 
 
 def test_nesting_path_matches_reference(monkeypatch):
-    """Every call the classifier makes while marker g0=0..9 and refined
-    g0=1..9 pass, and every run of one to four edges on every cycle of
+    """Every call the classifier makes while marker g0=0..10 and refined
+    g0=1..10 pass, and every run of one to four edges on every cycle of
     those states, with pseudo edges allowed and not: the label-count
     predicate answers as the replaced per-label cycle scans do."""
     calls = []
@@ -170,9 +170,9 @@ def test_nesting_path_matches_reference(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(strategy, "is_nesting_path", recording)
-        for g0 in range(10):
+        for g0 in range(11):
             assert arena.verify_marker_bound(g0).verdict == "pass"
-        for g0 in range(1, 10):
+        for g0 in range(1, 11):
             assert arena.verify_refined(g0).verdict == "pass"
     assert len(calls) > 5000
     for state in {id(state): state for _, state, _ in calls}.values():

@@ -28,6 +28,11 @@ families are
 - ``auto-plays``: auto marker against auto cutter, g0 0..30 plain and
   1..30 seeded, each play's records and outcome, or the text of the
   ``RuntimeError`` it raised;
+- ``kernels``: the canonical shape (a canonical key less its genus)
+  of every cycle tuple ``equivalence._canonical_shape`` sees, and the
+  answer of every ``classify_configuration`` call, in
+  ``verify_marker_bound`` 0..13, the ``sampled`` run and
+  ``verify_refined`` 1..11;
 - ``cli``: ``cli.dispatch`` over ``CLI_ARGV`` (the README's examples
   but the 23 s ``exact-value --g0 4``, bad input that exits 64, budget
   and ``--k-max`` runs that exit 2, ``--format json`` and ``--out``),
@@ -137,6 +142,8 @@ def families(root: str):
                 auto_plays.append(f"error: {exc}")
     yield "auto-plays", auto_plays
 
+    yield "kernels", kernel_outputs(arena, equivalence, sampled)
+
     fill = {"{corpus}": os.path.join(root, "data", "corpus"), "{c300}": emit_graph6(cycle_graph(300))}
     runs = []
     for argv in CLI_ARGV:
@@ -150,6 +157,40 @@ def families(root: str):
                     written[name] = fh.read()
         runs.append(json.dumps([argv, code, out.getvalue(), err.getvalue(), written]))
     yield "cli", runs
+
+
+def kernel_outputs(arena, equivalence, sampled) -> list[str]:
+    """The two search kernels under each marker node, read at their call
+    sites: every distinct input of ``_canonical_shape`` with the shape it
+    gave (the cache cleared first, so none is missed), sorted, then every
+    ``classify_configuration`` call in call order with its answer."""
+    shapes: dict = {}
+    real_shape = equivalence._canonical_shape
+
+    def shape(cycles):
+        shapes[tuple(cycles)] = out = real_shape(cycles)
+        return out
+
+    calls = []
+    real_classify = arena.classify_configuration
+
+    def classify(active, state, allow_pseudo=False):
+        got = real_classify(active, state, allow_pseudo=allow_pseudo)
+        calls.append(repr((active, state.cycles, state.genus, allow_pseudo, got)))
+        return got
+
+    equivalence._cached_shape.cache_clear()
+    equivalence._canonical_shape, arena.classify_configuration = shape, classify
+    try:
+        for g0 in range(14):
+            arena.verify_marker_bound(g0)
+        arena.verify_cutter_bound(3, sampled)
+        for g0 in range(1, 12):
+            arena.verify_refined(g0)
+    finally:
+        equivalence._canonical_shape, arena.classify_configuration = real_shape, real_classify
+        equivalence._cached_shape.cache_clear()
+    return sorted(f"{cycles!r} {out[0]!r}" for cycles, out in shapes.items()) + calls
 
 
 def digest(outputs) -> str:
