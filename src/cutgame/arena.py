@@ -667,10 +667,10 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
 
 
 def emit_trace(records: list[dict], path: str) -> None:
-    """JSON-lines trace, one record per line, stable field order."""
+    """JSON-lines trace, one record per line, each as ``ply_record``
+    built it, so its fields keep their order."""
     import json
 
-    fields = ["ply", "mover", "mark", "reply", "value", "genus", "potential", "canonical_key"]
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps({k: rec[k] for k in fields}) + "\n")
+            fh.write(json.dumps(rec) + "\n")

@@ -13,8 +13,10 @@ entries ``INCONCLUSIVE`` and exits 1 instead when any entry failed),
 64 = usage error or bad input (a negative genus or budget, a sampled
 run of fewer than one play, a seeded game below genus one, ``--k-max``
 below one, a disconnected graph for an oracle, an empty graph for the
-cop oracle, ``check-corpus`` naming the entry, malformed graph6, an
-unreadable file), with one ``error:`` line on stderr, 70 = internal
+cop oracle, ``check-corpus`` naming the entry, a corpus with no graph,
+a sidecar whose entry count differs from its file's graph count,
+malformed graph6, an unreadable file), with one ``error:`` line on
+stderr, 70 = internal
 error (a ``RuntimeError`` or a ``StrategyError`` out of an engine, such
 as the exact solver meeting a legal reply that does not raise the value
 by one, or a ``play`` whose state fails ``validate``, whose legal reply

@@ -188,12 +188,13 @@ class CutterReply:
 
     ``next`` keeps the untouched cycles in order, then the freshly
     assembled ones (``C_hat_1`` and/or ``C_hat_2``, or the amalgam for
-    kind D), built from the split arcs of ``split_cycle`` of the marked
-    cycle.  ``marked`` is the mark the reply answers.
+    kind D), each opened at a marked point as ``split_cycle`` splits the
+    marked cycle.  ``marked`` is the mark the reply answers.
 
     Provenance records how ``next`` was assembled, so that the marker
-    strategy can trace every surviving edge.  Only the strategy reads
-    it, so each reply derives it on first read:
+    strategy can trace every surviving edge.  It is the same assembly,
+    ``_assemble``, read over edge addresses instead of labels.  Only the
+    strategy reads it, so each reply derives it on first read:
 
     * ``derived``: indices of the freshly assembled cycles in ``next``.
     * ``edge_map``: pairs ``(old_edge, new_edge)`` for every edge of the
@@ -208,20 +209,16 @@ class CutterReply:
 
     @cached_property
     def _provenance(self) -> tuple[tuple[int, ...], tuple[tuple[Edge, Edge], ...], tuple[Edge, ...]]:
-        """``(derived, edge_map, new_edges)``, read off the source edges
-        of each new cycle."""
-        state = self.marked.state
-        keep, arcs = _arc_sources(self.marked, self.kind)
-        edge_map = [((oci, p), (nci, p))
-                    for nci, oci in enumerate(keep) for p in range(len(state.cycles[oci]))]
-        new_edges: list[Edge] = []
-        for nci, sources in enumerate(arcs, len(keep)):
-            for pos, src in enumerate(sources):
-                if src is None:
-                    new_edges.append((nci, pos))
-                else:
-                    edge_map.append((src, (nci, pos)))
-        return tuple(range(len(keep), len(keep) + len(arcs))), tuple(edge_map), tuple(new_edges)
+        """``(derived, edge_map, new_edges)``: ``next`` assembled from
+        each edge's address, with None for the new edge."""
+        addresses = tuple([tuple([(ci, p) for p in range(len(cyc))])
+                           for ci, cyc in enumerate(self.marked.state.cycles)])
+        kept, new = _assemble(addresses, self.marked, None)
+        cycles = kept + new[_PARTS[self.kind]]
+        placed = [(src, (nci, p)) for nci, cyc in enumerate(cycles) for p, src in enumerate(cyc)]
+        edge_map = tuple([pair for pair in placed if pair[0] is not None])
+        new_edges = tuple([edge for src, edge in placed if src is None])
+        return tuple(range(len(kept), len(cycles))), edge_map, new_edges
 
     @property
     def derived(self) -> tuple[int, ...]:
@@ -236,75 +233,57 @@ class CutterReply:
         return self._provenance[2]
 
 
-def _arc_sources(
-    marked: MarkedState, kind: ReplyKind,
-) -> tuple[tuple[int, ...], tuple[tuple[Optional[Edge], ...], ...]]:
-    """How ``cutter_replies`` builds the reply of ``kind`` to ``marked``:
-    the indices of the cycles it keeps, and per new cycle the source edge
-    of each position, None for a new edge."""
-    state = marked.state
-    if not marked.same_component():
-        keep = list(range(len(state.cycles)))
-        opened = []
-        for point in (marked.v, marked.w):
-            if point is None:
-                opened.append(())
-                continue
+# which of ``_assemble``'s new cycles each reply keeps
+_PARTS = {"A": slice(None), "B": slice(1), "C": slice(1, None), "D": slice(None)}
+
+
+def _assemble(cycles: tuple[tuple, ...], marked: MarkedState, new: Optional[int]) -> tuple[tuple, tuple]:
+    """The move rule over per-edge tuples: ``cycles`` holds one entry per
+    edge of ``marked.state`` (its labels, or any other per-edge data),
+    and ``new`` stands for the new edge.  Returns the kept cycles, then
+    the new ones: ``(C_hat_1, C_hat_2)`` when the marks share a
+    component, the amalgam, each cycle opened at its marked point, when
+    they do not."""
+    if marked.same_component():
+        if marked.v is None:  # one dummy marked twice: both arcs trivial
+            return cycles, ((new,), (new,))
+        ci, i = marked.v
+        cyc = cycles[ci]
+        # split_cycle's arcs: P from v to w, P' from w back to v
+        opened = cyc[i:] + cyc[:i]
+        k = (marked.w[1] - i) % len(cyc) or len(cyc)
+        return cycles[:ci] + cycles[ci + 1:], (opened[:k] + (new,), opened[k:] + (new,))
+    amalgam: tuple = ()
+    for point in (marked.v, marked.w):
+        if point is not None:
             ci, pos = point
-            keep.remove(ci)
-            opened.append(tuple((ci, p) for p in split_cycle(state.cycles[ci], pos, pos)[0]))
-        return tuple(keep), (opened[0] + (None,) + opened[1] + (None,),)
-    if marked.v is None:
-        keep, arcs = tuple(range(len(state.cycles))), ((None,), (None,))
-    else:
-        ci = marked.v[0]
-        keep = tuple(k for k in range(len(state.cycles)) if k != ci)
-        arcs = tuple(tuple((ci, p) for p in arc) + (None,)
-                     for arc in split_cycle(state.cycles[ci], marked.v[1], marked.w[1]))
-    return keep, {"A": arcs, "B": arcs[:1], "C": arcs[1:]}[kind]
+            amalgam += cycles[ci][pos:] + cycles[ci][:pos]
+        amalgam += (new,)
+    removed = {p[0] for p in (marked.v, marked.w) if p is not None}
+    return tuple(cyc for ci, cyc in enumerate(cycles) if ci not in removed), (amalgam,)
 
 
 def cutter_replies(marked: MarkedState) -> list[CutterReply]:
     """All cutter replies to a marked state, under the restricted
     convention: the untouched cycles are kept in full and the genus
-    counter is left alone for kinds B and C.  Each next state is built
-    from labels alone; provenance waits until it is read.
+    counter is left alone for kinds B and C.  Marks on one component
+    get A (when the genus allows), B and C; marks on two (a vertex may
+    be a dummy, or both are distinct dummies) leave the cutter no
+    choice, D.  Each next state is built from labels alone; provenance
+    waits until it is read.
     """
     state = marked.state
-    label = state.next_label
-    cycles, genus, g0 = state.cycles, state.genus, state.initial_genus
+    label, genus = state.next_label, state.genus
+    kept, new = _assemble(state.cycles, marked, label)
 
-    def reply(kind: ReplyKind, kept: tuple, new: tuple, new_genus: int) -> CutterReply:
-        return CutterReply(kind, GameState(kept + new, new_genus, g0, label + 1), marked)
+    def reply(kind: ReplyKind, new_genus: int) -> CutterReply:
+        next_state = GameState(kept + new[_PARTS[kind]], new_genus, state.initial_genus, label + 1)
+        return CutterReply(kind, next_state, marked)
 
-    if marked.same_component():
-        if marked.v is None:  # one dummy marked twice: both arcs trivial
-            kept, c_hat_1, c_hat_2 = cycles, (label,), (label,)
-        else:
-            ci, i = marked.v
-            cyc = cycles[ci]
-            kept = cycles[:ci] + cycles[ci + 1:]
-            # split_cycle's arcs, as labels: P from v to w, P' from w back to v
-            opened = cyc[i:] + cyc[:i]
-            k = (marked.w[1] - i) % len(cyc) or len(cyc)
-            c_hat_1, c_hat_2 = opened[:k] + (label,), opened[k:] + (label,)
-        replies = [reply("A", kept, (c_hat_1, c_hat_2), genus - 1)] if genus >= 1 else []
-        replies.append(reply("B", kept, (c_hat_1,), genus))
-        replies.append(reply("C", kept, (c_hat_2,), genus))
-        return replies
-
-    # Different components (a vertex may be a dummy, or both are distinct
-    # dummies): the cutter has no choice, the two cycles amalgamate, each
-    # opened at its marked vertex.
-    amalgam: tuple[int, ...] = ()
-    for point in (marked.v, marked.w):
-        if point is not None:
-            ci, pos = point
-            amalgam += cycles[ci][pos:] + cycles[ci][:pos]
-        amalgam += (label,)
-    removed = {p[0] for p in (marked.v, marked.w) if p is not None}
-    kept = tuple(cyc for ci, cyc in enumerate(cycles) if ci not in removed)
-    return [reply("D", kept, (amalgam,), genus)]
+    if not marked.same_component():
+        return [reply("D", genus)]
+    replies = [reply("A", genus - 1)] if genus >= 1 else []
+    return replies + [reply("B", genus), reply("C", genus)]
 
 
 class Violation:

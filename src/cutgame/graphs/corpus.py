@@ -5,6 +5,8 @@ optional sidecar ``<stem>.json`` carries a list of per-line objects
 ``{"name", "declared_genus", "expected_cop_number"}``: a string and two
 non-negative integers, each optional, the integers also nullable.
 Graphs whose genus search exceeds its budget need a declared genus to be checked.
+A corpus holds at least one graph, and a sidecar has exactly one entry
+per graph of its file.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ class CorpusEntry:
 
 
 def load_corpus(directory: str) -> list[CorpusEntry]:
+    """Every graph of the directory's ``*.g6`` files, in file order.
+    Raises ValueError when no file holds a graph, or when a sidecar's
+    entry count differs from its file's graph count."""
     entries: list[CorpusEntry] = []
     for fname in sorted(os.listdir(directory)):
         if not fname.endswith(".g6"):
@@ -40,8 +45,9 @@ def load_corpus(directory: str) -> list[CorpusEntry]:
         meta = [{} for _ in lines]
         sidecar = os.path.join(directory, stem + ".json")
         if os.path.exists(sidecar):
-            for i, m in enumerate(_read_sidecar(sidecar)[: len(lines)]):
-                meta[i] = m
+            meta = _read_sidecar(sidecar)
+            if len(meta) != len(lines):
+                raise ValueError(f"{sidecar}: {len(meta)} entries for the {len(lines)} graphs of {fname}")
         for i, line in enumerate(lines):
             m = meta[i]
             entries.append(
@@ -52,6 +58,8 @@ def load_corpus(directory: str) -> list[CorpusEntry]:
                     expected_cop_number=m.get("expected_cop_number"),
                 )
             )
+    if not entries:
+        raise ValueError(f"{directory}: no graph in any *.g6 file")
     return entries
 
 

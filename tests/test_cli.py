@@ -274,7 +274,10 @@ def test_check_corpus_honours_the_genus_budget(capsys):
     [1],
     [{"declared_genus": "one"}],
     [{"expected_cop_number": True}],
-], ids=["not-a-list", "not-an-object", "string-genus", "bool-cop-number"])
+    [{"name": "K4"}, {"name": "ghost", "expected_cop_number": 9}],
+    [],
+], ids=["not-a-list", "not-an-object", "string-genus", "bool-cop-number", "entry-without-graph",
+        "graph-without-entry"])
 def test_malformed_sidecar_exits_64(sidecar, tmp_path, capsys):
     with open(os.path.join(tmp_path, "x.g6"), "w") as fh:
         fh.write("C~\n")
@@ -286,6 +289,19 @@ def test_malformed_sidecar_exits_64(sidecar, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "x.json" in lines[0]
+
+
+@pytest.mark.parametrize("files", [{}, {"blank.g6": "\n\n", "notes.txt": "C~\n"}],
+                         ids=["no-g6-file", "blank-g6-only"])
+def test_corpus_with_no_graph_exits_64(files, tmp_path, capsys):
+    # an empty corpus is bad input, not a pass over nothing
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    code = dispatch(["check-corpus", "--dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {tmp_path}: no graph in any *.g6 file"]
 
 
 def test_budget_exhaustion_exit():

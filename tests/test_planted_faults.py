@@ -5,11 +5,14 @@ must fail under it (unplanted, that cross-check is a test of its own)."""
 
 import pytest
 
-from cutgame import equivalence, potential, strategy
+from cutgame import core, equivalence, potential, strategy
 from cutgame.arena import FAIL, PASS, verify_cutter_bound, verify_marker_bound
+from cutgame.core import MarkedState
 
 import test_equivalence
 import test_strategy
+import test_successors
+from test_successors import reached  # noqa: F401  (a fixture of the replies cross-check)
 
 
 def flip_rich_poor_threshold(monkeypatch):
@@ -49,14 +52,50 @@ def merge_signature_without_pool(monkeypatch):
     monkeypatch.setattr(equivalence, "_free_label_signature", lambda rest, renaming, pool: real(rest, renaming, {}))
 
 
+def provenance_swaps_new_cycles(monkeypatch):
+    """Provenance reads the two new cycles of a one-component reply in
+    swapped order; the next states are right.  The exhaustive cutter
+    verifier at g0 0..2 and ``exact_value`` 0..2 read no provenance, and
+    their verdicts and values do not change."""
+    real = core._assemble
+
+    def swapped(cycles, marked, new):
+        kept, made = real(cycles, marked, new)
+        return kept, made[::-1] if new is None else made
+
+    monkeypatch.setattr(core, "_assemble", swapped)
+
+
+def amalgam_opens_one_vertex_late(monkeypatch):
+    """The amalgam opens each cycle one vertex after its marked one, in
+    next states and provenance alike.  That keeps every value, so the
+    exhaustive cutter verifier at g0 0..2 and ``exact_value`` 0..2 give
+    the same verdicts and values under it."""
+    real = core._assemble
+
+    def late(cycles, marked, new):
+        if not marked.same_component():
+            state = marked.state
+            step = lambda p: None if p is None else (p[0], (p[1] + 1) % len(state.cycles[p[0]]))  # noqa: E731
+            marked = MarkedState(state, step(marked.v), step(marked.w))
+        return real(cycles, marked, new)
+
+    monkeypatch.setattr(core, "_assemble", late)
+
+
 @pytest.mark.parametrize("plant, verify, g0, failure", [
     (flip_rich_poor_threshold, verify_cutter_bound, 1, "cutter had no potential-non-increasing reply"),
     (flip_rich_poor_threshold, verify_cutter_bound, 2, "cutter had no potential-non-increasing reply"),
     (negate_potential, verify_marker_bound, 2, "potential below -5 at the end of the preparatory phase"),
     (swap_sources_of_arrow_3a, verify_marker_bound, 2, "binding audit failed in configuration 4"),
     (window_counts_nesting_as_one_edge, verify_marker_bound, 3, "classifier saw configuration None"),
+    (provenance_swaps_new_cycles, verify_marker_bound, 1,
+     "transition from configuration 1 on kind A: active cycle split across cycles"),
+    (amalgam_opens_one_vertex_late, verify_marker_bound, 1,
+     "binding audit failed in configuration 3: atoms do not read cycle 0 in order"),
 ], ids=["rich-poor-threshold-cutter-1", "rich-poor-threshold-cutter-2", "potential-sign-marker-2",
-        "arrow-3A-sources-marker-2", "classifier-window-marker-3"])
+        "arrow-3A-sources-marker-2", "classifier-window-marker-3", "provenance-swapped-marker-1",
+        "amalgam-late-marker-1"])
 def test_a_planted_fault_fails_its_verifier(monkeypatch, plant, verify, g0, failure):
     assert verify(g0).verdict == PASS
     plant(monkeypatch)
@@ -66,13 +105,15 @@ def test_a_planted_fault_fails_its_verifier(monkeypatch, plant, verify, g0, fail
     assert report.witness
 
 
-@pytest.mark.parametrize("plant, cross_check", [
-    (classify_in_given_order, test_strategy.test_classifier_matches_reference_matcher),
-    (merge_signature_without_pool,
-     lambda monkeypatch: test_equivalence.test_canonical_shape_agrees_with_reference_on_random_states()),
-], ids=["classifier-given-order", "tie-merge-without-pool"])
-def test_a_planted_fault_fails_its_cross_check(monkeypatch, plant, cross_check):
+@pytest.mark.parametrize("plant, cross_check, needs", [
+    (classify_in_given_order, test_strategy.test_classifier_matches_reference_matcher, ["monkeypatch"]),
+    (merge_signature_without_pool, test_equivalence.test_canonical_shape_agrees_with_reference_on_random_states, []),
+    (amalgam_opens_one_vertex_late, test_successors.test_replies_match_the_eager_builder, ["reached"]),
+], ids=["classifier-given-order", "tie-merge-without-pool", "amalgam-late-replies"])
+def test_a_planted_fault_fails_its_cross_check(request, monkeypatch, plant, cross_check, needs):
+    # the cross-check's fixtures are built before the fault is planted
+    args = [request.getfixturevalue(name) for name in needs]
     plant(monkeypatch)
     # an answer differs from the reference's, not a floor or a count
     with pytest.raises(AssertionError, match="=="):
-        cross_check(monkeypatch)
+        cross_check(*args)

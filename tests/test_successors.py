@@ -116,10 +116,10 @@ def test_lazy_marks_refuse_indices_off_the_sequence():
 def test_solver_and_sampled_play_build_no_provenance(monkeypatch):
     """The solver and a sampled cutter play never read a reply's
     provenance, and the play builds one mark per ply."""
-    def provenance(marked, kind):
+    def provenance(reply):
         raise AssertionError("reply provenance computed")
 
-    monkeypatch.setattr(core, "_arc_sources", provenance)
+    monkeypatch.setattr(core.CutterReply, "_provenance", property(provenance))
     assert [exact_value(g0) for g0 in range(3)] == [2, 4, 5]
     assert exact_value(1, use_memo=False) == 4
     built = []

@@ -36,9 +36,16 @@ families are
 - ``cli``: ``cli.dispatch`` over ``CLI_ARGV`` (the README's examples
   but the 23 s ``exact-value --g0 4``, bad input that exits 64, budget
   and ``--k-max`` runs that exit 2, ``--format json`` and ``--out``),
-  each run's exit code, stdout, stderr and the files it wrote.
+  each run's exit code, stdout, stderr and the files it wrote;
+- ``replies``: every reply ``equivalence.cutter_replies`` builds in
+  ``verify_marker_bound`` 0..11, ``verify_refined`` 1..11, exhaustive
+  ``verify_cutter_bound`` 0..1, the ``sampled`` run and ``exact_value``
+  0..2, one output per call: each reply's kind, next cycles and genus,
+  and its provenance (``derived``, ``edge_map``, ``new_edges``), read
+  for every reply, so that both readings of the reply assembly are
+  hashed.
 
-Each line reads ``family outputs sha256``.  A full run takes about 21 s
+Each line reads ``family outputs sha256``.  A full run takes about 23 s
 on a 2-core x86-64 VM with Python 3.11.
 """
 
@@ -158,6 +165,8 @@ def families(root: str):
         runs.append(json.dumps([argv, code, out.getvalue(), err.getvalue(), written]))
     yield "cli", runs
 
+    yield "replies", reply_outputs(arena, equivalence, sampled)
+
 
 def kernel_outputs(arena, equivalence, sampled) -> list[str]:
     """The two search kernels under each marker node, read at their call
@@ -191,6 +200,34 @@ def kernel_outputs(arena, equivalence, sampled) -> list[str]:
         equivalence._canonical_shape, arena.classify_configuration = real_shape, real_classify
         equivalence._cached_shape.cache_clear()
     return sorted(f"{cycles!r} {out[0]!r}" for cycles, out in shapes.items()) + calls
+
+
+def reply_outputs(arena, equivalence, sampled) -> list[str]:
+    """Every ``cutter_replies`` call of the verifiers and the solver, read
+    at its call site in ``legal_replies``, with every reply's provenance."""
+    replies = []
+    real = equivalence.cutter_replies
+
+    def record(marked):
+        got = real(marked)
+        replies.append(repr([(r.kind, r.next.cycles, r.next.genus, r.derived, r.edge_map, r.new_edges)
+                             for r in got]))
+        return got
+
+    equivalence.cutter_replies = record
+    try:
+        for g0 in range(12):
+            arena.verify_marker_bound(g0)
+        for g0 in range(1, 12):
+            arena.verify_refined(g0)
+        for g0 in range(2):
+            arena.verify_cutter_bound(g0)
+        arena.verify_cutter_bound(3, sampled)
+        for g0 in range(3):
+            arena.exact_value(g0)
+    finally:
+        equivalence.cutter_replies = real
+    return replies
 
 
 def digest(outputs) -> str:
