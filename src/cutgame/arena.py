@@ -520,15 +520,21 @@ def ending_marks(state: GameState) -> list[MarkedState]:
     a reply that loses a label is equivalent to a reduction of the
     current state, so it is not.  Reply A (genus above 0), reply D
     (points on two components) and the loops made for one dummy marked
-    twice keep every label.  That leaves two points ``i < j`` of one
-    cycle at genus 0: reply B keeps the arc of edges ``[i, j)`` and C
-    the rest (``split_cycle``), and the mark ends the game exactly when
-    each arc misses some label that no other cycle carries: one such
-    *private* label has all its edges in ``[i, j)`` and one has none.
-    For a fixed ``i`` that is a run of ``j``, built without arcs.
+    twice keep every label.  That leaves the marks of ``_forcing_marks``
+    at genus 0.
     """
-    if state.genus:
-        return []
+    return [] if state.genus else _forcing_marks(state)
+
+
+def _forcing_marks(state: GameState) -> list[MarkedState]:
+    """The marks whose replies B and C both lose a label, at any genus.
+
+    Two points ``i < j`` of one cycle: reply B keeps the arc of edges
+    ``[i, j)`` and C the rest (``split_cycle``), and each loses a label
+    exactly when its arc misses some label that no other cycle carries:
+    one such *private* label has all its edges in ``[i, j)`` and one has
+    none.  For a fixed ``i`` that is a run of ``j``, built without arcs.
+    """
     counts = state.label_counts()
     out = []
     for ci, cyc in enumerate(state.cycles):
@@ -549,6 +555,12 @@ def ending_marks(state: GameState) -> list[MarkedState]:
     return out
 
 
+def genus_floor(state: GameState) -> int:
+    """The least value at which a play from ``state`` can end: its value
+    plus its genus (``exact_value``)."""
+    return value(state) + state.genus
+
+
 def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool = True) -> Union[int, str]:
     """Smallest value bound the marker can force while ending the game.
 
@@ -562,9 +574,18 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
     since the game is blind to labels, on its canonical form alone: that
     is the memo key.  The memo-off mode cross-checks it.
 
-    A state first tries the marks of ``ending_marks``, each confirmed by
-    ``legal_replies``.  That decides a state at the threshold, so replies
-    are built only below it, where the search recurses.  A mark caps once
+    The genus floor (``genus_floor``): at genus 1 or more every mark has
+    a legal reply that keeps every label, A on one component and D on
+    two, and no mark ends the game; a legal reply raises the value by one
+    and lowers the genus by at most one, so every play from value ``v``
+    at genus ``g`` ends at ``v + g`` or more.  A state whose floor is
+    above the threshold is counted and validated, then refused before any
+    key, mark or reply is built.  At a tight state (``v + g`` at the threshold) only
+    the marks of ``_forcing_marks`` can cap, those whose B and C replies
+    both lose a label: after any other the cutter keeps every label and
+    lands above the floor.  At genus 0 they are ``ending_marks``, each
+    confirmed by ``legal_replies``, and they decide a state at the
+    threshold, so replies are built only below it.  A mark caps once
     every reply caps, so the search tries the replies most likely to
     escape first: those that keep the genus (B, then C), then A, which
     spends a unit of it.  The order is the solver's own:
@@ -572,19 +593,19 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
     verifiers read.  Every counted state must pass ``validate``, and
     every legal reply below the threshold must raise the value by exactly
     one; either failure raises ``RuntimeError``.  Only states below the
-    threshold are keyed and memoized: with the memo on, every visit to a
-    threshold state counts against ``budget.max_states``, and every other
-    state counts once.
-    ``exact_value(3)`` is 7, found in about 1.4 s (35 631 states), and
-    ``exact_value(4)`` is 8, found in about 23 s (591 739 states), on a
+    threshold and on or below the floor are keyed and memoized: with the
+    memo on, every visit to any other state counts against
+    ``budget.max_states``, and a keyed state counts once.
+    ``exact_value(4)`` is 8, found in about 0.2 s (1 029 states), and
+    ``exact_value(5)`` is 9, found in about 3 s (7 499 states), on a
     2-core x86-64 VM with Python 3.11.
     """
     budget = budget or SearchBudget()
     counter = {"states": 0}
 
     def can_cap(state: GameState, t: int, memo: dict) -> bool:
-        v = value(state)
-        keyed = use_memo and v < t
+        v, floor = value(state), genus_floor(state)
+        keyed = use_memo and v < t and floor <= t
         if keyed:
             key = canonical_key(state)
             if key in memo:
@@ -595,9 +616,11 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
         violation = validate(state)
         if violation is not None:
             raise RuntimeError(f"invalid state ({violation.rule}): {violation.detail}")
+        if floor > t:
+            return False
         result = any(not legal_replies(marked) for marked in ending_marks(state))
         if not result and v < t:
-            for marked in enumerate_marker_moves(state):
+            for marked in _forcing_marks(state) if floor == t else enumerate_marker_moves(state):
                 legal = legal_replies(marked)
                 for r in legal:
                     if value(r.next) != v + 1:

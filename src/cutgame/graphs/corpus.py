@@ -3,7 +3,8 @@
 A corpus directory holds ``*.g6`` files, one graph6 line per graph.  An
 optional sidecar ``<stem>.json`` carries a list of per-line objects
 ``{"name", "declared_genus", "expected_cop_number"}``: a string and two
-non-negative integers, each optional, the integers also nullable.
+non-negative integers, each optional, the integers also nullable; any
+other key is an error.
 Graphs whose genus search exceeds its budget need a declared genus to be checked.
 A corpus holds at least one graph, and a sidecar has exactly one entry
 per graph of its file.
@@ -63,9 +64,12 @@ def load_corpus(directory: str) -> list[CorpusEntry]:
     return entries
 
 
+_SIDECAR_KEYS = ("name", "declared_genus", "expected_cop_number")
+
+
 def _read_sidecar(path: str) -> list[dict]:
     """A sidecar's metadata objects; raises ValueError naming the file and
-    index of the first malformed entry."""
+    index of the first malformed entry, and the key it does not know."""
     with open(path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     if not isinstance(meta, list):
@@ -73,6 +77,9 @@ def _read_sidecar(path: str) -> list[dict]:
     for i, m in enumerate(meta):
         if not isinstance(m, dict):
             raise ValueError(f"{path}[{i}]: expected an object, got {type(m).__name__}")
+        unknown = next((key for key in m if key not in _SIDECAR_KEYS), None)
+        if unknown is not None:
+            raise ValueError(f"{path}[{i}]: unknown key {unknown!r}, expected {', '.join(_SIDECAR_KEYS)}")
         if not isinstance(m.get("name", ""), str):
             raise ValueError(f"{path}[{i}]: name must be a string, got {m['name']!r}")
         for key in ("declared_genus", "expected_cop_number"):

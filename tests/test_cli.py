@@ -20,7 +20,7 @@ def test_verify_marker_exit_and_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, other", [
-    ("--budget-states", "100", "2000000"),
+    ("--budget-states", "10", "2000000"),
     ("--format", "json", "text"),
     ("--out", "{tmp}/a.json", "{tmp}/b.json"),
 ], ids=["budget-states", "format", "out"])
@@ -289,6 +289,20 @@ def test_malformed_sidecar_exits_64(sidecar, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "x.json" in lines[0]
+
+
+def test_sidecar_error_names_the_key_it_does_not_know(tmp_path, capsys):
+    # a misspelled key would otherwise be dropped, and the entry checked without it
+    with open(os.path.join(tmp_path, "x.g6"), "w") as fh:
+        fh.write("C~\n")
+    sidecar = os.path.join(tmp_path, "x.json")
+    with open(sidecar, "w") as fh:
+        json.dump([{"name": "K4", "expected_cop": 9}], fh)
+    assert dispatch(["check-corpus", "--dir", str(tmp_path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {sidecar}[0]: unknown key 'expected_cop', expected name, declared_genus, expected_cop_number"]
 
 
 @pytest.mark.parametrize("files", [{}, {"blank.g6": "\n\n", "notes.txt": "C~\n"}],

@@ -3,13 +3,16 @@ verifier run that must turn from PASS to FAIL under it, with a witness
 and the failure it reports, or a cross-check against a reference that
 must fail under it (unplanted, that cross-check is a test of its own)."""
 
+import functools
+
 import pytest
 
-from cutgame import core, equivalence, potential, strategy
+from cutgame import arena, core, equivalence, potential, strategy
 from cutgame.arena import FAIL, PASS, verify_cutter_bound, verify_marker_bound
-from cutgame.core import MarkedState
+from cutgame.core import MarkedState, value
 
 import test_equivalence
+import test_solver
 import test_strategy
 import test_successors
 from test_successors import reached  # noqa: F401  (a fixture of the replies cross-check)
@@ -83,6 +86,13 @@ def amalgam_opens_one_vertex_late(monkeypatch):
     monkeypatch.setattr(core, "_assemble", late)
 
 
+def floor_off_by_one(monkeypatch):
+    """The exact solver's genus floor sits one value high at positive
+    genus, so it refuses a state with value plus genus at the threshold:
+    ``exact_value`` 0..4 gives 2, 4, 6, 7, 9."""
+    monkeypatch.setattr(arena, "genus_floor", lambda state: value(state) + state.genus + (state.genus > 0))
+
+
 @pytest.mark.parametrize("plant, verify, g0, failure", [
     (flip_rich_poor_threshold, verify_cutter_bound, 1, "cutter had no potential-non-increasing reply"),
     (flip_rich_poor_threshold, verify_cutter_bound, 2, "cutter had no potential-non-increasing reply"),
@@ -109,7 +119,10 @@ def test_a_planted_fault_fails_its_verifier(monkeypatch, plant, verify, g0, fail
     (classify_in_given_order, test_strategy.test_classifier_matches_reference_matcher, ["monkeypatch"]),
     (merge_signature_without_pool, test_equivalence.test_canonical_shape_agrees_with_reference_on_random_states, []),
     (amalgam_opens_one_vertex_late, test_successors.test_replies_match_the_eager_builder, ["reached"]),
-], ids=["classifier-given-order", "tie-merge-without-pool", "amalgam-late-replies"])
+    (floor_off_by_one, functools.partial(test_solver.test_solver_agrees_with_reference, True), []),
+    (floor_off_by_one, test_solver.test_exact_value_four, []),
+], ids=["classifier-given-order", "tie-merge-without-pool", "amalgam-late-replies", "floor-off-by-one-reference",
+        "floor-off-by-one-value-four"])
 def test_a_planted_fault_fails_its_cross_check(request, monkeypatch, plant, cross_check, needs):
     # the cross-check's fixtures are built before the fault is planted
     args = [request.getfixturevalue(name) for name in needs]

@@ -7,8 +7,10 @@ import pytest
 
 import reference_solver
 from cutgame import arena, equivalence
-from cutgame.arena import SearchBudget, cutter_value_threshold, ending_marks, exact_value, marker_value_bound
-from cutgame.core import GameState, enumerate_marker_moves
+from cutgame.arena import (
+    SearchBudget, cutter_value_threshold, ending_marks, exact_value, genus_floor, marker_value_bound,
+)
+from cutgame.core import GameState, cutter_replies, enumerate_marker_moves, value
 from cutgame.equivalence import legal_replies
 from fuzz import all_proper_states
 from reference_solver import reference_exact_value
@@ -74,17 +76,82 @@ def test_exact_value_between_the_bounds(g0):
 
 
 def test_exact_value_three():
-    # with the genus-keeping replies tried first, about 36 k states
+    # with the genus floor, 366 states
     value = exact_value(3, SearchBudget(max_states=40_000))
     assert value == 7
     assert cutter_value_threshold(3) <= value <= marker_value_bound(3)
 
 
-@pytest.mark.slow
 def test_exact_value_four():
-    # about 592 k states and 25 s under the default budget; one solve
-    # meets both verified bounds
+    # one solve meets both verified bounds
     assert exact_value(4) == 8 == cutter_value_threshold(4) == marker_value_bound(4)
+
+
+def test_exact_value_five():
+    # 7 499 states, about 3 s
+    found = exact_value(5)
+    assert found == 9
+    assert cutter_value_threshold(5) <= found <= marker_value_bound(5)
+
+
+def _positive_genus_states():
+    return all_proper_states(5, genus_pairs=((1, 1), (2, 2), (1, 2)))
+
+
+def test_every_mark_at_positive_genus_has_a_reply_that_keeps_every_label():
+    # the genus floor: a legal A (one component) or D (two) keeps every
+    # label and raises the value by one, and no legal reply lowers the floor
+    marks = 0
+    for state in _positive_genus_states():
+        if not state.cycles:
+            continue
+        labels, v = state.label_counts().keys(), value(state)
+        for marked in enumerate_marker_moves(state):
+            legal = legal_replies(marked)
+            assert any(labels <= r.next.label_counts().keys() and value(r.next) == v + 1 for r in legal), (
+                state, marked.v, marked.w, marked.same_dummy)
+            assert all(genus_floor(r.next) >= genus_floor(state) for r in legal), (state, marked.v, marked.w)
+            marks += 1
+    assert marks == 14_904
+
+
+def _loses_a_label(state, reply) -> bool:
+    return not state.label_counts().keys() <= reply.next.label_counts().keys()
+
+
+def _assert_forcing_marks_lose_both_arcs(state):
+    """``_forcing_marks`` are exactly the marks on one cycle whose built B
+    and C replies both lose a label."""
+    expected = set()
+    for marked in enumerate_marker_moves(state):
+        if marked.v is None or marked.w is None or marked.v[0] != marked.w[0]:
+            continue
+        arcs = [r for r in cutter_replies(marked) if r.kind in "BC"]
+        assert len(arcs) == 2
+        if all(_loses_a_label(state, r) for r in arcs):
+            expected.add(_point(marked))
+    assert _points(arena._forcing_marks(state)) == expected, state
+
+
+def test_forcing_marks_are_the_marks_whose_arcs_both_lose_a_label(monkeypatch):
+    for state in _positive_genus_states():
+        _assert_forcing_marks_lose_both_arcs(state)
+    # and every state the solver draws forcing marks for, tight states
+    # at positive genus among them
+    asked = []
+    real = arena._forcing_marks
+
+    def recording(state):
+        asked.append(state)
+        return real(state)
+
+    monkeypatch.setattr(arena, "_forcing_marks", recording)
+    for g0 in range(5):
+        exact_value(g0)
+    monkeypatch.undo()
+    assert sum(state.genus > 0 for state in asked) > 100
+    for state in asked:
+        _assert_forcing_marks_lose_both_arcs(state)
 
 
 def test_solver_raises_on_a_legal_reply_that_skips_a_value(monkeypatch):
