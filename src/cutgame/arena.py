@@ -27,7 +27,7 @@ bindings survive an independent re-classification.  A failure carries a
 witness, the ply records from the root to the failing ply, rebuilt from
 parent links.  Budget exhaustion yields the distinct verdict
 ``inconclusive``, never a silent pass.  A negative starting genus, or a
-seeded game below genus one, raises ``ValueError``.
+seeded game below genus one, raises ``errors.InputError``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .core import (
     CutterReply, GameState, MarkedState, empty_state, enumerate_marker_moves, validate, value,
 )
 from .equivalence import canonical_key, legal_replies
+from .errors import InputError
 from .potential import QUARTER, component_potential, positive_component_sum, potential_text, state_potential
 from .strategy import (
     BoundingPhase,
@@ -84,11 +85,11 @@ class SearchBudget:
     def __init__(self, max_depth: Optional[int] = None, max_states: int = 2_000_000,
                  marker_sampling: str = "exhaustive", sample_plays: int = 10_000, seed: int = 0):
         if marker_sampling not in ("exhaustive", "random"):
-            raise ValueError(f"unknown marker sampling {marker_sampling!r}")
+            raise InputError(f"unknown marker sampling {marker_sampling!r}")
         if marker_sampling == "random" and sample_plays < 1:
-            raise ValueError(f"a sampled run needs at least one play, got {sample_plays}")
+            raise InputError(f"a sampled run needs at least one play, got {sample_plays}")
         if max_states < 0 or (max_depth or 0) < 0:
-            raise ValueError(f"budgets must be non-negative: max_depth={max_depth}, max_states={max_states}")
+            raise InputError(f"budgets must be non-negative: max_depth={max_depth}, max_states={max_states}")
         self.max_depth, self.max_states, self.marker_sampling = max_depth, max_states, marker_sampling
         self.sample_plays, self.seed = sample_plays, seed
 
@@ -350,11 +351,11 @@ def _cutter_key(node: _Node) -> tuple:
 def _start(g0: int, refined: bool = False) -> GameState:
     """The starting state: empty, or the seeded game's four-cycle."""
     if g0 < 0:
-        raise ValueError(f"starting genus must be non-negative, got {g0}")
+        raise InputError(f"starting genus must be non-negative, got {g0}")
     if not refined:
         return empty_state(g0)
     if g0 < 1:
-        raise ValueError(f"the seeded game needs starting genus at least one, got {g0}")
+        raise InputError(f"the seeded game needs starting genus at least one, got {g0}")
     return GameState(((0, 1, 0, 2),), genus=g0 - 1, initial_genus=g0, next_label=3)
 
 

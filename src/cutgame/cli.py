@@ -15,10 +15,11 @@ run of fewer than one play, a seeded game below genus one, ``--k-max``
 below one, a disconnected graph for an oracle, an empty graph for the
 cop oracle, ``check-corpus`` naming the entry, a corpus with no graph,
 a sidecar whose entry count differs from its file's graph count,
-malformed graph6, an unreadable file), with one ``error:`` line on
-stderr, 70 = internal
-error (a ``RuntimeError`` or a ``StrategyError`` out of an engine, such
-as the exact solver meeting a legal reply that does not raise the value
+malformed graph6, an unreadable file or one that does not decode: an
+``errors.InputError`` or an ``OSError``), with one ``error:`` line on
+stderr, 70 = internal error (a ``RuntimeError``, a ``StrategyError`` or
+any other ``ValueError`` out of an engine, such as the exact solver
+meeting a legal reply that does not raise the value
 by one, or a ``play`` whose state fails ``validate``, whose legal reply
 does not raise the value by one, whose marker marks a vertex the state
 lacks or faults in a transition, or whose auto cutter has no reply that
@@ -52,6 +53,7 @@ from .arena import (
     verify_marker_bound,
     verify_refined,
 )
+from .errors import InputError
 from .strategy import StrategyError
 
 EXIT_PASS = 0
@@ -154,12 +156,15 @@ def _load_graph(args):
 
     if args.g6 is not None:
         return parse_graph6(args.g6)
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                return parse_graph6(line)
-    raise ValueError(f"no graph6 line found in {args.graph}")
+    try:
+        with open(args.graph, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.graph}: {exc}") from exc
+    for line in lines:
+        if line:
+            return parse_graph6(line)
+    raise InputError(f"no graph6 line found in {args.graph}")
 
 
 def _oracle_limits() -> tuple:
@@ -178,15 +183,15 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         if args.budget_states < 0:
-            raise ValueError(f"--budget-states must be non-negative, got {args.budget_states}")
+            raise InputError(f"--budget-states must be non-negative, got {args.budget_states}")
         return args.run(args)
-    except _oracle_limits() as exc:  # before ValueError: CopNumberAboveError is one
+    except _oracle_limits() as exc:  # first: CopNumberAboveError is a ValueError
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, StrategyError) as exc:
+    except (RuntimeError, StrategyError, ValueError) as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE
 

@@ -14,8 +14,10 @@ the marked state alone.
 
 Equivalence compares canonical keys: the lexicographically least
 encoding of the cycles under rotation, reordering and first-occurrence
-renaming (``_canonical_shape``, which merges, defers or skips tied
-partial orderings instead of expanding each one).  ``precedes``
+renaming (``_canonical_shape``).  Its search runs once per normal form
+of the input (relabelled and reordered copies share it), places the
+loop pairs (a)(a) in closed form, and merges or defers tied partial
+orderings instead of expanding each one.  ``precedes``
 decides the reduction relation: by the genus, then by a kept-label
 witness on the concrete labels, which settles every reply a
 value-monotone play refuses, then on canonical cycles by a
@@ -42,8 +44,12 @@ class CanonicalKey:
     shape: tuple[tuple[int, ...], ...]
 
     def __str__(self) -> str:
-        cycles = "|".join(",".join(map(str, cyc[1:])) for cyc in self.shape)
-        return f"g{self.genus}#{cycles}"
+        return f"g{self.genus}#{_shape_text(self.shape)}"
+
+
+@lru_cache(maxsize=1 << 12)
+def _shape_text(shape: tuple[tuple[int, ...], ...]) -> str:
+    return "|".join(",".join(map(str, cyc[1:])) for cyc in shape)
 
 
 # A partial ordering of the canonical-form search is a tuple
@@ -186,22 +192,52 @@ def _place(
     return tuple(out), results
 
 
-def _twins(cycles: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
-    """The cycles that appear exactly twice and whose labels lie on
-    those two copies alone, one edge on each."""
-    counts = Counter(lab for c in cycles for lab in c)
-    return {c for c, k in Counter(cycles).items() if k == 2 and all(counts[lab] == 2 for lab in c)}
-
-
 def _canonical_shape(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
     """Lexicographically minimal encoding of a cycle multiset under
     rotation, reordering and first-occurrence label renaming.  Also
     returns one renaming that realizes the minimum.
 
-    Each level appends the least piece any tied partial ordering can
-    produce.  A piece starts with its cycle's length, so the pieces come
-    in blocks of equal length, and within one partial each distinct
-    cycle is tried once.  Three devices keep the tie set small:
+    Relabelled or reordered copies of one input often share a normal
+    form (``_normal_form``), and ``_normal_shape`` searches each form
+    once; its renaming is composed back onto the input's labels here.
+    """
+    normal, names = _normal_form(cycles)
+    shape, renaming = _normal_shape(normal)
+    return shape, {lab: renaming[x] for lab, x in names.items()}
+
+
+def _normal_form(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+    """The cycles sorted by length (a stable sort), their labels renamed
+    0, 1, ... by first occurrence, then sorted by length and content, so
+    that equal cycles sit side by side; and that renaming."""
+    names: dict[int, int] = {}
+    normal = sorted([tuple([names.setdefault(lab, len(names)) for lab in c]) for c in sorted(cycles, key=len)])
+    normal.sort(key=len)
+    return tuple(normal), names
+
+
+# copies of one state come close together (within 1 000 plays of a
+# sampled run), so a small cache keeps nearly every hit
+@lru_cache(maxsize=1 << 12)
+def _normal_shape(cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The canonical shape of cycles in ``_canonical_shape``'s normal
+    form, and its renaming as a tuple indexed by label.
+
+    *Loop pairs* lead, in closed form.  A loop pair is two loops (a)(a)
+    whose label appears nowhere else (the deep marker states carry many).
+    When no other label is on two loops, the least length-1 block starts
+    (1,0),(1,0),(1,1),(1,1),... with every pair, since a single loop
+    first gives (1,i),(1,i+1) instead of (1,i),(1,i); and exchanging two
+    pairs fixes everything else.  So the pairs are stripped, and the
+    search below runs on the other cycles with indices starting after
+    them.
+
+    The search appends, level by level, the least piece any tied partial
+    ordering can produce.  A piece starts with its cycle's length, so
+    the pieces come in blocks of equal length; the remaining cycles stay
+    sorted by length, so a level scans the prefix of its length, tries
+    each distinct cycle once, and gives up a rotation at the first entry
+    above the best piece so far.  Two devices keep the tie set small:
 
     - *Merged ties.*  Tied partials with equal free-label signatures are
       merged.  Sound: equal signatures give a bijection of the free
@@ -218,72 +254,69 @@ def _canonical_shape(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int
       one.  The cycle is placed when a later piece first reads one of
       its labels (``_place``); those still unread at the end fill the
       remaining blocks in any order, which changes no piece.
-    - *Twin pairs.*  A cycle that appears exactly twice, its labels on
-      those two copies alone (``_twins``; the loop pairs (a)(a) of deep
-      marker states), is tried only if it is the first such cycle of
-      the level's length in its partial, while neither copy is placed.
-      Sound: exchanging the labels of two unplaced twin pairs of one
-      length, position by position, fixes every other cycle, the
-      renaming and the pool (a twin is never deferred: its labels lie
-      on a second cycle of its length), so placing one gives the image
-      of placing the other.  States with no repeated cycle skip the
-      pass.
     """
-    cycles = tuple(cycles)
-    twins = _twins(cycles) if len(set(cycles)) < len(cycles) else set()
-    partials = [(cycles, {}, 0, {}, {})]
-    encoding = []
-    block = 0
-    for _ in range(len(cycles)):
+    pairs: list[int] = []
+    rest = cycles
+    if len(cycles) > 1 and len(cycles[1]) == 1:
+        loops = Counter([c[0] for c in cycles if len(c) == 1])
+        counts = Counter([lab for c in cycles for lab in c])
+        pairs = [lab for lab, k in loops.items() if k == 2 and counts[lab] == 2]
+        if len(pairs) < sum(k > 1 for k in loops.values()):
+            pairs = []  # a label on two loops and elsewhere, or on three: no closed form
+        rest = tuple([c for c in cycles if len(c) > 1 or c[0] not in pairs])
+    encoding = [(1, i) for i in range(len(pairs)) for _ in (0, 1)]
+    partials = [(rest, {}, len(pairs), {}, {})]
+    n = 0  # the current block's length
+    for _ in range(len(rest)):
         rest0, _, _, pool0, _ = partials[0]
-        # every tied partial has the same lengths left to place
-        n = min([len(c) for c in rest0] + [len(k) for k, (cs, bl) in pool0.items() if len(cs) > len(bl)])
-        if n != block:
-            block = n
+        # every tied partial has the same lengths left to place, and a
+        # class with a free block always has the current block's length
+        if not any(len(cs) > len(bl) for cs, bl in pool0.values()) and len(rest0[0]) != n:
+            n = len(rest0[0])
             partials = [_defer(p, n) for p in partials]
         best_piece: Optional[tuple[int, ...]] = None
         best: list[tuple] = []
-
-        def offer(piece: tuple[int, ...], made: list[tuple]) -> None:
-            nonlocal best_piece, best
-            if best_piece is None or piece < best_piece:
-                best_piece = piece
-                best = []
-            if piece == best_piece:
-                best.extend(made)
-
         for rest, renaming, next_index, pool, owner in partials:
             for k, (cs, bl) in pool.items():
-                if len(k) == n and len(cs) > len(bl):
-                    offer((n,) + tuple(next_index + i for i in k),
-                          [(rest, renaming, next_index + max(k) + 1, {**pool, k: (cs, bl + (next_index,))}, owner)])
-            tried = set()
+                if len(cs) > len(bl):
+                    piece = (n,) + tuple(next_index + i for i in k)
+                    if best_piece is None or piece < best_piece:
+                        best_piece, best = piece, []
+                    if piece == best_piece:
+                        best.append((rest, renaming, next_index + max(k) + 1, {**pool, k: (cs, bl + (next_index,))}, owner))
+            prev = None
             for i, cyc in enumerate(rest):
                 if len(cyc) != n:
+                    break
+                if cyc == prev:
                     continue
-                # an unplaced twin pair stands for all those of its length
-                mark = None if cyc in twins and cyc[0] not in renaming else cyc
-                if mark in tried:
+                prev = cyc
+                if owner and any(lab in owner for lab in cyc):
+                    for r in range(n):
+                        piece, results = _place(cyc[r:] + cyc[:r], renaming, next_index, pool, owner)
+                        if best_piece is None or piece < best_piece:
+                            best_piece, best = piece, []
+                        if piece == best_piece:
+                            best.extend((rest[:i] + rest[i + 1 :],) + res for res in results)
                     continue
-                tried.add(mark)
-                others = rest[:i] + rest[i + 1 :]
-                reads_deferred = bool(owner) and any(lab in owner for lab in cyc)
                 for r in range(n):
-                    rot = cyc[r:] + cyc[:r]
-                    if reads_deferred:
-                        piece, results = _place(rot, renaming, next_index, pool, owner)
-                        offer(piece, [(others,) + res for res in results])
-                        continue
                     fresh: dict[int, int] = {}
                     out = [n]
-                    for lab in rot:
+                    less = best_piece is None
+                    for lab in cyc[r:] + cyc[:r]:
                         x = renaming.get(lab)
                         if x is None:
                             x = fresh.setdefault(lab, next_index + len(fresh))
+                        if not less:
+                            y = best_piece[len(out)]
+                            if x > y:
+                                break
+                            less = x < y
                         out.append(x)
-                    piece = tuple(out)
-                    if best_piece is None or piece <= best_piece:
-                        offer(piece, [(others, {**renaming, **fresh}, next_index + len(fresh), pool, owner)])
+                    else:
+                        if less:
+                            best_piece, best = tuple(out), []
+                        best.append((rest[:i] + rest[i + 1 :], {**renaming, **fresh}, next_index + len(fresh), pool, owner))
         assert best_piece is not None
         encoding.append(best_piece)
         if len(best) > 1:
@@ -293,12 +326,12 @@ def _canonical_shape(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int
             best = list(merged.values())
         partials = best
     _, renaming, _, pool, _ = partials[0]
-    renaming = dict(renaming)
+    renaming = {**renaming, **{lab: i for i, lab in enumerate(pairs)}}
     for cs, bl in pool.values():
         for cyc, start in zip(cs, bl):
             for lab, i in _cycle_class(cyc)[1][0].items():
                 renaming[lab] = start + i
-    return tuple(encoding), renaming
+    return tuple(encoding), tuple([renaming[lab] for lab in range(len(renaming))])
 
 
 @lru_cache(maxsize=1 << 18)

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..errors import InputError
 from .bounds import check_bounds
 from .genus import RotationBudgetError, genus_exact
 from .graph import Graph
@@ -34,21 +35,25 @@ class CorpusEntry:
 
 def load_corpus(directory: str) -> list[CorpusEntry]:
     """Every graph of the directory's ``*.g6`` files, in file order.
-    Raises ValueError when no file holds a graph, or when a sidecar's
+    Raises InputError when no file holds a graph, or when a sidecar's
     entry count differs from its file's graph count."""
     entries: list[CorpusEntry] = []
     for fname in sorted(os.listdir(directory)):
         if not fname.endswith(".g6"):
             continue
         stem = fname[: -len(".g6")]
-        with open(os.path.join(directory, fname), "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        path = os.path.join(directory, fname)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = [ln.strip() for ln in fh if ln.strip()]
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: {exc}") from exc
         meta = [{} for _ in lines]
         sidecar = os.path.join(directory, stem + ".json")
         if os.path.exists(sidecar):
             meta = _read_sidecar(sidecar)
             if len(meta) != len(lines):
-                raise ValueError(f"{sidecar}: {len(meta)} entries for the {len(lines)} graphs of {fname}")
+                raise InputError(f"{sidecar}: {len(meta)} entries for the {len(lines)} graphs of {fname}")
         for i, line in enumerate(lines):
             m = meta[i]
             entries.append(
@@ -60,7 +65,7 @@ def load_corpus(directory: str) -> list[CorpusEntry]:
                 )
             )
     if not entries:
-        raise ValueError(f"{directory}: no graph in any *.g6 file")
+        raise InputError(f"{directory}: no graph in any *.g6 file")
     return entries
 
 
@@ -68,24 +73,27 @@ _SIDECAR_KEYS = ("name", "declared_genus", "expected_cop_number")
 
 
 def _read_sidecar(path: str) -> list[dict]:
-    """A sidecar's metadata objects; raises ValueError naming the file and
+    """A sidecar's metadata objects; raises InputError naming the file and
     index of the first malformed entry, and the key it does not know."""
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise InputError(f"{path}: {exc}") from exc
     if not isinstance(meta, list):
-        raise ValueError(f"{path}: expected a list of objects, got {type(meta).__name__}")
+        raise InputError(f"{path}: expected a list of objects, got {type(meta).__name__}")
     for i, m in enumerate(meta):
         if not isinstance(m, dict):
-            raise ValueError(f"{path}[{i}]: expected an object, got {type(m).__name__}")
+            raise InputError(f"{path}[{i}]: expected an object, got {type(m).__name__}")
         unknown = next((key for key in m if key not in _SIDECAR_KEYS), None)
         if unknown is not None:
-            raise ValueError(f"{path}[{i}]: unknown key {unknown!r}, expected {', '.join(_SIDECAR_KEYS)}")
+            raise InputError(f"{path}[{i}]: unknown key {unknown!r}, expected {', '.join(_SIDECAR_KEYS)}")
         if not isinstance(m.get("name", ""), str):
-            raise ValueError(f"{path}[{i}]: name must be a string, got {m['name']!r}")
+            raise InputError(f"{path}[{i}]: name must be a string, got {m['name']!r}")
         for key in ("declared_genus", "expected_cop_number"):
             v = m.get(key)
             if v is not None and (type(v) is not int or v < 0):
-                raise ValueError(f"{path}[{i}]: {key} must be a non-negative integer or null, got {v!r}")
+                raise InputError(f"{path}[{i}]: {key} must be a non-negative integer or null, got {v!r}")
     return meta
 
 
@@ -176,16 +184,16 @@ def check_corpus(
     ``declared``) and are inconclusive without one, as are graphs past
     ``max_positions`` or ``k_max``.  A ``k_max`` below one, or an entry
     an oracle rejects as bad input (a disconnected or empty graph),
-    raises ``ValueError``, the latter prefixed with the entry's name.
+    raises ``InputError``, the latter prefixed with the entry's name.
     """
     if k_max < 1:
-        raise ValueError("at least one cop is required")
+        raise InputError("at least one cop is required")
     report = CorpusReport()
     for entry in entries:
         try:
             item = _check_entry(entry, k_max, max_systems, max_positions)
-        except ValueError as exc:
-            raise ValueError(f"{entry.name}: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"{entry.name}: {exc}") from exc
         report.entries.append(item)
         if "inconclusive" in item:
             report.inconclusive = True

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import InputError
 from ..kernels import genus_sweep
 from .graph import Graph, is_connected
 
@@ -75,7 +76,7 @@ def genus_exact(g: Graph, max_systems: int = 10_000_000) -> GenusResult:
     genus in corpus metadata.
     """
     if not is_connected(g):
-        raise ValueError("genus sweep needs a connected graph")
+        raise InputError("genus sweep needs a connected graph")
     if g.edge_count() == 0:
         return GenusResult(0, 0, False, 0)
     lb = genus_lower_bound(g)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from ..errors import InputError
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -19,9 +21,9 @@ class Graph:
         es = set()
         for u, v in pairs:
             if u == v:
-                raise ValueError("loops are not allowed")
+                raise InputError("loops are not allowed")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
+                raise InputError(f"edge ({u},{v}) out of range")
             es.add(frozenset((u, v)))
         return Graph(n, frozenset(es))
 

@@ -7,12 +7,13 @@ byte offset of the offending character.
 
 from __future__ import annotations
 
+from ..errors import InputError
 from .graph import Graph
 
 MAX_VERTICES = 258047
 
 
-class Graph6Error(ValueError):
+class Graph6Error(InputError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte {offset})")
         self.offset = offset
@@ -74,7 +75,7 @@ def emit_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (round-trips with the parser)."""
     n = g.n
     if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} too large for graph6")
+        raise InputError(f"vertex count {n} too large for graph6")
     if n < 63:
         head = chr(n + 63)
     else:

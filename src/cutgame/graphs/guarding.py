@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
+from ..errors import InputError
 from .graph import Graph, bfs_distances, is_geodesic
 from .pursuit import StateSpaceError
 
@@ -25,7 +26,7 @@ class GeodesicGuard:
 
     def __post_init__(self) -> None:
         if not is_geodesic(self.graph, self.path):
-            raise ValueError("the guarded path must be a shortest path")
+            raise InputError("the guarded path must be a shortest path")
         self._index = {v: i for i, v in enumerate(self.path)}
         self._dist_start = bfs_distances(self.graph, self.path[0])
         # distances to the path, for the walk-on phase

@@ -14,6 +14,7 @@ import math
 from functools import reduce
 from operator import or_
 
+from ..errors import InputError
 from ..kernels import attractor
 from .graph import Graph, is_connected
 
@@ -79,11 +80,11 @@ def cop_win_positions(g: Graph, k: int, max_positions: int = 5_000_000,
 def cop_win(g: Graph, k: int, max_positions: int = 5_000_000) -> bool:
     """Whether ``k`` cops catch the robber on ``g`` under optimal play."""
     if k < 1:
-        raise ValueError("at least one cop is required")
+        raise InputError("at least one cop is required")
     if g.n == 0:
-        raise ValueError("the pursuit game needs a graph with at least one vertex")
+        raise InputError("the pursuit game needs a graph with at least one vertex")
     if not is_connected(g):
-        raise ValueError("the pursuit game needs a connected graph")
+        raise InputError("the pursuit game needs a connected graph")
     _, w0, _ = cop_win_positions(g, k, max_positions)
     return (1 << g.n) - 1 in w0
 
@@ -92,11 +93,11 @@ def cop_number(g: Graph, k_max: int, max_positions: int = 5_000_000) -> int:
     """Least ``k <= k_max`` with a winning cop strategy.
 
     Raises :class:`CopNumberAboveError` when no ``k`` up to ``k_max``
-    wins, and a plain ``ValueError`` for bad input (``k_max`` below one,
+    wins, and an ``InputError`` for bad input (``k_max`` below one,
     a graph that is empty or disconnected).
     """
     if k_max < 1:
-        raise ValueError("at least one cop is required")
+        raise InputError("at least one cop is required")
     for k in range(1, k_max + 1):
         if cop_win(g, k, max_positions):
             return k

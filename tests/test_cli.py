@@ -100,6 +100,16 @@ def test_solver_runtime_error_exits_70(monkeypatch, capsys):
     assert "not by one" in _internal_error(["exact-value", "--g0", "1"], capsys)
 
 
+def test_engine_value_error_exits_70(monkeypatch, capsys):
+    # a ValueError out of the engine is an internal fault, not bad input:
+    # only validation's InputError exits 64
+    def broken(marked):
+        raise ValueError("reply list out of step")
+
+    monkeypatch.setattr(arena, "legal_replies", broken)
+    assert _internal_error(["verify-marker", "--g0", "2"], capsys) == "error: internal: reply list out of step"
+
+
 @pytest.mark.usefixtures("tripled_label")
 def test_solver_invalid_state_exits_70(capsys):
     assert "invalid state (properness)" in _internal_error(["exact-value", "--g0", "1"], capsys)
@@ -289,6 +299,24 @@ def test_malformed_sidecar_exits_64(sidecar, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "x.json" in lines[0]
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"x.g6": b"C~\n", "x.json": b"[{"}, ["check-corpus", "--dir", "{tmp}"]),
+    ({"x.g6": b"C~\n", "x.json": b"\xff\xfe"}, ["check-corpus", "--dir", "{tmp}"]),
+    ({"x.g6": b"C~\n\xff\n"}, ["check-corpus", "--dir", "{tmp}"]),
+    ({"x.g6": b"\xffC~\n"}, ["genus", "--graph", "{tmp}/x.g6"]),
+], ids=["sidecar-not-json", "sidecar-not-utf8", "corpus-not-utf8", "graph-not-utf8"])
+def test_unreadable_file_exits_64(files, argv, tmp_path, capsys):
+    # a file that does not decode is bad input, not an internal error
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    code = dispatch([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {tmp_path}")
 
 
 def test_sidecar_error_names_the_key_it_does_not_know(tmp_path, capsys):

@@ -175,7 +175,7 @@ def test_label_loss_equals_restricted_legality_exhaustive():
     checked = 0
     for state in all_proper_states(4):
         for marked in enumerate_marker_moves(state):
-            legal = legal_replies(marked)
+            legal = equivalence.legal_replies(marked)
             for reply in cutter_replies(marked):
                 assert (reply in legal) == (not reply_loses_label(state, reply))
                 checked += 1
@@ -430,3 +430,57 @@ def test_canonical_shape_agrees_with_reference_on_random_states():
         shape, renaming = _canonical_shape(cycles)
         assert shape == reference_canonical_shape(cycles)[0], cycles
         assert _realises(cycles, renaming, shape), cycles
+
+
+def _loop_heavy_state(rng: random.Random) -> tuple[tuple[int, ...], ...]:
+    """A random state with two to five loop pairs (a)(a) on fresh labels
+    and one to three single loops whose label recurs on a longer cycle
+    (an edge moved off a cycle of three edges or more), its cycles
+    shuffled and rotated."""
+    while True:
+        cycles = [list(c) for c in random_state(rng, max_labels=7).cycles]
+        counts = Counter(lab for c in cycles for lab in c)
+        if any(len(c) >= 3 and counts[lab] == 2 for c in cycles for lab in c):
+            break
+    moved: set[int] = set()
+    for _ in range(rng.randint(1, 3)):
+        spots = [(c, i) for c in cycles if len(c) >= 3 for i, lab in enumerate(c) if counts[lab] == 2 and lab not in moved]
+        if spots:
+            c, i = rng.choice(spots)
+            moved.add(c[i])
+            cycles.append([c.pop(i)])
+    fresh = max(counts, default=-1) + 1
+    cycles += [[fresh + j] for j in range(rng.randint(2, 5)) for _ in range(2)]
+    rng.shuffle(cycles)
+    return tuple(tuple(c[r:] + c[:r]) for c in cycles for r in [rng.randrange(len(c))])
+
+
+def test_canonical_shape_agrees_with_reference_on_loop_pairs_and_single_loops():
+    # the loop pairs lead in closed form, and the single loops, whose
+    # labels recur on longer cycles, follow them
+    rng = random.Random(37)
+    for _ in range(300):
+        cycles = _loop_heavy_state(rng)
+        shape, renaming = equivalence._canonical_shape(cycles)
+        assert shape == reference_canonical_shape(cycles)[0], cycles
+        assert _realises(cycles, renaming, shape), cycles
+
+
+def test_relabelled_copies_share_one_shape():
+    # relabelled, reordered and rotated copies of one state share one
+    # normal form's search: each gets the reference's shape and its own
+    # renaming, which realises it on the copy's labels
+    rng = random.Random(41)
+    for i in range(300):
+        cycles = _loop_heavy_state(rng) if i % 2 else random_state(rng, max_labels=8).cycles
+        expected = reference_canonical_shape(cycles)[0]
+        labels = sorted({lab for cyc in cycles for lab in cyc})
+        for _ in range(3):
+            mapping = dict(zip(labels, rng.sample(range(100), len(labels))))
+            copy = [tuple(mapping[lab] for lab in cyc) for cyc in cycles]
+            copy = [cyc[r:] + cyc[:r] for cyc in copy for r in [rng.randrange(len(cyc))]]
+            rng.shuffle(copy)
+            shape, renaming = equivalence._canonical_shape(tuple(copy))
+            assert shape == expected, copy
+            assert sorted(renaming) == sorted(mapping.values()), copy
+            assert _realises(copy, renaming, shape), copy

@@ -1,9 +1,15 @@
 """Planted faults: each row plants one fault in the engine and names a
 verifier run that must turn from PASS to FAIL under it, with a witness
 and the failure it reports, or a cross-check against a reference that
-must fail under it (unplanted, that cross-check is a test of its own)."""
+must fail under it (unplanted, that cross-check is a test of its own).
+
+Every functools cache of the loaded ``cutgame`` modules is cleared once
+the fault is planted, and again after the test: a cross-check must not
+read answers memoised before the fault, and later tests must not read
+answers memoised under it."""
 
 import functools
+import sys
 
 import pytest
 
@@ -55,6 +61,50 @@ def merge_signature_without_pool(monkeypatch):
     monkeypatch.setattr(equivalence, "_free_label_signature", lambda rest, renaming, pool: real(rest, renaming, {}))
 
 
+def singles_before_loop_pairs(monkeypatch):
+    """The canonical form's closed form puts the loop pairs after the
+    single loops: the loop block reads (1,0), ..., (1,s-1) for the s
+    single loops and then each pair twice, and every index of the block
+    is renumbered to match."""
+    real = equivalence._normal_shape
+
+    def singles_first(cycles):
+        shape, renaming = real(cycles)
+        block = [piece[1] for piece in shape if piece[0] == 1]
+        m = len(block) - len(set(block))
+        s = len(block) - 2 * m
+        move = lambda i: s + i if i < m else i - m if i < m + s else i  # noqa: E731
+        loops = [(1, i) for i in range(s)] + [(1, s + i) for i in range(m) for _ in (0, 1)]
+        rest = [(piece[0],) + tuple(map(move, piece[1:])) for piece in shape[len(block):]]
+        return tuple(loops + rest), tuple(map(move, renaming))
+
+    monkeypatch.setattr(equivalence, "_normal_shape", singles_first)
+
+
+def renaming_not_composed(monkeypatch):
+    """The canonical form returns the memoised renaming of the input's
+    normal form as it is, keyed by the normal form's labels, instead of
+    composing it onto the input's labels."""
+    def uncomposed(cycles):
+        shape, renaming = equivalence._normal_shape(equivalence._normal_form(cycles)[0])
+        return shape, dict(enumerate(renaming))
+
+    monkeypatch.setattr(equivalence, "_canonical_shape", uncomposed)
+
+
+def keep_every_reply(monkeypatch):
+    """Legality too loose: the restricted cutter may play every reply,
+    those that lose a label too."""
+    monkeypatch.setattr(arena, "legal_replies", core.cutter_replies)
+
+
+def refuse_amalgams(monkeypatch):
+    """Legality too strict: the restricted cutter may not amalgamate two
+    components (kind D), a reply that always raises the value."""
+    real = equivalence.legal_replies
+    monkeypatch.setattr(equivalence, "legal_replies", lambda marked: [r for r in real(marked) if r.kind != "D"])
+
+
 def provenance_swaps_new_cycles(monkeypatch):
     """Provenance reads the two new cycles of a one-component reply in
     swapped order; the next states are right.  The exhaustive cutter
@@ -93,6 +143,20 @@ def floor_off_by_one(monkeypatch):
     monkeypatch.setattr(arena, "genus_floor", lambda state: value(state) + state.genus + (state.genus > 0))
 
 
+def clear_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if name == "cutgame" or name.startswith("cutgame."):
+            for val in vars(module).values():
+                if callable(getattr(val, "cache_clear", None)):
+                    val.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _no_memo_across_the_fault():
+    yield
+    clear_caches()
+
+
 @pytest.mark.parametrize("plant, verify, g0, failure", [
     (flip_rich_poor_threshold, verify_cutter_bound, 1, "cutter had no potential-non-increasing reply"),
     (flip_rich_poor_threshold, verify_cutter_bound, 2, "cutter had no potential-non-increasing reply"),
@@ -103,12 +167,14 @@ def floor_off_by_one(monkeypatch):
      "transition from configuration 1 on kind A: active cycle split across cycles"),
     (amalgam_opens_one_vertex_late, verify_marker_bound, 1,
      "binding audit failed in configuration 3: atoms do not read cycle 0 in order"),
+    (keep_every_reply, verify_marker_bound, 1, "value did not increase by one"),
 ], ids=["rich-poor-threshold-cutter-1", "rich-poor-threshold-cutter-2", "potential-sign-marker-2",
         "arrow-3A-sources-marker-2", "classifier-window-marker-3", "provenance-swapped-marker-1",
-        "amalgam-late-marker-1"])
+        "amalgam-late-marker-1", "legality-too-loose-marker-1"])
 def test_a_planted_fault_fails_its_verifier(monkeypatch, plant, verify, g0, failure):
     assert verify(g0).verdict == PASS
     plant(monkeypatch)
+    clear_caches()
     report = verify(g0)
     assert report.verdict == FAIL
     assert report.failure.startswith(failure), report.failure
@@ -121,12 +187,18 @@ def test_a_planted_fault_fails_its_verifier(monkeypatch, plant, verify, g0, fail
     (amalgam_opens_one_vertex_late, test_successors.test_replies_match_the_eager_builder, ["reached"]),
     (floor_off_by_one, functools.partial(test_solver.test_solver_agrees_with_reference, True), []),
     (floor_off_by_one, test_solver.test_exact_value_four, []),
+    (singles_before_loop_pairs,
+     test_equivalence.test_canonical_shape_agrees_with_reference_on_loop_pairs_and_single_loops, []),
+    (renaming_not_composed, test_equivalence.test_relabelled_copies_share_one_shape, []),
+    (refuse_amalgams, test_equivalence.test_label_loss_equals_restricted_legality_exhaustive, []),
 ], ids=["classifier-given-order", "tie-merge-without-pool", "amalgam-late-replies", "floor-off-by-one-reference",
-        "floor-off-by-one-value-four"])
+        "floor-off-by-one-value-four", "singles-before-loop-pairs", "renaming-not-composed",
+        "legality-too-strict"])
 def test_a_planted_fault_fails_its_cross_check(request, monkeypatch, plant, cross_check, needs):
     # the cross-check's fixtures are built before the fault is planted
     args = [request.getfixturevalue(name) for name in needs]
     plant(monkeypatch)
+    clear_caches()
     # an answer differs from the reference's, not a floor or a count
     with pytest.raises(AssertionError, match="=="):
         cross_check(*args)

@@ -40,11 +40,13 @@ families are
   ``--k-max`` runs that exit 2, ``--format json`` and ``--out``;
 - ``replies``: every reply ``equivalence.cutter_replies`` builds in
   ``verify_marker_bound`` 0..11, ``verify_refined`` 1..11, exhaustive
-  ``verify_cutter_bound`` 0..1, the ``sampled`` run and ``exact_value``
-  0..2, one output per call: each reply's kind, next cycles and genus,
-  and its provenance (``derived``, ``edge_map``, ``new_edges``), read
-  for every reply, so that both readings of the reply assembly are
-  hashed.
+  ``verify_cutter_bound`` 0..1 and the ``sampled`` run, one output per
+  call: each reply's kind, next cycles and genus, and its provenance
+  (``derived``, ``edge_map``, ``new_edges``), read for every reply, so
+  that both readings of the reply assembly are hashed;
+- ``solver-replies``: the same for the calls of ``exact_value`` 0..2,
+  kept apart so that a change that prunes only the solver's search
+  leaves the verifiers' digest alone.
 
 Each line reads ``family outputs sha256``.  A full run takes about 23 s
 on a 2-core x86-64 VM with Python 3.11.
@@ -166,7 +168,9 @@ def families(root: str):
         runs.append(json.dumps([argv, code, out.getvalue(), err.getvalue(), written]))
     yield "cli", runs
 
-    yield "replies", reply_outputs(arena, equivalence, sampled)
+    verifiers, solver = reply_outputs(arena, equivalence, sampled)
+    yield "replies", verifiers
+    yield "solver-replies", solver
 
 
 def kernel_outputs(arena, equivalence, sampled) -> list[str]:
@@ -203,10 +207,11 @@ def kernel_outputs(arena, equivalence, sampled) -> list[str]:
     return sorted(f"{cycles!r} {out[0]!r}" for cycles, out in shapes.items()) + calls
 
 
-def reply_outputs(arena, equivalence, sampled) -> list[str]:
-    """Every ``cutter_replies`` call of the verifiers and the solver, read
-    at its call site in ``legal_replies``, with every reply's provenance."""
-    replies = []
+def reply_outputs(arena, equivalence, sampled) -> tuple[list[str], list[str]]:
+    """Every ``cutter_replies`` call of the verifiers, then of the solver,
+    read at its call site in ``legal_replies``, with every reply's
+    provenance."""
+    replies: list[str] = []
     real = equivalence.cutter_replies
 
     def record(marked):
@@ -224,11 +229,12 @@ def reply_outputs(arena, equivalence, sampled) -> list[str]:
         for g0 in range(2):
             arena.verify_cutter_bound(g0)
         arena.verify_cutter_bound(3, sampled)
+        verifiers, replies = replies, []
         for g0 in range(3):
             arena.exact_value(g0)
     finally:
         equivalence.cutter_replies = real
-    return replies
+    return verifiers, replies
 
 
 def digest(outputs) -> str:
