@@ -4,27 +4,9 @@ handler.  The global flags ``--budget-states``, ``--out`` and
 sides, the later one wins.  ``dispatch`` alone maps an outcome to an
 exit code.
 
-Exit codes: 0 = pass, 1 = fail (a bound was violated), 2 = inconclusive
-(a state budget, the genus search's node budget or the pursuit budget,
-which counts positions plus joint-move list entries, was exhausted, or
-the cop number lies above ``--k-max``; ``genus`` and ``cop-number``
-print one ``inconclusive:`` line on stderr; ``check-corpus`` marks such
-entries ``INCONCLUSIVE`` and exits 1 instead when any entry failed),
-64 = usage error or bad input (a negative genus or budget, a sampled
-run of fewer than one play, a seeded game below genus one, ``--k-max``
-below one, a disconnected graph for an oracle, an empty graph for the
-cop oracle, ``check-corpus`` naming the entry, a corpus with no graph,
-a sidecar whose entry count differs from its file's graph count,
-malformed graph6, an unreadable file or one that does not decode: an
-``errors.InputError`` or an ``OSError``), with one ``error:`` line on
-stderr, 70 = internal error (a ``RuntimeError``, a ``StrategyError`` or
-any other ``ValueError`` out of an engine, such as the exact solver
-meeting a legal reply that does not raise the value
-by one, or a ``play`` whose state fails ``validate``, whose legal reply
-does not raise the value by one, whose marker marks a vertex the state
-lacks or faults in a transition, or whose auto cutter has no reply that
-keeps the potential from rising), with one ``error: internal:`` line on
-stderr.
+Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage error or bad
+input, 70 internal error; README's "Exit codes" table gives the causes
+of each.
 ``exact-value`` searches past the marker bound and fails when the value
 lies outside ``[cutter_value_threshold(g0), marker_value_bound(g0)]``.
 Every run echoes its resolved configuration, seeds included; JSON is the
@@ -257,19 +239,18 @@ def _genus(args) -> int:
 
 
 def _check_corpus(args) -> int:
-    from .graphs import bundled_corpus, check_corpus, load_corpus
+    from .graphs import bundled_corpus, check_corpus, entry_status, load_corpus
 
     entries = load_corpus(args.dir) if args.dir else bundled_corpus()
     report = check_corpus(entries, k_max=args.k_max, max_systems=args.budget_states)
     payload = {"mode": "check_corpus", "k_max": args.k_max, **report.to_dict()}
-    text = "\n".join(
-        f"{e['name']}: cop={e.get('cop_number')} genus={e.get('genus')} "
-        + (f"INCONCLUSIVE {e['inconclusive']}" if "inconclusive" in e
-           else "ok" if "error" not in e and e["bounds"]["ok"] else f"FAIL {e.get('error', '')}")
-        for e in report.entries
-    )
-    _emit(args, payload, text)
-    return EXIT_FAIL if report.failed else EXIT_INCONCLUSIVE if report.inconclusive else EXIT_PASS
+    lines = []
+    for e in report.entries:
+        status, reason = entry_status(e)
+        lines.append(f"{e['name']}: cop={e.get('cop_number')} genus={e.get('genus')} "
+                     + ("ok" if status == PASS else f"{status.upper()} {reason}"))
+    _emit(args, payload, "\n".join(lines))
+    return VERDICT_EXIT[report.verdict]
 
 
 def _verdict_text(report: VerificationReport) -> str:

@@ -1,5 +1,5 @@
 from .bounds import BoundReport, check_bounds, classical_bound, improved_bound
-from .corpus import CorpusEntry, bundled_corpus, check_corpus, load_corpus, write_corpus
+from .corpus import CorpusEntry, bundled_corpus, check_corpus, entry_status, load_corpus, write_corpus
 from .genus import GenusResult, RotationBudgetError, genus_exact, genus_lower_bound
 from .graph import (
     Graph,
@@ -39,6 +39,7 @@ __all__ = [
     "cop_win",
     "cycle_graph",
     "emit_graph6",
+    "entry_status",
     "genus_exact",
     "genus_lower_bound",
     "guard_geodesic",

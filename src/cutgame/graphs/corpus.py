@@ -115,56 +115,40 @@ def write_corpus(directory: str, entries: list[CorpusEntry], stem: str = "corpus
 
 
 def bundled_corpus() -> list[CorpusEntry]:
-    """The corpus shipped with the package: complete graphs, cycles,
-    paths, the Petersen graph, K33, a toroidal grid and a wheel."""
-    from .graph import (
-        complete_bipartite,
-        complete_graph,
-        cycle_graph,
-        path_graph,
-        petersen_graph,
-        toroidal_grid,
-    )
+    """The corpus shipped with the package (``bundled/``): complete
+    graphs, cycles, paths, the Petersen graph, K33, a toroidal grid, a
+    wheel and the cube."""
+    return load_corpus(os.path.join(os.path.dirname(__file__), "bundled"))
 
-    entries = [
-        CorpusEntry("K2", complete_graph(2), 0, 1),
-        CorpusEntry("K3", complete_graph(3), 0, 1),
-        CorpusEntry("K4", complete_graph(4), 0, 1),
-        CorpusEntry("K5", complete_graph(5), 1, 1),
-        CorpusEntry("K33", complete_bipartite(3, 3), 1, 2),
-        CorpusEntry("C4", cycle_graph(4), 0, 2),
-        CorpusEntry("C5", cycle_graph(5), 0, 2),
-        CorpusEntry("C6", cycle_graph(6), 0, 2),
-        CorpusEntry("C7", cycle_graph(7), 0, 2),
-        CorpusEntry("C8", cycle_graph(8), 0, 2),
-        CorpusEntry("P5", path_graph(5), 0, 1),
-        CorpusEntry("P10", path_graph(10), 0, 1),
-        CorpusEntry("star6", Graph.from_edges(7, [(0, i) for i in range(1, 7)]), 0, 1),
-        CorpusEntry("petersen", petersen_graph(), 1, 3),
-        CorpusEntry("torus33", toroidal_grid(3, 3), 1, 2),
-        CorpusEntry(
-            "wheel6",
-            Graph.from_edges(7, [(i, (i % 6) + 1) for i in range(1, 7)] + [(0, i) for i in range(1, 7)]),
-            0,
-            1,
-        ),
-        CorpusEntry("cube", Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4), (1, 5), (2, 6), (3, 7)]), 0, 2),
-    ]
-    return entries
+
+def entry_status(item: dict) -> tuple[str, str]:
+    """A report item's status and the reason it gives: ``inconclusive``
+    when a budget ran out or the cop number lies above ``k_max``,
+    ``fail`` on an ``error`` or a broken bound (no reason for the
+    latter), else ``pass``."""
+    if "inconclusive" in item:
+        return "inconclusive", item["inconclusive"]
+    if "error" in item or not item["bounds"]["ok"]:
+        return "fail", item.get("error", "")
+    return "pass", ""
 
 
 @dataclass
 class CorpusReport:
-    """``ok`` when no entry ``failed`` (an ``error`` or a broken bound) and
-    none was ``inconclusive`` (a budget ran out, or the cop number > k_max)."""
+    """``verdict`` is ``fail`` when some entry failed, else
+    ``inconclusive`` when some entry was, else ``pass``: the verdict
+    names of the engine's reports."""
 
     entries: list = field(default_factory=list)
-    failed: bool = False
-    inconclusive: bool = False
+
+    @property
+    def verdict(self) -> str:
+        statuses = {entry_status(item)[0] for item in self.entries}
+        return next((s for s in ("fail", "inconclusive") if s in statuses), "pass")
 
     @property
     def ok(self) -> bool:
-        return not (self.failed or self.inconclusive)
+        return self.verdict == "pass"
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "entries": self.entries}
@@ -191,14 +175,9 @@ def check_corpus(
     report = CorpusReport()
     for entry in entries:
         try:
-            item = _check_entry(entry, k_max, max_systems, max_positions)
+            report.entries.append(_check_entry(entry, k_max, max_systems, max_positions))
         except InputError as exc:
             raise InputError(f"{entry.name}: {exc}") from exc
-        report.entries.append(item)
-        if "inconclusive" in item:
-            report.inconclusive = True
-        elif "error" in item or not item["bounds"]["ok"]:
-            report.failed = True
     return report
 
 

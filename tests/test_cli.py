@@ -3,12 +3,12 @@ import os
 
 import pytest
 
-from cutgame import arena, cli, equivalence
+from cutgame import arena, cli, equivalence, graphs
 from cutgame.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_SOFTWARE, EXIT_USAGE, dispatch
 from cutgame.core import cutter_replies
 from cutgame.strategy import ActiveCycle, BoundingPhase, MarkerStrategy, StrategyError
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "corpus")
+CORPUS_DIR = os.path.join(os.path.dirname(graphs.__file__), "bundled")
 
 
 def test_verify_marker_exit_and_report(tmp_path, capsys):

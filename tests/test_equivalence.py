@@ -7,14 +7,6 @@ import pytest
 from cutgame import arena, equivalence
 from cutgame.arena import exact_value, verify_cutter_bound, verify_marker_bound, verify_refined
 from cutgame.core import GameState, MarkedState, cutter_replies, empty_state, enumerate_marker_moves, value
-from cutgame.equivalence import (
-    _canonical_shape,
-    _kept_label_witness,
-    _shape_precedes,
-    canonical_key,
-    legal_replies,
-    precedes,
-)
 
 import reference_solver
 from fuzz import random_marked, random_state
@@ -32,8 +24,8 @@ def equivalence_witness(a: GameState, b: GameState) -> Optional[dict[int, int]]:
     """A label bijection mapping ``a`` onto ``b``, or None if inequivalent."""
     if a.genus != b.genus:
         return None
-    shape_a, ren_a = _canonical_shape(a.cycles)
-    shape_b, ren_b = _canonical_shape(b.cycles)
+    shape_a, ren_a = equivalence._canonical_shape(a.cycles)
+    shape_b, ren_b = equivalence._canonical_shape(b.cycles)
     if shape_a != shape_b:
         return None
     inv_b = {v: k for k, v in ren_b.items()}
@@ -54,24 +46,25 @@ def test_contract_examples():
 def test_canonical_key_examples():
     a = GameState(((0, 1),), 3, 5, 2)
     b = GameState(((7, 9),), 3, 9, 10)
-    assert canonical_key(a) == canonical_key(b)
+    assert equivalence.canonical_key(a) == equivalence.canonical_key(b)
     rot1 = GameState(((0, 1, 0, 2),), 2, 2, 3)
     rot2 = GameState(((0, 2, 0, 1),), 2, 2, 3)
-    assert canonical_key(rot1) == canonical_key(rot2)
-    assert canonical_key(GameState(((0, 1),), 2, 5, 2)) != canonical_key(GameState(((0, 1),), 3, 5, 2))
+    assert equivalence.canonical_key(rot1) == equivalence.canonical_key(rot2)
+    key = equivalence.canonical_key
+    assert key(GameState(((0, 1),), 2, 5, 2)) != key(GameState(((0, 1),), 3, 5, 2))
 
 
 def test_canonical_component_order_invariance():
     a = GameState(((0, 1), (2, 3, 2)), 1, 1, 4)
     b = GameState(((5, 9, 5), (7, 0)), 1, 1, 10)
-    assert canonical_key(a) == canonical_key(b)
+    assert equivalence.canonical_key(a) == equivalence.canonical_key(b)
 
 
 def test_orientation_not_identified():
     # (0,1,2) read forwards vs backwards: inequivalent labelled cycles
     a = GameState(((0, 1, 2), (0, 1, 2)), 0, 0, 3)
     b = GameState(((0, 1, 2), (2, 1, 0)), 0, 0, 3)
-    assert canonical_key(a) != canonical_key(b)
+    assert equivalence.canonical_key(a) != equivalence.canonical_key(b)
 
 
 def test_witness_roundtrip_fuzz():
@@ -88,7 +81,7 @@ def test_witness_roundtrip_fuzz():
             cycles.append(tuple(mapping[l] for l in cyc[r:] + cyc[:r]))
         rng.shuffle(cycles)
         other = GameState(tuple(cycles), state.genus, state.initial_genus, state.next_label)
-        assert canonical_key(state) == canonical_key(other)
+        assert equivalence.canonical_key(state) == equivalence.canonical_key(other)
         phi = equivalence_witness(state, other)
         assert phi is not None
         relabelled = GameState(
@@ -97,26 +90,26 @@ def test_witness_roundtrip_fuzz():
             state.initial_genus,
             state.next_label,
         )
-        assert canonical_key(relabelled) == canonical_key(other)
+        assert equivalence.canonical_key(relabelled) == equivalence.canonical_key(other)
 
 
 def test_precedes_examples():
     seed = GameState(((0, 1, 0, 2), (3, 4)), 2, 3, 5)
     small = GameState(((0, 2),), 1, 3, 5)
-    assert precedes(small, seed)
-    assert precedes(seed, seed)
+    assert equivalence.precedes(small, seed)
+    assert equivalence.precedes(seed, seed)
     bigger = GameState(((0, 1, 0, 2, 5),), 2, 3, 6)
-    assert not precedes(bigger, seed)
+    assert not equivalence.precedes(bigger, seed)
     # a label bijection is allowed
     renamed = GameState(((9, 8),), 2, 3, 10)
-    assert precedes(renamed, seed)
+    assert equivalence.precedes(renamed, seed)
 
 
 def test_precedes_genus_mask():
     a = GameState(((0, 1),), 2, 3, 2)
     b = GameState(((0, 1),), 1, 3, 2)
-    assert precedes(b, a)  # reductions may lower the counter
-    assert not precedes(a, b)
+    assert equivalence.precedes(b, a)  # reductions may lower the counter
+    assert not equivalence.precedes(a, b)
 
 
 def test_precedes_against_bruteforce():
@@ -126,35 +119,36 @@ def test_precedes_against_bruteforce():
         candidate = random_state(rng, max_labels=3)
         if candidate.genus > earlier.genus:
             continue
+        key = equivalence.canonical_key
         brute = any(
-            canonical_key(GameState(red, candidate.genus, earlier.initial_genus, earlier.next_label))
-            == canonical_key(GameState(candidate.cycles, candidate.genus, earlier.initial_genus, earlier.next_label))
+            key(GameState(red, candidate.genus, earlier.initial_genus, earlier.next_label))
+            == key(GameState(candidate.cycles, candidate.genus, earlier.initial_genus, earlier.next_label))
             for red in reductions(earlier)
         )
-        assert precedes(candidate, earlier) == brute, (candidate, earlier)
+        assert equivalence.precedes(candidate, earlier) == brute, (candidate, earlier)
 
 
 def test_precedes_reflexive_transitive_fuzz():
     rng = random.Random(17)
     for _ in range(300):
         s0 = random_state(rng, max_labels=4)
-        assert precedes(s0, s0)
+        assert equivalence.precedes(s0, s0)
         if s0.edge_count() == 0:
             continue
         edges = list(s0.edges())
         s1 = contract_edge(s0, rng.choice(edges))
-        assert precedes(s1, s0)
+        assert equivalence.precedes(s1, s0)
         if s1.edge_count():
             s2 = contract_edge(s1, rng.choice(list(s1.edges())))
-            assert precedes(s2, s1)
-            assert precedes(s2, s0)  # transitivity along the chain
+            assert equivalence.precedes(s2, s1)
+            assert equivalence.precedes(s2, s0)  # transitivity along the chain
 
 
 def test_kind_c_reduction_is_illegal():
     # gathering an isolated label with the label on the kept-away side
     state = GameState(((0, 1, 0, 2),), 1, 1, 3)
     marked = MarkedState(state, (0, 3), (0, 0))  # arcs: (2) and (0,1,0)
-    kinds = {r.kind for r in legal_replies(marked)}
+    kinds = {r.kind for r in equivalence.legal_replies(marked)}
     assert "C" not in kinds  # dropping the lone short edge loses its label
     assert "B" not in kinds  # dropping the long arc loses two labels
     assert kinds == {"A"}
@@ -163,7 +157,7 @@ def test_kind_c_reduction_is_illegal():
 def test_legal_replies_history_filter():
     state = empty_state(0)
     marked = MarkedState(state, None, None, same_dummy=True)
-    kinds = {r.kind for r in legal_replies(marked)}
+    kinds = {r.kind for r in equivalence.legal_replies(marked)}
     assert kinds == {"B", "C"}
 
 
@@ -191,7 +185,7 @@ def test_label_loss_equals_restricted_legality_on_plays():
         play = (state,)
         for _ply in range(6):
             marked = random_marked(rng, state)
-            legal = legal_replies(marked)
+            legal = equivalence.legal_replies(marked)
             for reply in cutter_replies(marked):
                 expected = not reply_loses_label(state, reply)
                 assert (reply in legal) == expected, (state, marked.v, marked.w, reply.kind)
@@ -248,7 +242,7 @@ def _harvest_precedes(monkeypatch) -> set:
 
 
 def _canonical_cycles(state: GameState) -> tuple[tuple[int, ...], ...]:
-    return tuple(piece[1:] for piece in _canonical_shape(state.cycles)[0])
+    return tuple(piece[1:] for piece in equivalence._canonical_shape(state.cycles)[0])
 
 
 @pytest.mark.usefixtures("unmerged")
@@ -259,7 +253,7 @@ def test_matcher_agrees_with_reference_on_harvested_pairs(monkeypatch):
     assert len(pairs) > 2_000
     for cand, earl in pairs:
         expected = reference_shape_precedes(cand, earl)
-        assert _shape_precedes.__wrapped__(cand, earl) == expected, (cand, earl)
+        assert equivalence._shape_precedes.__wrapped__(cand, earl) == expected, (cand, earl)
 
 
 def _random_pairs(seed: int, count: int):
@@ -293,7 +287,7 @@ def test_matcher_agrees_with_reference_on_random_pairs():
     for candidate, earlier in _random_pairs(23, 10_000):
         cand, earl = _canonical_cycles(candidate), _canonical_cycles(earlier)
         expected = reference_shape_precedes(cand, earl)
-        assert _shape_precedes.__wrapped__(cand, earl) == expected, (cand, earl)
+        assert equivalence._shape_precedes.__wrapped__(cand, earl) == expected, (cand, earl)
         answers[expected] += 1
     assert min(answers.values()) > 2_000, answers
 
@@ -301,7 +295,7 @@ def test_matcher_agrees_with_reference_on_random_pairs():
 def _refuted_witnesses(pairs) -> tuple[int, list]:
     """How many pairs the kept-label witness places, and those of them
     the reference refutes."""
-    witnessed = [(cand, earl) for cand, earl in pairs if _kept_label_witness(cand, earl)]
+    witnessed = [(cand, earl) for cand, earl in pairs if equivalence._kept_label_witness(cand, earl)]
     refuted = [(cand, earl) for cand, earl in witnessed
                if not reference_shape_precedes(_canonical_cycles(cand), _canonical_cycles(earl))]
     return len(witnessed), refuted
@@ -396,7 +390,7 @@ def test_canonical_shape_agrees_with_reference_on_marker_states(monkeypatch):
     inputs |= {(state.cycles,) for pair in pairs for state in pair}
     assert len(inputs) > 1_000
     for (cycles,) in inputs:
-        shape, renaming = _canonical_shape(cycles)
+        shape, renaming = equivalence._canonical_shape(cycles)
         assert shape == reference_canonical_shape(cycles)[0], cycles
         assert _realises(cycles, renaming, shape), cycles
 
@@ -418,7 +412,7 @@ def test_canonical_shape_agrees_with_reference_on_deep_marker_states(monkeypatch
     sample = rng.sample(heavy, 20) + rng.sample([cycles for cycles in states if _loop_pairs(cycles) < 4], 40)
     assert max(_loop_pairs(cycles) for cycles in sample) >= 10
     for cycles in sample:
-        shape, renaming = _canonical_shape(cycles)
+        shape, renaming = equivalence._canonical_shape(cycles)
         assert shape == reference_canonical_shape(cycles)[0], cycles
         assert _realises(cycles, renaming, shape), cycles
 
@@ -427,7 +421,7 @@ def test_canonical_shape_agrees_with_reference_on_random_states():
     rng = random.Random(29)
     for _ in range(10_000):
         cycles = random_state(rng, max_labels=8).cycles
-        shape, renaming = _canonical_shape(cycles)
+        shape, renaming = equivalence._canonical_shape(cycles)
         assert shape == reference_canonical_shape(cycles)[0], cycles
         assert _realises(cycles, renaming, shape), cycles
 

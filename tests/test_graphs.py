@@ -220,7 +220,7 @@ def test_corpus_budget_outcomes_are_inconclusive():
     ]
     for report in runs:
         (item,) = report.entries
-        assert report.inconclusive and not report.failed and not report.ok
+        assert report.verdict == "inconclusive" and not report.ok
         assert "inconclusive" in item and "error" not in item, item
     declared = check_corpus([CorpusEntry("K5", k5, 1, 1)], max_systems=0)
     assert declared.ok and declared.entries[0]["genus_source"] == "declared"
@@ -228,30 +228,14 @@ def test_corpus_budget_outcomes_are_inconclusive():
         check_corpus([CorpusEntry("K5", k5)], k_max=0)
 
 
-def test_shipped_corpus_matches_bundled():
-    import os
-
-    from cutgame.graphs import load_corpus
-
-    directory = os.path.join(os.path.dirname(__file__), "..", "data", "corpus")
-    shipped = load_corpus(directory)
-    bundled = bundled_corpus()
-    assert [e.name for e in shipped] == [e.name for e in bundled]
-    for a, b in zip(shipped, bundled):
-        # every field: the name, the graph (order and edges), the declared
-        # genus and the expected cop number
-        assert a == b, a.name
-
-
 def test_corpus_roundtrip(tmp_path):
     from cutgame.graphs import load_corpus, write_corpus
 
-    entries = bundled_corpus()[:4]
+    entries = bundled_corpus()
     write_corpus(str(tmp_path), entries)
-    back = load_corpus(str(tmp_path))
-    assert [e.name for e in back] == [e.name for e in entries]
-    assert all(a.graph.edges == b.graph.edges for a, b in zip(back, entries))
-    assert back[0].declared_genus == entries[0].declared_genus
+    # every field: the name, the graph (order and edges), the declared
+    # genus and the expected cop number
+    assert load_corpus(str(tmp_path)) == entries
 
 
 def test_graph_suite_loads_without_networkx():

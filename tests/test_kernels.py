@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cutgame.graphs import (
+    Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -17,23 +18,36 @@ from fuzz import random_connected_graph
 from reference_genus import reference_genus_sweep, rotation_system_count
 from reference_pursuit import reference_attractor
 
+
+def _two_k33_joined() -> Graph:
+    """Two K3,3 joined by an edge: planarity gives the lower bound 1, and
+    genus adds over blocks, so the search must refute genus 1."""
+    pairs = [tuple(e) for e in complete_bipartite(3, 3).edges]
+    return Graph.from_edges(12, pairs + [(u + 6, v + 6) for u, v in pairs] + [(0, 6)])
+
+
+# name, graph, genus, lower bound
 KNOWN_GENERA = [
-    ("K7", complete_graph(7), 1),
-    ("K8", complete_graph(8), 2),
-    ("K4,4", complete_bipartite(4, 4), 1),
-    ("K4,5", complete_bipartite(4, 5), 2),
-    ("K5,5", complete_bipartite(5, 5), 3),
-    ("petersen", petersen_graph(), 1),
-    ("torus3x4", toroidal_grid(3, 4), 1),
-    ("torus4x4", toroidal_grid(4, 4), 1),
-    ("torus6x6", toroidal_grid(6, 6), 1),
+    ("K7", complete_graph(7), 1, 1),
+    ("K8", complete_graph(8), 2, 2),
+    ("K4,4", complete_bipartite(4, 4), 1, 1),
+    ("K4,5", complete_bipartite(4, 5), 2, 1),
+    ("K5,5", complete_bipartite(5, 5), 3, 1),
+    ("petersen", petersen_graph(), 1, 1),
+    ("torus3x4", toroidal_grid(3, 4), 1, 1),
+    ("torus4x4", toroidal_grid(4, 4), 1, 1),
+    ("torus6x6", toroidal_grid(6, 6), 1, 1),
+    ("two-K3,3", _two_k33_joined(), 2, 1),
 ]
 
 
-@pytest.mark.parametrize("g, genus", [case[1:] for case in KNOWN_GENERA],
+@pytest.mark.parametrize("g, genus, lower_bound", [case[1:] for case in KNOWN_GENERA],
                          ids=[case[0] for case in KNOWN_GENERA])
-def test_known_genus_with_witness_pair(g, genus):
-    assert genus_exact(g).genus == genus
+def test_known_genus_with_witness_pair(g, genus, lower_bound):
+    result = genus_exact(g)
+    assert (result.genus, result.lower_bound) == (genus, lower_bound)
+    # the search had to refute its lower bound exactly when the genus lies above it
+    assert result.swept_all == (genus > lower_bound)
 
 
 def test_search_matches_reference_sweep():

@@ -17,6 +17,7 @@ from cutgame import arena, core, equivalence, potential, strategy
 from cutgame.arena import FAIL, PASS, verify_cutter_bound, verify_marker_bound
 from cutgame.core import MarkedState, value
 
+import test_arena
 import test_equivalence
 import test_solver
 import test_strategy
@@ -143,6 +144,25 @@ def floor_off_by_one(monkeypatch):
     monkeypatch.setattr(arena, "genus_floor", lambda state: value(state) + state.genus + (state.genus > 0))
 
 
+def hosts_taken_twice(monkeypatch):
+    """The matcher may place two candidate cycles on one host cycle:
+    every host cycle is offered twice."""
+    real = equivalence._shape_precedes.__wrapped__
+    monkeypatch.setattr(equivalence, "_shape_precedes",
+                        functools.lru_cache(maxsize=None)(lambda cand, earl: real(cand, earl + earl)))
+
+
+def precedes_by_witness_alone(monkeypatch):
+    """``precedes`` trusts the kept-label witness alone and never runs
+    the matcher, so a reduction that needs relabelling goes unseen."""
+    monkeypatch.setattr(equivalence, "precedes", lambda candidate, earlier: (
+        candidate.genus <= earlier.genus and equivalence._kept_label_witness(candidate, earlier)))
+
+
+def validate_accepts_every_state(monkeypatch):
+    monkeypatch.setattr(arena, "validate", lambda state: None)
+
+
 def clear_caches() -> None:
     for name, module in list(sys.modules.items()):
         if name == "cutgame" or name.startswith("cutgame."):
@@ -191,9 +211,12 @@ def test_a_planted_fault_fails_its_verifier(monkeypatch, plant, verify, g0, fail
      test_equivalence.test_canonical_shape_agrees_with_reference_on_loop_pairs_and_single_loops, []),
     (renaming_not_composed, test_equivalence.test_relabelled_copies_share_one_shape, []),
     (refuse_amalgams, test_equivalence.test_label_loss_equals_restricted_legality_exhaustive, []),
+    (hosts_taken_twice, test_equivalence.test_matcher_agrees_with_reference_on_random_pairs, []),
+    (precedes_by_witness_alone, test_equivalence.test_precedes_against_bruteforce, []),
+    (validate_accepts_every_state, test_arena.test_explored_states_are_validated, ["monkeypatch"]),
 ], ids=["classifier-given-order", "tie-merge-without-pool", "amalgam-late-replies", "floor-off-by-one-reference",
         "floor-off-by-one-value-four", "singles-before-loop-pairs", "renaming-not-composed",
-        "legality-too-strict"])
+        "legality-too-strict", "matcher-hosts-taken-twice", "precedes-by-witness-alone", "validate-off"])
 def test_a_planted_fault_fails_its_cross_check(request, monkeypatch, plant, cross_check, needs):
     # the cross-check's fixtures are built before the fault is planted
     args = [request.getfixturevalue(name) for name in needs]

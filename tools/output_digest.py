@@ -64,7 +64,8 @@ import os
 import sys
 import tempfile
 
-# ``{tmp}`` is a fresh directory per run, ``{corpus}`` the checkout's data/corpus,
+# ``{tmp}`` is a fresh directory per run, ``{corpus}`` the checkout's bundled corpus
+# (src/cutgame/graphs/bundled, or data/corpus on commits that kept it there),
 # ``{c300}`` the graph6 of a 300-cycle (two cops on it pass the pursuit budget)
 CLI_ARGV = [
     ["verify-marker", "--g0", "4"],
@@ -154,7 +155,10 @@ def families(root: str):
 
     yield "kernels", kernel_outputs(arena, equivalence, sampled)
 
-    fill = {"{corpus}": os.path.join(root, "data", "corpus"), "{c300}": emit_graph6(cycle_graph(300))}
+    corpus = os.path.join(root, "src", "cutgame", "graphs", "bundled")
+    if not os.path.isdir(corpus):
+        corpus = os.path.join(root, "data", "corpus")
+    fill = {"{corpus}": corpus, "{c300}": emit_graph6(cycle_graph(300))}
     runs = []
     for argv in CLI_ARGV:
         with tempfile.TemporaryDirectory() as tmp:
