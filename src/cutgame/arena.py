@@ -216,9 +216,9 @@ class _Node:
                 raise _Stop("value did not increase by one", self.child(marked, reply))
 
     def validated(self) -> "_Node":
-        violation = validate(self.state)
-        if violation is not None:
-            raise _Stop(f"invalid state ({violation.rule}): {violation.detail}", self)
+        failure = validate(self.state)
+        if failure is not None:
+            raise _Stop(failure, self)
         return self
 
     def check_depth(self, max_depth: int) -> None:
@@ -614,9 +614,9 @@ def exact_value(g0: int, budget: Optional[SearchBudget] = None, use_memo: bool =
         counter["states"] += 1
         if counter["states"] > budget.max_states:
             raise _Stop("state budget exhausted", verdict=INCONCLUSIVE)
-        violation = validate(state)
-        if violation is not None:
-            raise RuntimeError(f"invalid state ({violation.rule}): {violation.detail}")
+        failure = validate(state)
+        if failure is not None:
+            raise RuntimeError(failure)
         if floor > t:
             return False
         result = any(not legal_replies(marked) for marked in ending_marks(state))

@@ -5,8 +5,8 @@ sides, the later one wins.  ``dispatch`` alone maps an outcome to an
 exit code.
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage error or bad
-input, 70 internal error; README's "Exit codes" table gives the causes
-of each.
+input, 70 internal error (any other exception); README's "Exit codes"
+table gives the causes of each.
 ``exact-value`` searches past the marker bound and fails when the value
 lies outside ``[cutter_value_threshold(g0), marker_value_bound(g0)]``.
 Every run echoes its resolved configuration, seeds included; JSON is the
@@ -36,7 +36,6 @@ from .arena import (
     verify_refined,
 )
 from .errors import InputError
-from .strategy import StrategyError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -134,19 +133,14 @@ VERDICT_EXIT = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIV
 
 
 def _load_graph(args):
-    from .graphs import parse_graph6
+    from .graphs.graph6 import parse_graph6, read_graph6_lines
 
     if args.g6 is not None:
         return parse_graph6(args.g6)
-    try:
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{args.graph}: {exc}") from exc
-    for line in lines:
-        if line:
-            return parse_graph6(line)
-    raise InputError(f"no graph6 line found in {args.graph}")
+    lines = read_graph6_lines(args.graph)
+    if not lines:
+        raise InputError(f"no graph6 line found in {args.graph}")
+    return parse_graph6(lines[0])
 
 
 def _oracle_limits() -> tuple:
@@ -173,8 +167,8 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, StrategyError, ValueError) as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
+    except Exception as exc:  # any other exception is a fault of the program
+        print(f"error: internal: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_SOFTWARE
 
 

@@ -286,27 +286,19 @@ def cutter_replies(marked: MarkedState) -> list[CutterReply]:
     return replies + [reply("B", genus), reply("C", genus)]
 
 
-class Violation:
-    """The first rule a state breaks, and how."""
-
-    __slots__ = ("rule", "detail")
-
-    def __init__(self, rule: str, detail: str):
-        self.rule, self.detail = rule, detail
-
-
-def validate(state: GameState) -> Optional[Violation]:
+def validate(state: GameState) -> Optional[str]:
     """Check properness, cycle well-formedness, label-allocator consistency
-    and the genus range.  Returns the first violation found, else None."""
+    and the genus range.  Returns the first failure as
+    ``"invalid state (rule): detail"``, else None."""
     for ci, cyc in enumerate(state.cycles):
         if len(cyc) == 0:
-            return Violation("cycle", f"cycle {ci} is empty")
+            return f"invalid state (cycle): cycle {ci} is empty"
     counts = state.label_counts()
     for lab, n in counts.items():
         if n > 2:
-            return Violation("properness", f"label {lab} appears on {n} edges")
+            return f"invalid state (properness): label {lab} appears on {n} edges"
         if lab >= state.next_label or lab < 0:
-            return Violation("labels", f"label {lab} outside allocator range")
+            return f"invalid state (labels): label {lab} outside allocator range"
     if not (0 <= state.genus <= state.initial_genus):
-        return Violation("genus range", f"genus {state.genus} not in [0, {state.initial_genus}]")
+        return f"invalid state (genus range): genus {state.genus} not in [0, {state.initial_genus}]"
     return None

@@ -21,7 +21,7 @@ from ..errors import InputError
 from .bounds import check_bounds
 from .genus import RotationBudgetError, genus_exact
 from .graph import Graph
-from .graph6 import emit_graph6, parse_graph6
+from .graph6 import emit_graph6, parse_graph6, read_graph6_lines
 from .pursuit import CopNumberAboveError, StateSpaceError, cop_number
 
 
@@ -43,11 +43,7 @@ def load_corpus(directory: str) -> list[CorpusEntry]:
             continue
         stem = fname[: -len(".g6")]
         path = os.path.join(directory, fname)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = [ln.strip() for ln in fh if ln.strip()]
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+        lines = read_graph6_lines(path)
         meta = [{} for _ in lines]
         sidecar = os.path.join(directory, stem + ".json")
         if os.path.exists(sidecar):

@@ -29,6 +29,16 @@ def _sextets(text: str, start: int) -> list[int]:
     return out
 
 
+def read_graph6_lines(path: str) -> list[str]:
+    """The non-empty lines of a graph6 file, stripped; a file that is not
+    UTF-8 is an InputError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [line for line in map(str.strip, fh) if line]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line into a graph."""
     text = text.strip()

@@ -1,14 +1,16 @@
 """The conserved potential of game states, and nesting paths.
 
-An edge on a segment is worth 3/2 when its label occurs nowhere else in
-the state, 3/4 when it touches a same-labelled edge inside the segment,
-and 1/2 otherwise.  A segment's potential is the edge sum minus 2 (a
-trivial segment is worth -2), and the state potential combines burned
+A run is a sequence of edge positions on one cycle, in path order.  An
+edge on a run is worth 3/2 when its label occurs nowhere else in the
+state, 3/4 when it touches a same-labelled edge inside the run, and 1/2
+otherwise.  A run's potential is the edge sum minus 2, so the empty run
+(a trivial arc) is worth -2.  A whole component is read as a closed
+run, whose two end edges touch.  The state potential combines burned
 genus, value and the positive component potentials:
 
     p = 4*(g0 - g) - 3*value + sum of positive component potentials
 
-Potentials are ``int`` quarters (an edge is worth 6, 3 or 2, a segment
+Potentials are ``int`` quarters (an edge is worth 6, 3 or 2, a run
 starts at -8), summed once per state and cached on it; only reports turn
 them into ``"n/d"`` strings, through ``potential_text``.
 """
@@ -27,24 +29,6 @@ def potential_text(q: int) -> str:
     """``q`` quarters as the reduced fraction ``"n/d"`` that reports print."""
     d = math.gcd(q, QUARTER)
     return f"{q // d}/{QUARTER // d}"
-
-
-class Segment:
-    """A contiguous run of edges on one cycle.
-
-    ``positions`` lists edge positions in path order.  ``closed`` marks a
-    whole component (adjacency wraps around); an opened cycle passed as a
-    path keeps ``closed=False`` so its two end edges do not touch.
-    """
-
-    __slots__ = ("cycle", "positions", "closed")
-
-    def __init__(self, cycle: int, positions: tuple[int, ...], closed: bool = False):
-        self.cycle, self.positions, self.closed = cycle, positions, closed
-
-    @staticmethod
-    def whole_cycle(state: GameState, ci: int) -> "Segment":
-        return Segment(ci, tuple(range(len(state.cycles[ci]))), closed=True)
 
 
 def _quarters(labels: tuple[int, ...], wrap: bool, counts: dict[int, int]) -> int:
@@ -73,20 +57,19 @@ def _profile(state: GameState) -> tuple[dict[int, int], list[int], int, int]:
     return profile
 
 
-def segment_potential(segment: Optional[Segment], state: GameState) -> int:
-    """-2 plus the edge potentials, in quarters; a trivial segment is worth -2."""
-    if segment is None:
-        return -2 * QUARTER
-    counts, comps = _profile(state)[:2]
-    cyc = state.cycles[segment.cycle]
-    if segment.closed and segment.positions == tuple(range(len(cyc))):
-        return comps[segment.cycle]
-    labels = tuple(cyc[p] for p in segment.positions)
-    return _quarters(labels, segment.closed and len(labels) > 1, counts)
+def segment_potential(state: GameState, ci: int, run: Optional[tuple[int, ...]] = None) -> int:
+    """The open run ``run`` of cycle ``ci`` in quarters, or the whole
+    component, closed, when ``run`` is None.  An empty run reads no
+    cycle and is worth -2."""
+    profile = _profile(state)
+    if run is None:
+        return profile[1][ci]
+    cyc = state.cycles[ci] if run else ()
+    return _quarters(tuple([cyc[p] for p in run]), False, profile[0])
 
 
 def component_potential(state: GameState, ci: int) -> int:
-    return segment_potential(Segment.whole_cycle(state, ci), state)
+    return segment_potential(state, ci)
 
 
 def positive_component_sum(state: GameState) -> int:
@@ -138,8 +121,8 @@ def nesting_supports(state: GameState, host: int, run: tuple[int, ...]
     return xz_cycle, y_edge, tuple((y_edge[1] + k) % n for k in range(1, n))
 
 
-def is_nesting_path(segment: Segment, state: GameState, allow_pseudo: bool = False) -> bool:
-    """Whether the segment is a nesting path.
+def is_nesting_path(state: GameState, host: int, run: tuple[int, ...], allow_pseudo: bool = False) -> bool:
+    """Whether the positions ``run`` of cycle ``host`` form a nesting path.
 
     Base case: a single edge whose label is uniquely appearing.  Recursive
     case: labels (x, y, z), none isolated, where x and z also sit on a
@@ -154,7 +137,6 @@ def is_nesting_path(segment: Segment, state: GameState, allow_pseudo: bool = Fal
     a cycle when that cycle carries every edge of it.
     """
     counts = state.label_counts()
-    host, run = segment.cycle, tuple(segment.positions)
     seen = set()
     while (host, run) not in seen:
         seen.add((host, run))

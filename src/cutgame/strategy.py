@@ -44,7 +44,7 @@ from .core import (
 # unused here; the binding stays because perfbench's tracer test reads
 # strategy.legal_replies
 from .equivalence import legal_replies  # noqa: F401
-from .potential import QUARTER, Segment, is_nesting_path, nesting_supports, segment_potential, state_potential, xtzt_start
+from .potential import QUARTER, is_nesting_path, nesting_supports, segment_potential, state_potential, xtzt_start
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +460,7 @@ def verify_bindings(state: GameState, phase: BoundingPhase, allow_pseudo: bool =
                     raise StrategyError(f"nesting atom bound to {p!r}, not a run of one or three edges")
                 for q in p:
                     _bound_label(cyc, q)
-                if not is_nesting_path(Segment(ac.cycle, p), state, allow_pseudo):
+                if not is_nesting_path(state, ac.cycle, p, allow_pseudo):
                     raise StrategyError(f"run {p} of cycle {ac.cycle} is not a nesting path")
                 covered.extend(p)
                 continue
@@ -534,7 +534,7 @@ def classify_configuration(active_cycles: tuple[int, ...], state: GameState,
         if atom == "N":
             for size in (1, 3):
                 run = tuple((p + k) % n for k in range(size))
-                if size + len(rest) <= left and is_nesting_path(Segment(ci, run), state, allow_pseudo=allow_pseudo):
+                if size + len(rest) <= left and is_nesting_path(state, ci, run, allow_pseudo):
                     yield from readings(ci, rest, (p + size) % n, left - size, var_map)
             return
         if left <= len(rest):
@@ -592,14 +592,11 @@ def cutter_move(marked: MarkedState, legal: list[CutterReply]) -> tuple[CutterRe
     if not marked.same_component():
         licensed = [r for r in legal if r.kind == "D"]
     else:
-        seg_p = seg_q = None
+        ci, arcs = None, ((), ())  # a dummy marked twice has two empty arcs
         if marked.v is not None:
             ci = marked.v[0]
-            path, path_prime = split_cycle(state.cycles[ci], marked.v[1], marked.w[1])
-            seg_p = Segment(ci, path)
-            seg_q = Segment(ci, path_prime) if path_prime else None
-        p_p = segment_potential(seg_p, state)
-        p_q = segment_potential(seg_q, state)
+            arcs = split_cycle(state.cycles[ci], marked.v[1], marked.w[1])
+        p_p, p_q = [segment_potential(state, ci, arc) for arc in arcs]
         for r in legal:
             if r.kind == "A" and p_p >= _HALF and p_q >= _HALF:
                 licensed.append(r)

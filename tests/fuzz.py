@@ -23,7 +23,7 @@ from cutgame.core import (
 )
 from cutgame.equivalence import legal_replies
 from cutgame.graphs import Graph
-from cutgame.potential import QUARTER, Segment, is_nesting_path, segment_potential, state_potential
+from cutgame.potential import QUARTER, is_nesting_path, segment_potential, state_potential
 from reference_potential import edge_potential
 
 HALF = -QUARTER // 2  # -1/2 in the engine's quarters
@@ -64,14 +64,15 @@ def random_marked(rng: random.Random, state: GameState) -> MarkedState:
     return rng.choice(enumerate_marker_moves(state))
 
 
-def _arc_segments(state: GameState, marked: MarkedState) -> tuple[Segment | None, Segment | None]:
-    """The two split arcs of a same-component mark as segments (None
-    for a trivial arc): the one kind B keeps, then the one kind C keeps."""
-    if marked.v is None:
-        return None, None
-    ci = marked.v[0]
-    arcs = split_cycle(state.cycles[ci], marked.v[1], marked.w[1])
-    return tuple(Segment(ci, arc) if arc else None for arc in arcs)
+def _arc_potentials(state: GameState, marked: MarkedState) -> tuple[int, int]:
+    """The potentials of the two split arcs of a same-component mark
+    (a dummy marked twice has two empty arcs): the one kind B keeps,
+    then the one kind C keeps."""
+    ci, arcs = None, ((), ())
+    if marked.v is not None:
+        ci = marked.v[0]
+        arcs = split_cycle(state.cycles[ci], marked.v[1], marked.w[1])
+    return tuple(segment_potential(state, ci, arc) for arc in arcs)
 
 
 def _gathers_all(state: GameState, marked: MarkedState) -> bool:
@@ -127,7 +128,7 @@ def fuzz_move_a(rng: random.Random, cases: int) -> int:
         if "A" not in replies:
             continue
         reply = replies["A"]
-        p_p, p_q = (segment_potential(seg, state) for seg in _arc_segments(state, marked))
+        p_p, p_q = _arc_potentials(state, marked)
         p0, p1 = state_potential(state), state_potential(reply.next)
         if p_p >= HALF and p_q >= HALF:
             assert p1 <= p0, f"kind A with rich arcs raised potential on {state}"
@@ -147,13 +148,13 @@ def fuzz_move_bc(rng: random.Random, cases: int) -> int:
         if not marked.same_component():
             continue
         legal = {r.kind: r for r in legal_replies(marked)}
-        seg_p, seg_q = _arc_segments(state, marked)
+        p_p, p_q = _arc_potentials(state, marked)
         hit = False
-        for kind, seg in (("B", seg_q), ("C", seg_p)):
+        for kind, arc_potential in (("B", p_q), ("C", p_p)):
             reply = legal.get(kind)
             if reply is None:
                 continue
-            if segment_potential(seg, state) < HALF:
+            if arc_potential < HALF:
                 p0, p1 = state_potential(state), state_potential(reply.next)
                 assert p1 <= p0, f"kind {kind} over a poor arc raised potential on {state}"
                 hit = True
@@ -162,9 +163,10 @@ def fuzz_move_bc(rng: random.Random, cases: int) -> int:
     return checked
 
 
-def nesting_state(rng: random.Random, depth: int = 1, extra_cycles: int = 0) -> tuple[GameState, Segment]:
+def nesting_state(rng: random.Random, depth: int = 1, extra_cycles: int = 0) -> tuple[GameState, tuple[int, ...]]:
     """A state containing a nesting path of the given recursion depth on
-    its first cycle, plus optional passive clutter."""
+    its first cycle, plus optional passive clutter; returns the state and
+    the path's positions on that cycle."""
     labels = iter(range(100))
 
     def build(depth: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
@@ -189,7 +191,7 @@ def nesting_state(rng: random.Random, depth: int = 1, extra_cycles: int = 0) -> 
     g0 = rng.randint(1, 3)
     state = GameState(tuple(cycles), rng.randint(0, g0), g0, 100)
     assert validate(state) is None
-    return state, Segment(0, tuple(range(len(run))))
+    return state, tuple(range(len(run)))
 
 
 def fuzz_nesting_discard(rng: random.Random, cases: int) -> int:
@@ -197,9 +199,9 @@ def fuzz_nesting_discard(rng: random.Random, cases: int) -> int:
     checked = 0
     while checked < cases:
         depth = rng.randint(0, 2)
-        state, seg = nesting_state(rng, depth=depth, extra_cycles=rng.randint(0, 2))
-        assert is_nesting_path(seg, state), f"generator failed for depth {depth}"
-        run_len = len(seg.positions)
+        state, run = nesting_state(rng, depth=depth, extra_cycles=rng.randint(0, 2))
+        assert is_nesting_path(state, 0, run), f"generator failed for depth {depth}"
+        run_len = len(run)
         host = state.cycles[0]
         # mark the run's endpoints: the arc P is the run itself
         v = (0, 0)
@@ -222,8 +224,8 @@ def fuzz_nesting_contribution(rng: random.Random, cases: int) -> int:
     checked = 0
     while checked < cases:
         depth = rng.randint(0, 2)
-        state, seg = nesting_state(rng, depth=depth, extra_cycles=rng.randint(0, 1))
-        total = sum(edge_potential((0, p), Segment.whole_cycle(state, 0), state) for p in seg.positions)
+        state, run = nesting_state(rng, depth=depth, extra_cycles=rng.randint(0, 1))
+        total = sum(edge_potential(state, 0, p) for p in run)
         assert total == Fraction(3, 2), f"nesting run contributes {total} on {state}"
         checked += 1
     return checked

@@ -17,46 +17,44 @@ from fractions import Fraction
 from typing import Optional
 
 from cutgame.core import Edge, GameState, value
-from cutgame.potential import Segment
 
 
-def edge_potential(edge: Edge, segment: Segment, state: GameState) -> Fraction:
-    """Potential of one edge within a segment of the state."""
-    ci, pos = edge
-    if ci != segment.cycle or pos not in segment.positions:
-        raise ValueError(f"edge {edge} not on segment")
+def edge_potential(state: GameState, ci: int, pos: int, run: Optional[tuple[int, ...]] = None) -> Fraction:
+    """Potential of the edge at ``pos`` within the run ``run`` of cycle
+    ``ci``, or within the whole cycle, closed, when ``run`` is None."""
+    closed = run is None
+    positions = tuple(range(len(state.cycles[ci]))) if closed else run
+    if pos not in positions:
+        raise ValueError(f"edge {(ci, pos)} not on run")
     label = state.cycles[ci][pos]
     counts = state.label_counts()
     if counts[label] == 1:
         return Fraction(3, 2)
-    idx = segment.positions.index(pos)
+    idx = positions.index(pos)
     neighbours = []
     if idx > 0:
-        neighbours.append(segment.positions[idx - 1])
-    if idx + 1 < len(segment.positions):
-        neighbours.append(segment.positions[idx + 1])
-    if segment.closed and len(segment.positions) > 1:
+        neighbours.append(positions[idx - 1])
+    if idx + 1 < len(positions):
+        neighbours.append(positions[idx + 1])
+    if closed and len(positions) > 1:
         if idx == 0:
-            neighbours.append(segment.positions[-1])
-        if idx == len(segment.positions) - 1:
-            neighbours.append(segment.positions[0])
+            neighbours.append(positions[-1])
+        if idx == len(positions) - 1:
+            neighbours.append(positions[0])
     if any(state.cycles[ci][p] == label for p in set(neighbours) - {pos}):
         return Fraction(3, 4)
     return Fraction(1, 2)
 
 
-def reference_segment_potential(segment: Optional[Segment], state: GameState) -> Fraction:
-    """-2 plus the edge potentials; a trivial segment is worth -2."""
-    total = Fraction(-2)
-    if segment is None:
-        return total
-    for pos in segment.positions:
-        total += edge_potential((segment.cycle, pos), segment, state)
-    return total
+def reference_segment_potential(state: GameState, ci: int, run: Optional[tuple[int, ...]] = None) -> Fraction:
+    """-2 plus the edge potentials of the run, or of the whole cycle when
+    ``run`` is None; the empty run is worth -2."""
+    positions = range(len(state.cycles[ci])) if run is None else run
+    return Fraction(-2) + sum(edge_potential(state, ci, pos, run) for pos in positions)
 
 
 def reference_component_potential(state: GameState, ci: int) -> Fraction:
-    return reference_segment_potential(Segment.whole_cycle(state, ci), state)
+    return reference_segment_potential(state, ci)
 
 
 def reference_positive_component_sum(state: GameState) -> Fraction:
@@ -85,11 +83,11 @@ def reads_xtzt(cycle: tuple[int, ...], x: int, z: int) -> bool:
     return False
 
 
-def reference_is_nesting_path(segment: Segment, state: GameState, allow_pseudo: bool = False,
+def reference_is_nesting_path(state: GameState, host: int, run: tuple[int, ...], allow_pseudo: bool = False,
                               _visited: Optional[frozenset] = None) -> bool:
-    """Whether the segment is a nesting path, by the definition of
-    ``cutgame.potential.is_nesting_path``."""
-    labels = [state.cycles[segment.cycle][p] for p in segment.positions]
+    """Whether the run of cycle ``host`` is a nesting path, by the
+    definition of ``cutgame.potential.is_nesting_path``."""
+    labels = [state.cycles[host][p] for p in run]
     counts = state.label_counts()
 
     if len(labels) == 1:
@@ -105,7 +103,7 @@ def reference_is_nesting_path(segment: Segment, state: GameState, allow_pseudo: 
             for p, lab in enumerate(cyc)
             if lab == labels[0]
         ]
-        if all(ci == segment.cycle for ci, _ in occurrences):
+        if all(ci == host for ci, _ in occurrences):
             return True
 
     x, y, z = labels
@@ -114,27 +112,27 @@ def reference_is_nesting_path(segment: Segment, state: GameState, allow_pseudo: 
     # non-isolated: each label must occur on a second, different cycle
     for lab in (x, y, z):
         others = {ci for ci, cyc in enumerate(state.cycles) for l in cyc if l == lab}
-        if others == {segment.cycle}:
+        if others == {host}:
             return False
 
     has_anchor = any(
-        ci != segment.cycle and reads_xtzt(cyc, x, z)
+        ci != host and reads_xtzt(cyc, x, z)
         for ci, cyc in enumerate(state.cycles)
     )
     if not has_anchor:
         return False
-    return reference_nesting_y_edge(segment, state, allow_pseudo, _visited) is not None
+    return reference_nesting_y_edge(state, host, run, allow_pseudo, _visited) is not None
 
 
-def reference_nesting_y_edge(segment: Segment, state: GameState, allow_pseudo: bool = False,
+def reference_nesting_y_edge(state: GameState, host: int, run: tuple[int, ...], allow_pseudo: bool = False,
                              _visited: Optional[frozenset] = None) -> Optional[Edge]:
-    """The first edge off the segment's cycle that carries the label of
-    its middle edge y and whose cycle's other edges form a nesting path,
-    or None."""
-    y = state.cycles[segment.cycle][segment.positions[1]]
+    """The first edge off cycle ``host`` that carries the label of the
+    run's middle edge y and whose cycle's other edges form a nesting
+    path, or None."""
+    y = state.cycles[host][run[1]]
     visited = _visited or frozenset()
     for ci, cyc in enumerate(state.cycles):
-        if ci == segment.cycle:
+        if ci == host:
             continue
         for p, lab in enumerate(cyc):
             if lab != y or (ci, p) in visited:
@@ -142,7 +140,6 @@ def reference_nesting_y_edge(segment: Segment, state: GameState, allow_pseudo: b
             rest = tuple(q % len(cyc) for q in range(p + 1, p + len(cyc)))
             if not rest:
                 continue
-            inner = Segment(ci, rest)
-            if reference_is_nesting_path(inner, state, allow_pseudo, visited | {(ci, p)}):
+            if reference_is_nesting_path(state, ci, rest, allow_pseudo, visited | {(ci, p)}):
                 return ci, p
     return None

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from cutgame.core import CutterReply, Edge, GameState
-from cutgame.potential import Segment, is_nesting_path
+from cutgame.potential import is_nesting_path
 from cutgame.strategy import TEMPLATES, ActiveCycle, Atom, BoundingPhase, StrategyError
 
 from reference_potential import reads_xtzt, reference_is_nesting_path, reference_nesting_y_edge
@@ -86,11 +86,10 @@ def _lift_nesting(state: GameState, host: int, run: tuple[int, ...]) -> Nesting:
     x, _, z = (cyc[p] for p in run)
     if x == z:
         return NestPseudo(run)
-    segment = Segment(host, run)
-    if not reference_is_nesting_path(segment, state, allow_pseudo=True):
+    if not reference_is_nesting_path(state, host, run, allow_pseudo=True):
         raise StrategyError(f"run {run} of cycle {host} is not a nesting path")
     (xz_cycle,) = [ci for ci, c in enumerate(state.cycles) if ci != host and reads_xtzt(c, x, z)]
-    y_cycle, p = reference_nesting_y_edge(segment, state, allow_pseudo=True)
+    y_cycle, p = reference_nesting_y_edge(state, host, run, allow_pseudo=True)
     n = len(state.cycles[y_cycle])
     inner = tuple((p + k) % n for k in range(1, n))
     return NestChain(run, xz_cycle, y_cycle, _lift_nesting(state, y_cycle, inner))
@@ -507,8 +506,7 @@ def _match_assignment(components: tuple[int, ...], tcycles: tuple[tuple[Atom, ..
                             ok = False
                             break
                     elif atom == "N":
-                        seg = Segment(ci, tuple(span))
-                        if not is_nesting_path(seg, state, allow_pseudo=allow_pseudo):
+                        if not is_nesting_path(state, ci, tuple(span), allow_pseudo):
                             ok = False
                             break
                     else:

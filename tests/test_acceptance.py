@@ -17,7 +17,7 @@ from cutgame.arena import (
     verify_refined,
 )
 from cutgame.core import GameState
-from cutgame.potential import QUARTER, Segment, segment_potential, state_potential
+from cutgame.potential import QUARTER, segment_potential, state_potential
 
 from fuzz import (
     fuzz_limited_choice,
@@ -94,14 +94,14 @@ def test_criterion_4_lemma_property_suites():
         "value increase": fuzz_value_increase(random.Random(208), FULL),
     }
     assert all(n >= FULL for n in counts.values()), counts
-    # pinned corner cases: a trivial segment is worth -2 and the
+    # pinned corner cases: an empty run is worth -2 and the
     # (x,t,z,t) cycle jumps from 0 to 2 when its partners disappear
     some = GameState(((0, 1, 0, 2),), 1, 1, 3)
-    assert segment_potential(None, some) == -2 * QUARTER
+    assert segment_potential(some, 0, ()) == -2 * QUARTER
     dull = GameState(((0, 1, 2, 1), (0, 3), (2, 3)), 0, 0, 4)
     fresh = GameState(((0, 1, 2, 1),), 0, 0, 4)
-    assert segment_potential(Segment.whole_cycle(dull, 0), dull) == 0
-    assert segment_potential(Segment.whole_cycle(fresh, 0), fresh) == 2 * QUARTER
+    assert segment_potential(dull, 0) == 0
+    assert segment_potential(fresh, 0) == 2 * QUARTER
     _report(
         "4 (lemma properties)",
         f"eight suites x {FULL} randomized cases, zero violations, {time.time()-t0:.1f}s",

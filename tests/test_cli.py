@@ -110,6 +110,20 @@ def test_engine_value_error_exits_70(monkeypatch, capsys):
     assert _internal_error(["verify-marker", "--g0", "2"], capsys) == "error: internal: reply list out of step"
 
 
+@pytest.mark.parametrize("fault, line", [
+    (IndexError("tuple index out of range"), "error: internal: tuple index out of range"),
+    (AssertionError(), "error: internal: AssertionError"),
+], ids=["IndexError", "AssertionError"])
+def test_any_other_engine_exception_exits_70(monkeypatch, capsys, fault, line):
+    # a fault of the program that is neither a RuntimeError nor a
+    # ValueError still ends in one line and exit 70, not a traceback
+    def broken(state):
+        raise fault
+
+    monkeypatch.setattr(arena, "canonical_key", broken)
+    assert _internal_error(["verify-marker", "--g0", "1"], capsys) == line
+
+
 @pytest.mark.usefixtures("tripled_label")
 def test_solver_invalid_state_exits_70(capsys):
     assert "invalid state (properness)" in _internal_error(["exact-value", "--g0", "1"], capsys)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from cutgame.arena import marker_value_bound
 from cutgame.graphs import (
     CopNumberAboveError,
     Graph,
@@ -195,6 +196,8 @@ def test_bound_check_examples():
 def test_bound_formulas():
     assert improved_bound(0) == 3 and improved_bound(4) == 8
     assert classical_bound(0) == 3 and classical_bound(4) == 9
+    # the graph bound and the game's marker bound state floor((4g+10)/3) apart
+    assert [improved_bound(g) for g in range(101)] == [marker_value_bound(g) for g in range(101)]
 
 
 def test_corpus_checks():

@@ -34,6 +34,12 @@ def negate_potential(monkeypatch):
     monkeypatch.setattr(potential, "_quarters", lambda *args: -real(*args))
 
 
+def empty_run_worth_zero(monkeypatch):
+    """An empty run, a trivial arc, is worth 0 instead of -2."""
+    real = potential._quarters
+    monkeypatch.setattr(potential, "_quarters", lambda labels, wrap, counts: real(labels, wrap, counts) if labels else 0)
+
+
 def swap_sources_of_arrow_3a(monkeypatch):
     """The two active cycles that arrow 3-A builds trade places."""
     template = strategy.TEMPLATES[3]
@@ -180,6 +186,7 @@ def _no_memo_across_the_fault():
 @pytest.mark.parametrize("plant, verify, g0, failure", [
     (flip_rich_poor_threshold, verify_cutter_bound, 1, "cutter had no potential-non-increasing reply"),
     (flip_rich_poor_threshold, verify_cutter_bound, 2, "cutter had no potential-non-increasing reply"),
+    (empty_run_worth_zero, verify_cutter_bound, 1, "cutter had no potential-non-increasing reply"),
     (negate_potential, verify_marker_bound, 2, "potential below -5 at the end of the preparatory phase"),
     (swap_sources_of_arrow_3a, verify_marker_bound, 2, "binding audit failed in configuration 4"),
     (window_counts_nesting_as_one_edge, verify_marker_bound, 3, "classifier saw configuration None"),
@@ -188,9 +195,9 @@ def _no_memo_across_the_fault():
     (amalgam_opens_one_vertex_late, verify_marker_bound, 1,
      "binding audit failed in configuration 3: atoms do not read cycle 0 in order"),
     (keep_every_reply, verify_marker_bound, 1, "value did not increase by one"),
-], ids=["rich-poor-threshold-cutter-1", "rich-poor-threshold-cutter-2", "potential-sign-marker-2",
-        "arrow-3A-sources-marker-2", "classifier-window-marker-3", "provenance-swapped-marker-1",
-        "amalgam-late-marker-1", "legality-too-loose-marker-1"])
+], ids=["rich-poor-threshold-cutter-1", "rich-poor-threshold-cutter-2", "empty-run-zero-cutter-1",
+        "potential-sign-marker-2", "arrow-3A-sources-marker-2", "classifier-window-marker-3",
+        "provenance-swapped-marker-1", "amalgam-late-marker-1", "legality-too-loose-marker-1"])
 def test_a_planted_fault_fails_its_verifier(monkeypatch, plant, verify, g0, failure):
     assert verify(g0).verdict == PASS
     plant(monkeypatch)

@@ -12,7 +12,6 @@ from cutgame.core import GameState, empty_state, split_cycle
 from cutgame.equivalence import canonical_key
 from cutgame.potential import (
     QUARTER,
-    Segment,
     component_potential,
     is_nesting_path,
     nesting_supports,
@@ -39,35 +38,31 @@ SEED = GameState(((0, 1, 0, 2),), 2, 3, 3)
 
 
 def test_edge_potential_cases():
-    whole = Segment.whole_cycle(SEED, 0)
-    assert edge_potential((0, 1), whole, SEED) == Fraction(3, 2)
-    assert edge_potential((0, 0), whole, SEED) == Fraction(1, 2)
-    assert edge_potential((0, 2), whole, SEED) == Fraction(1, 2)
+    assert edge_potential(SEED, 0, 1) == Fraction(3, 2)
+    assert edge_potential(SEED, 0, 0) == Fraction(1, 2)
+    assert edge_potential(SEED, 0, 2) == Fraction(1, 2)
     pair = GameState(((5, 5),), 0, 0, 6)
-    seg = Segment.whole_cycle(pair, 0)
-    assert edge_potential((0, 0), seg, pair) == Fraction(3, 4)
-    assert edge_potential((0, 1), seg, pair) == Fraction(3, 4)
+    assert edge_potential(pair, 0, 0) == Fraction(3, 4)
+    assert edge_potential(pair, 0, 1) == Fraction(3, 4)
     with pytest.raises(ValueError):
-        edge_potential((0, 0), Segment(0, (1,)), SEED)
+        edge_potential(SEED, 0, 0, (1,))
 
 
 def test_adjacent_same_label_within_path_only():
     # the two same-label edges meet inside the cycle but a path that
     # separates them scores them 1/2
     state = GameState(((3, 3, 4),), 0, 0, 5)
-    whole = Segment.whole_cycle(state, 0)
-    assert edge_potential((0, 0), whole, state) == Fraction(3, 4)
-    lone = Segment(0, (0,))
-    assert edge_potential((0, 0), lone, state) == Fraction(1, 2)
+    assert edge_potential(state, 0, 0) == Fraction(3, 4)
+    assert edge_potential(state, 0, 0, (0,)) == Fraction(1, 2)
 
 
 def test_segment_potential_examples():
-    assert segment_potential(Segment.whole_cycle(SEED, 0), SEED) == 2 * QUARTER
+    assert segment_potential(SEED, 0) == 2 * QUARTER
     xtzt_fresh = GameState(((0, 1, 2, 1),), 0, 0, 3)
-    assert segment_potential(Segment.whole_cycle(xtzt_fresh, 0), xtzt_fresh) == 2 * QUARTER
+    assert segment_potential(xtzt_fresh, 0) == 2 * QUARTER
     xtzt_dull = GameState(((0, 1, 2, 1), (0, 3), (2, 3)), 0, 0, 4)
-    assert segment_potential(Segment.whole_cycle(xtzt_dull, 0), xtzt_dull) == 0
-    assert segment_potential(None, SEED) == -2 * QUARTER
+    assert segment_potential(xtzt_dull, 0) == 0
+    assert segment_potential(SEED, 0, ()) == -2 * QUARTER
 
 
 def test_state_potential_examples():
@@ -115,23 +110,21 @@ def test_edge_potential_range():
     for _ in range(300):
         state = random_state(rng)
         for ci in range(len(state.cycles)):
-            seg = Segment.whole_cycle(state, ci)
             for p in range(len(state.cycles[ci])):
-                assert edge_potential((ci, p), seg, state) in allowed
+                assert edge_potential(state, ci, p) in allowed
 
 
 def test_nesting_path_examples():
-    single = Segment(0, (1,))
-    assert is_nesting_path(single, SEED)  # edge 1 is uniquely appearing
-    state, seg = nesting_state(random.Random(0), depth=1)
-    assert is_nesting_path(seg, state)
-    assert not is_nesting_path(Segment(0, (0, 1)), state)
+    assert is_nesting_path(SEED, 0, (1,))  # edge 1 is uniquely appearing
+    state, run = nesting_state(random.Random(0), depth=1)
+    assert is_nesting_path(state, 0, run)
+    assert not is_nesting_path(state, 0, (0, 1))
 
 
 def test_nesting_path_requires_support():
     # same run labels but the (x,t,z,t) anchor is missing
     state = GameState(((1, 2, 3, 9), (1, 4, 3, 5), (2, 6)), 0, 0, 10)
-    assert not is_nesting_path(Segment(0, (0, 1, 2)), state)
+    assert not is_nesting_path(state, 0, (0, 1, 2))
 
 
 def test_nesting_recursion_terminates_on_cyclic_support(time_limit):
@@ -141,10 +134,10 @@ def test_nesting_recursion_terminates_on_cyclic_support(time_limit):
     # host again: supports that lead round make no nesting path
     looped = GameState(((1, 2, 3, 4), (2, 5, 4, 6), (1, 7, 3, 7), (5, 8, 6, 8)), 0, 0, 9)
     with time_limit(10):
-        is_nesting_path(Segment(0, (0, 1, 2)), state)  # must return, value irrelevant
+        is_nesting_path(state, 0, (0, 1, 2))  # must return, value irrelevant
         for run in ((0, 1, 2), (1, 2, 3)):
             assert nesting_supports(looped, run[0], run) is not None
-            assert not is_nesting_path(Segment(run[0], run), looped)
+            assert not is_nesting_path(looped, run[0], run)
 
 
 def test_xtzt_start_examples():
@@ -164,9 +157,9 @@ def test_nesting_path_matches_reference(monkeypatch):
     calls = []
     real = strategy.is_nesting_path
 
-    def recording(segment, state, allow_pseudo=False):
-        calls.append((segment, state, allow_pseudo))
-        return real(segment, state, allow_pseudo=allow_pseudo)
+    def recording(state, host, run, allow_pseudo=False):
+        calls.append((state, host, run, allow_pseudo))
+        return real(state, host, run, allow_pseudo)
 
     with monkeypatch.context() as patch:
         patch.setattr(strategy, "is_nesting_path", recording)
@@ -175,25 +168,25 @@ def test_nesting_path_matches_reference(monkeypatch):
         for g0 in range(1, 11):
             assert arena.verify_refined(g0).verdict == "pass"
     assert len(calls) > 5000
-    for state in {id(state): state for _, state, _ in calls}.values():
+    for state in {id(state): state for state, _, _, _ in calls}.values():
         for ci, cyc in enumerate(state.cycles):
             n = len(cyc)
             for k in range(1, min(4, n) + 1):
                 for p in range(n):
-                    run = Segment(ci, tuple((p + j) % n for j in range(k)))
-                    calls += [(run, state, False), (run, state, True)]
+                    run = tuple((p + j) % n for j in range(k))
+                    calls += [(state, ci, run, False), (state, ci, run, True)]
     answers, chains = set(), 0
-    for segment, state, allow_pseudo in calls:
-        got = is_nesting_path(segment, state, allow_pseudo)
-        assert got == reference_is_nesting_path(segment, state, allow_pseudo), (
-            state.cycles, segment.cycle, segment.positions, allow_pseudo)
+    for state, host, run, allow_pseudo in calls:
+        got = is_nesting_path(state, host, run, allow_pseudo)
+        assert got == reference_is_nesting_path(state, host, run, allow_pseudo), (
+            state.cycles, host, run, allow_pseudo)
         answers.add(got)
-        labels = [state.cycles[segment.cycle][p] for p in segment.positions]
+        labels = [state.cycles[host][p] for p in run]
         if got and len(labels) == 3 and len(set(labels)) == 3:
             # the reader's supports are the ones the scans found
-            xz_cycle, y_edge, _ = nesting_supports(state, segment.cycle, segment.positions)
+            xz_cycle, y_edge, _ = nesting_supports(state, host, run)
             assert reads_xtzt(state.cycles[xz_cycle], labels[0], labels[2])
-            assert y_edge == reference_nesting_y_edge(segment, state, allow_pseudo)
+            assert y_edge == reference_nesting_y_edge(state, host, run, allow_pseudo)
             chains += 1
     assert answers == {True, False} and chains > 0
 
@@ -207,13 +200,14 @@ def test_mark_relation_examples():
 
 
 def test_component_potential_matches_segment():
+    """A component is what ``segment_potential`` reads with no run; the
+    empty run on any cycle is worth -2."""
     rng = random.Random(31)
     for _ in range(200):
         state = random_state(rng)
         for ci in range(len(state.cycles)):
-            assert component_potential(state, ci) == segment_potential(
-                Segment.whole_cycle(state, ci), state
-            )
+            assert component_potential(state, ci) == segment_potential(state, ci)
+            assert segment_potential(state, ci, ()) == -2 * QUARTER
 
 
 def _assert_matches_reference(state):
@@ -228,9 +222,8 @@ def _assert_matches_reference(state):
         for v in range(len(cyc)):
             for w in range(len(cyc)):
                 for arc in split_cycle(cyc, v, w):
-                    seg = Segment(ci, tuple(arc))
-                    assert Fraction(segment_potential(seg, state), QUARTER) == reference_segment_potential(
-                        seg, state), (state, seg)
+                    assert Fraction(segment_potential(state, ci, arc), QUARTER) == reference_segment_potential(
+                        state, ci, arc), (state, ci, arc)
 
 
 def test_integer_potential_matches_reference_on_random_states():
@@ -272,15 +265,3 @@ def test_cached_potential_equals_fresh_computation():
         assert [component_potential(fresh, ci) for ci in range(len(fresh.cycles))] == comps
         assert positive_component_sum(fresh) == positive_component_sum(state)
 
-
-def test_closed_segments_match_reference():
-    """Only the whole cycle in order reads the cached component table."""
-    rng = random.Random(43)
-    for _ in range(2000):
-        state = random_state(rng, max_labels=8, max_genus=4)
-        for ci, cyc in enumerate(state.cycles):
-            order = list(range(len(cyc)))
-            for positions in (order, order[1:] + order[:1], order[::-1], rng.sample(order, len(order))):
-                seg = Segment(ci, tuple(positions), closed=True)
-                assert Fraction(segment_potential(seg, state), QUARTER) == reference_segment_potential(
-                    seg, state), (state, seg)
