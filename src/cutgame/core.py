@@ -89,8 +89,9 @@ class MarkedState:
     ``v`` and ``w`` are vertex references or ``None`` for a dummy point.
     ``same_dummy`` distinguishes one dummy chosen twice from two distinct
     dummies; it may only be set when both points are dummies.  Marks are
-    built one per read of ``MarkerMoves`` and never compared, so this is
-    a plain class.
+    built one per read of ``MarkerMoves``, so this is a plain class; two
+    marks are equal, and hash alike, when their states and points are,
+    so that a mark can key a table of audited plies.
     """
 
     __slots__ = ("state", "v", "w", "same_dummy")
@@ -106,6 +107,14 @@ class MarkedState:
                 if not (0 <= pos < len(state.cycles[ci])):
                     raise ValueError(f"mark references missing vertex {p}")
         self.state, self.v, self.w, self.same_dummy = state, v, w, same_dummy
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MarkedState):
+            return NotImplemented
+        return (self.state, self.v, self.w, self.same_dummy) == (other.state, other.v, other.w, other.same_dummy)
+
+    def __hash__(self) -> int:
+        return hash((self.state, self.v, self.w, self.same_dummy))
 
     def same_component(self) -> bool:
         if self.v is None and self.w is None:

@@ -9,6 +9,26 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 
+def clear_caches() -> None:
+    """Empty every functools cache bound in a loaded ``cutgame`` module,
+    found generically, so that a cache added later is emptied too."""
+    for name, module in list(sys.modules.items()):
+        if name == "cutgame" or name.startswith("cutgame."):
+            for val in vars(module).values():
+                if callable(getattr(val, "cache_clear", None)):
+                    val.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Each test starts and ends with every cutgame cache empty: a warm
+    cache, such as the sampled plays' table of audited plies, would
+    answer a test with what it memoised before a fault was planted."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
 @pytest.fixture
 def unmerged(monkeypatch):
     """The verifiers search their plain trees, expanding every node: for
@@ -17,6 +37,16 @@ def unmerged(monkeypatch):
 
     monkeypatch.setattr(arena, "_marker_key", None)
     monkeypatch.setattr(arena, "_cutter_key", None)
+
+
+@pytest.fixture
+def untabled(monkeypatch):
+    """Sampled cutter plays audit every ply afresh, calling
+    ``_audited_reply`` directly: the reference path of the table of
+    audited plies."""
+    from cutgame import arena
+
+    monkeypatch.setattr(arena, "_tabled_reply", arena._audited_reply)
 
 
 @pytest.fixture
@@ -42,14 +72,18 @@ def tripled_label(monkeypatch):
     monkeypatch.setattr(equivalence, "cutter_replies", tripled)
 
 
-@pytest.fixture
-def swapped_arcs(monkeypatch):
+def swap_arcs(monkeypatch) -> None:
     """The cutter strategy reads the two arcs of a mark the wrong way
     round, so it licenses kind B where the accounting licenses C and C
     where it licenses B."""
     from cutgame import core, strategy
 
     monkeypatch.setattr(strategy, "split_cycle", lambda cyc, v, w: core.split_cycle(cyc, v, w)[::-1])
+
+
+@pytest.fixture
+def swapped_arcs(monkeypatch):
+    swap_arcs(monkeypatch)
 
 
 @contextlib.contextmanager

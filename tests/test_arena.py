@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -19,6 +20,7 @@ from cutgame.arena import (
     verify_marker_bound,
     verify_refined,
 )
+from cutgame.cli import dispatch
 from cutgame.core import enumerate_marker_moves, value
 from cutgame.equivalence import canonical_key, legal_replies
 from cutgame.strategy import ActiveCycle
@@ -371,6 +373,68 @@ def test_cutter_with_swapped_arcs_fails(g0, budget):
     assert report.verdict == "fail"
     assert report.failure == "cutter had no potential-non-increasing reply"
     assert report.witness and report.witness[-1]["mover"] == "cutter"
+
+
+def _sampled(seed: int, plays: int = 2_000) -> SearchBudget:
+    return SearchBudget(marker_sampling="random", sample_plays=plays, seed=seed)
+
+
+def _reports_and_plies(monkeypatch, g0: int, budgets: list) -> tuple[list, list]:
+    """The sampled runs' JSON reports, and each ply the sampled verifier
+    was given: its mark's fields, depth, failure, reply and record."""
+    plies = []
+    audit = arena._tabled_reply
+
+    def recording(marked, depth):
+        failure, reply, record = got = audit(marked, depth)
+        plies.append((marked.state, marked.v, marked.w, marked.same_dummy, depth,
+                      failure, reply and (reply.kind, reply.next), record))
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(arena, "_tabled_reply", recording)
+        return [verify_cutter_bound(g0, budget).to_json() for budget in budgets], plies
+
+
+@pytest.mark.parametrize("g0", range(5))
+def test_tabled_sampled_plays_match_untabled(monkeypatch, request, g0):
+    """Sampled runs that share the table of audited plies, one after
+    another, give the reports and plies of runs that audit every ply
+    afresh."""
+    budgets = [_sampled(seed, 300) for seed in (0, 7, 1101)]
+    tabled = _reports_and_plies(monkeypatch, g0, budgets)
+    assert arena._tabled_reply.cache_info().hits > 0
+    request.getfixturevalue("untabled")
+    assert _reports_and_plies(monkeypatch, g0, budgets) == tabled
+
+
+@pytest.mark.usefixtures("swapped_arcs")
+def test_tabled_failures_match_untabled(request):
+    """Under a cutter fault, each sampled run fails alike, text and
+    witness, with the table (warmed by the runs before it) or without."""
+    budgets = [_sampled(seed) for seed in (7, 1, 2, 3)]
+    tabled = [verify_cutter_bound(3, budget) for budget in budgets]
+    assert all(r.verdict == "fail" and r.witness for r in tabled)
+    assert arena._tabled_reply.cache_info().hits > 0
+    request.getfixturevalue("untabled")
+    assert [verify_cutter_bound(3, budget).to_json() for budget in budgets] == [r.to_json() for r in tabled]
+
+
+@pytest.mark.usefixtures("swapped_arcs")
+def test_witness_consumers_leave_shared_records_alone(tmp_path, capsys):
+    """Sampled plays share the ply records of the table of audited
+    plies, so no consumer of a witness may change one: the report's JSON,
+    a trace and the CLI's outputs leave the witness as it was, and a run
+    that reads the same records from the table reports the same."""
+    report = verify_cutter_bound(3, _sampled(7))
+    assert report.verdict == "fail"
+    before, first = copy.deepcopy(report.witness), report.to_json()
+    emit_trace(report.witness, str(tmp_path / "trace.jsonl"))
+    for argv in (["--out", str(tmp_path / "r.json")], ["--format", "json"]):
+        assert dispatch(argv + ["verify-cutter", "--g0", "3", "--sample", "2000", "--seed", "7"]) == 1
+    capsys.readouterr()
+    assert report.witness == before
+    assert report.to_json() == first == verify_cutter_bound(3, _sampled(7)).to_json()
 
 
 def test_mark_off_the_state_is_a_strategy_failure(monkeypatch):

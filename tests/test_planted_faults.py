@@ -4,25 +4,33 @@ and the failure it reports, or a cross-check against a reference that
 must fail under it (unplanted, that cross-check is a test of its own).
 
 Every functools cache of the loaded ``cutgame`` modules is cleared once
-the fault is planted, and again after the test: a cross-check must not
-read answers memoised before the fault, and later tests must not read
-answers memoised under it."""
+the fault is planted, as well as before and after each test (conftest's
+``cold_caches``): a run must not read answers memoised before the fault,
+and later tests must not read answers memoised under it."""
 
 import functools
-import sys
 
 import pytest
 
 from cutgame import arena, core, equivalence, potential, strategy
-from cutgame.arena import FAIL, PASS, verify_cutter_bound, verify_marker_bound
+from cutgame.arena import FAIL, PASS, SearchBudget, verify_cutter_bound, verify_marker_bound
 from cutgame.core import MarkedState, value
 
+from conftest import clear_caches, swap_arcs
 import test_arena
 import test_equivalence
 import test_solver
 import test_strategy
 import test_successors
 from test_successors import reached  # noqa: F401  (a fixture of the replies cross-check)
+
+
+def verify_cutter_sampled(g0):
+    """50 sampled plays, seed 7, which share the table of audited plies.
+    Their plies fit in the table, so the clean run before the fault
+    leaves every ply of the faulty run in it, and only clearing the table
+    lets the fault show."""
+    return verify_cutter_bound(g0, SearchBudget(marker_sampling="random", sample_plays=50, seed=7))
 
 
 def flip_rich_poor_threshold(monkeypatch):
@@ -169,20 +177,6 @@ def validate_accepts_every_state(monkeypatch):
     monkeypatch.setattr(arena, "validate", lambda state: None)
 
 
-def clear_caches() -> None:
-    for name, module in list(sys.modules.items()):
-        if name == "cutgame" or name.startswith("cutgame."):
-            for val in vars(module).values():
-                if callable(getattr(val, "cache_clear", None)):
-                    val.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def _no_memo_across_the_fault():
-    yield
-    clear_caches()
-
-
 @pytest.mark.parametrize("plant, verify, g0, failure", [
     (flip_rich_poor_threshold, verify_cutter_bound, 1, "cutter had no potential-non-increasing reply"),
     (flip_rich_poor_threshold, verify_cutter_bound, 2, "cutter had no potential-non-increasing reply"),
@@ -195,9 +189,11 @@ def _no_memo_across_the_fault():
     (amalgam_opens_one_vertex_late, verify_marker_bound, 1,
      "binding audit failed in configuration 3: atoms do not read cycle 0 in order"),
     (keep_every_reply, verify_marker_bound, 1, "value did not increase by one"),
+    (swap_arcs, verify_cutter_sampled, 3, "cutter had no potential-non-increasing reply"),
 ], ids=["rich-poor-threshold-cutter-1", "rich-poor-threshold-cutter-2", "empty-run-zero-cutter-1",
         "potential-sign-marker-2", "arrow-3A-sources-marker-2", "classifier-window-marker-3",
-        "provenance-swapped-marker-1", "amalgam-late-marker-1", "legality-too-loose-marker-1"])
+        "provenance-swapped-marker-1", "amalgam-late-marker-1", "legality-too-loose-marker-1",
+        "swapped-arcs-tabled-cutter-sampled-3"])
 def test_a_planted_fault_fails_its_verifier(monkeypatch, plant, verify, g0, failure):
     assert verify(g0).verdict == PASS
     plant(monkeypatch)

@@ -19,7 +19,9 @@ families are
   files;
 - ``forced-fail``: the reports of the marker, refined and cutter
   verifiers, exhaustive and sampled, with ``equivalence.precedes``
-  forced False, each a FAIL with a witness;
+  forced False, each a FAIL with a witness; every ``cutgame`` cache is
+  emptied before the fault is planted and after it is removed, so that
+  no run reads an answer memoised on the other side of it;
 - ``deep``: JSON reports of ``verify_marker_bound`` and
   ``verify_refined`` g0 12..15, where nesting chains first reach depth
   4 and 5 (chain depth grows about g0/3);
@@ -32,18 +34,24 @@ families are
   of every cycle tuple ``equivalence._canonical_shape`` sees, and the
   answer of every ``classify_configuration`` call, in
   ``verify_marker_bound`` 0..13, the ``sampled`` run and
-  ``verify_refined`` 1..11;
+  ``verify_refined`` 1..11, every cache emptied first, so that no input
+  is missed;
 - ``cli``: ``cli.dispatch`` over ``CLI_ARGV``, each run's exit code,
   stdout, stderr and the files it wrote.  The runs are the README's
   examples (but ``exact-value --g0 4``, which takes 23 s on commits
   before the solver's genus floor), bad input that exits 64, budget and
   ``--k-max`` runs that exit 2, ``--format json`` and ``--out``;
 - ``replies``: every reply ``equivalence.cutter_replies`` builds in
-  ``verify_marker_bound`` 0..11, ``verify_refined`` 1..11, exhaustive
-  ``verify_cutter_bound`` 0..1 and the ``sampled`` run, one output per
-  call: each reply's kind, next cycles and genus, and its provenance
-  (``derived``, ``edge_map``, ``new_edges``), read for every reply, so
-  that both readings of the reply assembly are hashed;
+  ``verify_marker_bound`` 0..11, ``verify_refined`` 1..11 and
+  exhaustive ``verify_cutter_bound`` 0..1, one output per call: each
+  reply's kind, next cycles and genus, and its provenance (``derived``,
+  ``edge_map``, ``new_edges``), read for every reply, so that both
+  readings of the reply assembly are hashed;
+- ``sampled-replies``: the same for the calls of the ``sampled`` run,
+  started with every cache empty.  Sampled plays share a table of
+  audited plies on commits that have one, so a (state, mark) pair that
+  recurs while it is in the table makes no call: kept apart, the table
+  changes this family alone;
 - ``solver-replies``: the same for the calls of ``exact_value`` 0..2,
   kept apart so that a change that prunes only the solver's search
   leaves the verifiers' digest alone.
@@ -100,6 +108,15 @@ CLI_ARGV = [
 ]
 
 
+def clear_caches() -> None:
+    """Empty every functools cache bound in a loaded ``cutgame`` module."""
+    for name, module in list(sys.modules.items()):
+        if name == "cutgame" or name.startswith("cutgame."):
+            for val in vars(module).values():
+                if callable(getattr(val, "cache_clear", None)):
+                    val.cache_clear()
+
+
 def families(root: str):
     """(family, outputs) pairs, each output a string or bytes."""
     from cutgame import arena, equivalence
@@ -128,12 +145,14 @@ def families(root: str):
     yield "plays", plays
 
     real = equivalence.precedes
+    clear_caches()
     equivalence.precedes = lambda candidate, earlier: False
     try:
         failed = [arena.verify_marker_bound(3), arena.verify_refined(3), arena.verify_cutter_bound(2),
                   arena.verify_cutter_bound(3, SearchBudget(marker_sampling="random", sample_plays=50, seed=1))]
     finally:
         equivalence.precedes = real
+        clear_caches()
     if any(r.verdict != arena.FAIL or not r.witness for r in failed):
         raise SystemExit("a forced fault did not fail with a witness")
     yield "forced-fail", [r.to_json() for r in failed]
@@ -172,15 +191,16 @@ def families(root: str):
         runs.append(json.dumps([argv, code, out.getvalue(), err.getvalue(), written]))
     yield "cli", runs
 
-    verifiers, solver = reply_outputs(arena, equivalence, sampled)
+    verifiers, sampled_replies, solver = reply_outputs(arena, equivalence, sampled)
     yield "replies", verifiers
+    yield "sampled-replies", sampled_replies
     yield "solver-replies", solver
 
 
 def kernel_outputs(arena, equivalence, sampled) -> list[str]:
     """The two search kernels under each marker node, read at their call
     sites: every distinct input of ``_canonical_shape`` with the shape it
-    gave (the cache cleared first, so none is missed), sorted, then every
+    gave (the caches cleared first, so none is missed), sorted, then every
     ``classify_configuration`` call in call order with its answer."""
     shapes: dict = {}
     real_shape = equivalence._canonical_shape
@@ -197,7 +217,7 @@ def kernel_outputs(arena, equivalence, sampled) -> list[str]:
         calls.append(repr((active, state.cycles, state.genus, allow_pseudo, got)))
         return got
 
-    equivalence._cached_shape.cache_clear()
+    clear_caches()
     equivalence._canonical_shape, arena.classify_configuration = shape, classify
     try:
         for g0 in range(14):
@@ -207,14 +227,14 @@ def kernel_outputs(arena, equivalence, sampled) -> list[str]:
             arena.verify_refined(g0)
     finally:
         equivalence._canonical_shape, arena.classify_configuration = real_shape, real_classify
-        equivalence._cached_shape.cache_clear()
+        clear_caches()
     return sorted(f"{cycles!r} {out[0]!r}" for cycles, out in shapes.items()) + calls
 
 
-def reply_outputs(arena, equivalence, sampled) -> tuple[list[str], list[str]]:
-    """Every ``cutter_replies`` call of the verifiers, then of the solver,
-    read at its call site in ``legal_replies``, with every reply's
-    provenance."""
+def reply_outputs(arena, equivalence, sampled) -> tuple[list[str], list[str], list[str]]:
+    """Every ``cutter_replies`` call of the exhaustive verifiers, of the
+    sampled run (the caches emptied first) and of the solver, read at its
+    call site in ``legal_replies``, with every reply's provenance."""
     replies: list[str] = []
     real = equivalence.cutter_replies
 
@@ -232,13 +252,15 @@ def reply_outputs(arena, equivalence, sampled) -> tuple[list[str], list[str]]:
             arena.verify_refined(g0)
         for g0 in range(2):
             arena.verify_cutter_bound(g0)
-        arena.verify_cutter_bound(3, sampled)
         verifiers, replies = replies, []
+        clear_caches()
+        arena.verify_cutter_bound(3, sampled)
+        sampled_replies, replies = replies, []
         for g0 in range(3):
             arena.exact_value(g0)
     finally:
         equivalence.cutter_replies = real
-    return verifiers, replies
+    return verifiers, sampled_replies, replies
 
 
 def digest(outputs) -> str:
