@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .core import (
     CutterReply, GameState, MarkedState, empty_state, enumerate_marker_moves, validate, value,
@@ -118,7 +118,7 @@ class VerificationReport:
         self.details: dict = {}
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "g0": self.g0,
             "mode": self.mode,
             "opponent_model": "restricted-cutter",
@@ -129,19 +129,10 @@ class VerificationReport:
             "verdict": self.verdict,
             "witness": self.witness,
             "failure": self.failure,
-            "budget": None
-            if self.budget is None
-            else {
-                "max_depth": self.budget.max_depth,
-                "max_states": self.budget.max_states,
-                "marker_sampling": self.budget.marker_sampling,
-                "sample_plays": self.budget.sample_plays,
-                "seed": self.budget.seed,
-            },
+            "budget": None if self.budget is None else {k: getattr(self.budget, k) for k in SearchBudget.__slots__},
             "transitions_seen": {f"{k[0]}-{k[1]}": v for k, v in sorted(self.transitions_seen.items())},
             "details": self.details,
         }
-        return out
 
     def to_json(self) -> str:
         import json
@@ -166,7 +157,7 @@ def ply_record(ply: int, mover: Optional[str], marked: Optional[MarkedState],
         "value": value(state),
         "genus": state.genus,
         "potential": potential_text(state_potential(state)),
-        "canonical_key": str(canonical_key(state)),
+        "canonical_key": canonical_key(state),
     }
 
 
@@ -223,6 +214,13 @@ class _Node:
             if value(reply.next) != v + 1:
                 raise _Stop("value did not increase by one", self.child(marked, reply))
 
+    def check_switch(self) -> None:
+        """A switch to the cops must come at genus one, within the starting
+        genus's ``switch_value_bound``; both are read off this state."""
+        v, genus = value(self.state), self.state.genus
+        if genus != 1 or v > switch_value_bound(self.state.initial_genus):
+            raise _Stop(f"switch to cops at value {v}, genus {genus}", self)
+
     def validated(self) -> "_Node":
         failure = validate(self.state)
         if failure is not None:
@@ -245,16 +243,16 @@ class _Node:
 _ADDED_DETAILS = ("switches", "rebinds")
 
 
-class _Counts:
+class _Counts(NamedTuple):
     """A report's additive fields at one moment of a search, the dicts
     as tuples of (key, count) pairs.  Taken when a node is popped and
     again when its subtree is done, their difference is what the
     subtree added to the report."""
 
-    __slots__ = ("states", "terminal", "transitions", "details")
-
-    def __init__(self, states: int, terminal: int, transitions: tuple, details: tuple):
-        self.states, self.terminal, self.transitions, self.details = states, terminal, transitions, details
+    states: int
+    terminal: int
+    transitions: tuple
+    details: tuple
 
     @classmethod
     def of(cls, report: VerificationReport) -> "_Counts":
@@ -437,10 +435,9 @@ def _run_marker(g0: int, budget: SearchBudget, refined: bool) -> VerificationRep
                 raise _Stop("potential decreased after the seed split", child)
             if isinstance(nxt, SwitchToCops):
                 report.terminal_plays += 1
-                report.max_value_seen = max(report.max_value_seen, nxt.value)
+                report.max_value_seen = max(report.max_value_seen, value(reply.next))
                 report.details["switches"] = report.details.get("switches", 0) + 1
-                if nxt.genus != 1 or nxt.value > switch_value_bound(g0):
-                    raise _Stop(f"switch to cops at value {nxt.value}, genus {nxt.genus}", child)
+                child.check_switch()
                 continue
             if isinstance(nxt, BoundingPhase) and isinstance(phase, BoundingPhase) and nxt.config == 2 and phase.config == 1 and refined and reply.next.genus == 4:
                 report.details["rebinds"] = report.details.get("rebinds", 0) + 1
@@ -698,17 +695,23 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
     records, outcome summary).
 
     ``marker``/``cutter`` are ``"auto"`` (the packaged strategies) or
-    ``"random"`` (uniform legal choices from the given seed).  The play
-    is audited like the verifiers' searches: every state must pass
-    ``validate``, every legal reply must raise the value by exactly one,
-    the marker strategy must mark vertices of the state and take each
-    reply without a fault, and the auto cutter must find a reply that
-    keeps the potential from rising; a failure raises ``RuntimeError``.
+    ``"random"`` (uniform legal choices from the given seed); any other
+    name raises ``errors.InputError``.  The play is audited like the
+    verifiers' searches: every state must pass ``validate``, every legal
+    reply must raise the value by exactly one, the marker strategy must
+    mark vertices of the state and take each reply without a fault, a
+    switch to the cops must come at genus one within
+    ``switch_value_bound(g0)`` (``_Node.check_switch``), and the auto
+    cutter must find a reply that keeps the potential from rising; a
+    failure raises ``RuntimeError``.
     The cutter's claim holds only in the plain game below
     ``cutter_value_threshold(g0)``, so only there is a missing reply a
     fault; anywhere else the auto cutter plays the reply ``cutter_move``
     falls back to.
     """
+    for player, name in (("marker", marker), ("cutter", cutter)):
+        if name not in ("auto", "random"):
+            raise InputError(f"unknown {player} player {name!r}")
     start = _start(g0, refined)
     claimed = None if refined else cutter_value_threshold(g0)
     rng = random.Random(seed)
@@ -732,7 +735,8 @@ def play_game(g0: int, marker: str = "auto", cutter: str = "auto", seed: int = 0
                 reply = rng.choice(legal)
             node = node.advanced(strat, marked, reply) if strat else node.child(marked, reply)
             if isinstance(node.phase, SwitchToCops):
-                result, switch = "switch_to_cops", {"value": node.phase.value, "genus": node.phase.genus}
+                node.check_switch()
+                result, switch = "switch_to_cops", {"value": value(node.state), "genus": node.state.genus}
                 break
     except _Stop as stop:
         raise RuntimeError(stop.failure) from None

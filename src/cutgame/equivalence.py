@@ -12,12 +12,13 @@ state, and one that does is a reduction of no earlier state: on every
 legal play the earlier states add nothing, and ``legal_replies`` reads
 the marked state alone.
 
-Equivalence compares canonical keys: the lexicographically least
-encoding of the cycles under rotation, reordering and first-occurrence
-renaming (``_canonical_shape``).  Its search runs once per normal form
-of the input (relabelled and reordered copies share it), places the
-loop pairs (a)(a) in closed form, and merges or defers tied partial
-orderings instead of expanding each one.  ``precedes``
+Equivalence compares canonical keys, the text of the genus and of the
+lexicographically least encoding of the cycles under rotation,
+reordering and first-occurrence renaming (``_canonical_shape``).  Its
+search runs once per normal form of the input (relabelled and
+reordered copies share it), places the loop pairs (a)(a) in closed
+form, and merges or defers tied partial orderings instead of expanding
+each one.  ``precedes``
 decides the reduction relation: by the genus, then by a kept-label
 witness on the concrete labels, which settles every reply a
 value-monotone play refuses, then on canonical cycles by a
@@ -29,22 +30,10 @@ the reference.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import CutterReply, GameState, MarkedState, cutter_replies, value
-
-
-@dataclass(frozen=True)
-class CanonicalKey:
-    """Rotation-, ordering- and relabelling-invariant fingerprint."""
-
-    genus: int
-    shape: tuple[tuple[int, ...], ...]
-
-    def __str__(self) -> str:
-        return f"g{self.genus}#{_shape_text(self.shape)}"
 
 
 @lru_cache(maxsize=1 << 12)
@@ -339,8 +328,11 @@ def _cached_shape(cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
     return _canonical_shape(cycles)[0]
 
 
-def canonical_key(state: GameState) -> CanonicalKey:
-    return CanonicalKey(genus=state.genus, shape=_cached_shape(state.cycles))
+def canonical_key(state: GameState) -> str:
+    """``g<genus>#<shape text>``, as reports print it.  One text per
+    (genus, shape): the genus ends at ``#``, ``|`` splits the pieces and
+    ``,`` their entries, and the length each piece drops is its count."""
+    return f"g{state.genus}#{_shape_text(_cached_shape(state.cycles))}"
 
 
 @lru_cache(maxsize=1 << 16)

@@ -77,7 +77,10 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_geodesic(g: Graph, path: tuple[int, ...]) -> bool:
-    """Whether the vertex sequence is a shortest path between its ends."""
+    """Whether the vertex sequence is a shortest path between its ends;
+    an empty one, or one with a vertex outside ``0..n-1``, is not."""
+    if not path or not all(0 <= v < g.n for v in path):
+        return False
     if len(path) == 1:
         return True
     if len(set(path)) != len(path):

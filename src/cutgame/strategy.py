@@ -29,7 +29,7 @@ potential accounting licenses, and only replies that keep it from rising.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     CutterReply,
@@ -39,7 +39,6 @@ from .core import (
     Vertex,
     split_cycle,
     uniquely_appearing_labels,
-    value,
 )
 # unused here; the binding stays because perfbench's tracer test reads
 # strategy.legal_replies
@@ -53,7 +52,7 @@ from .potential import QUARTER, is_nesting_path, nesting_supports, segment_poten
 Atom = Union[str, int]  # "U", "N", or a shared-label variable
 
 
-class Template:
+class Template(NamedTuple):
     """A configuration: its active cycles' atoms, the (cycle, atom) pair
     the marker marks, and per reply kind the arrow it takes.
 
@@ -80,11 +79,9 @@ class Template:
     bound phase's :class:`ActiveCycle` holds positions.
     """
 
-    __slots__ = ("cycles", "mark", "arrows")
-
-    def __init__(self, cycles: tuple[tuple[Atom, ...], ...], mark: tuple[tuple[int, int], tuple[int, int]],
-                 arrows: dict[str, tuple[int, tuple]]):
-        self.cycles, self.mark, self.arrows = cycles, mark, arrows
+    cycles: tuple[tuple[Atom, ...], ...]
+    mark: tuple[tuple[int, int], tuple[int, int]]
+    arrows: dict[str, tuple[int, tuple]]
 
 
 TEMPLATES: dict[int, Template] = {
@@ -133,27 +130,12 @@ CAP_CONFIGS = {5, 9}
 # ---------------------------------------------------------------------------
 # phases
 #
-# The phase types are ``__slots__`` classes, cheaper to import than
-# dataclasses; ``_Fields`` lets the marker search merge equal phases.
+# The phase types are named tuples, so the marker search merges equal
+# phases by tuple equality.  It compares phases only with phases, and no
+# two phase types compare equal: they hold 0, 1 and 2 fields.
 
 
-class _Fields:
-    """Equal, and hashing alike, exactly when the type and every slot are:
-    a slot added to a subclass takes part by construction."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return (type(self), *(getattr(self, name) for name in self.__slots__))
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-
-class ActiveCycle(_Fields):
+class ActiveCycle(NamedTuple):
     """One active component bound to a template cycle.
 
     ``pos`` parallels the atoms of the bound phase's template cycle,
@@ -162,50 +144,40 @@ class ActiveCycle(_Fields):
     tuple of one or three positions of the nesting path in path order.
     """
 
-    __slots__ = ("cycle", "pos")
-
-    def __init__(self, cycle: int, pos: tuple):
-        self.cycle, self.pos = cycle, pos
+    cycle: int
+    pos: tuple
 
     def mark_vertex(self, atom_idx: int) -> Vertex:
         p = self.pos[atom_idx]
         return (self.cycle, p if isinstance(p, int) else p[0])
 
 
-class BoundingPhase(_Fields):
+class BoundingPhase(NamedTuple):
     """A configuration of the automaton and its active cycles, bound.  A
     shared-label variable's label is the one its bound edges read."""
 
-    __slots__ = ("config", "actives")
-
-    def __init__(self, config: int, actives: tuple[ActiveCycle, ...]):
-        self.config, self.actives = config, actives
+    config: int
+    actives: tuple[ActiveCycle, ...]
 
 
-class PreparatoryPhase(_Fields):
+class PreparatoryPhase(NamedTuple):
     """Before the automaton: ``non_a_replies`` counts the cutter's replies
     that declined to burn genus."""
 
-    __slots__ = ("non_a_replies",)
-
-    def __init__(self, non_a_replies: int = 0):
-        self.non_a_replies = non_a_replies
+    non_a_replies: int = 0
 
 
-class SeedPhase(_Fields):
+class SeedPhase(NamedTuple):
     """Refined opening: about to mark the lone uniquely appearing edge of
     the four-cycle seed whose split is forced."""
 
-    __slots__ = ()
-
 
 class SwitchToCops:
-    """Refined-game verdict: hand the pursuit back to three fresh cops."""
+    """Refined-game verdict: hand the pursuit back to three fresh cops.
+    It holds nothing (an empty named tuple would equal ``SeedPhase()``):
+    the audits read the value and genus off the state it is reached in."""
 
-    __slots__ = ("value", "genus")
-
-    def __init__(self, value: int, genus: int):
-        self.value, self.genus = value, genus
+    __slots__ = ()
 
 
 class StrategyError(Exception):
@@ -267,9 +239,7 @@ class MarkerStrategy:
         self.refined = refined
 
     def initial_phase(self, state: GameState) -> Phase:
-        if self.refined:
-            return SeedPhase()
-        return PreparatoryPhase(0)
+        return SeedPhase() if self.refined else PreparatoryPhase()
 
     # -- marking ----------------------------------------------------------
 
@@ -278,11 +248,8 @@ class MarkerStrategy:
             return self._prep_mark(state)
         if isinstance(phase, SeedPhase):
             return self._seed_mark(state)
-        template = TEMPLATES[phase.config]
-        (c1, a1), (c2, a2) = template.mark
-        v = phase.actives[c1].mark_vertex(a1)
-        w = phase.actives[c2].mark_vertex(a2)
-        return MarkedState(state, v, w)
+        (c1, a1), (c2, a2) = TEMPLATES[phase.config].mark
+        return MarkedState(state, phase.actives[c1].mark_vertex(a1), phase.actives[c2].mark_vertex(a2))
 
     def _prep_mark(self, state: GameState) -> MarkedState:
         uniq = uniquely_appearing_labels(state)
@@ -325,7 +292,7 @@ class MarkerStrategy:
         nxt = self._advance_bounding(phase, state, reply)
         if self.refined and isinstance(nxt, BoundingPhase) and nxt.config == 2:
             if reply.next.genus == 1:
-                return SwitchToCops(value=value(reply.next), genus=1)
+                return SwitchToCops()
             if reply.next.genus == 4:
                 return self._rebind_pseudo(nxt, reply.next)
         return nxt

@@ -86,6 +86,22 @@ def swapped_arcs(monkeypatch):
     swap_arcs(monkeypatch)
 
 
+def switch_at_genus_two(monkeypatch) -> None:
+    """The seeded game hands over to the cops when a refined bounding
+    phase reaches configuration 2 at genus 2, instead of at genus 1."""
+    from cutgame import strategy
+
+    real = strategy.MarkerStrategy.advance
+
+    def advance(self, phase, state, reply):
+        nxt = real(self, phase, state, reply)
+        if self.refined and isinstance(nxt, strategy.BoundingPhase) and nxt.config == 2 and reply.next.genus == 2:
+            return strategy.SwitchToCops()
+        return nxt
+
+    monkeypatch.setattr(strategy.MarkerStrategy, "advance", advance)
+
+
 @contextlib.contextmanager
 def _time_limit(seconds: float):
     """Raise ``TimeoutError`` in the block once it has run ``seconds``;

@@ -23,6 +23,7 @@ from cutgame.arena import (
 from cutgame.cli import dispatch
 from cutgame.core import enumerate_marker_moves, value
 from cutgame.equivalence import canonical_key, legal_replies
+from cutgame.errors import InputError
 from cutgame.strategy import ActiveCycle
 
 ALLOWED_TRANSITIONS = {
@@ -290,7 +291,7 @@ def test_fault_at_a_repeated_state_fails_alike_merged_or_not(monkeypatch, reques
     merged = verify_marker_bound(6)
     assert merged.verdict == "fail"
     assert merged.failure.startswith("classifier saw configuration None, strategy claims ")
-    assert merged.witness[-1]["canonical_key"] == str(canonical_key(target))
+    assert merged.witness[-1]["canonical_key"] == canonical_key(target)
     request.getfixturevalue("unmerged")
     assert verify_marker_bound(6).to_json() == merged.to_json()
 
@@ -330,7 +331,7 @@ def test_explored_states_are_validated(monkeypatch):
         first = state.cycles[0]
         first += (first[0],) * (3 - state.label_counts()[first[0]])
         bad = dataclasses.replace(state, cycles=(first,) + state.cycles[1:])
-        improper.append(str(canonical_key(bad)))
+        improper.append(canonical_key(bad))
         return dataclasses.replace(reply, next=bad), anomaly
 
     monkeypatch.setattr(arena, "cutter_move", cutter_move)
@@ -450,16 +451,20 @@ def test_mark_off_the_state_is_a_strategy_failure(monkeypatch):
         play_game(3)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: verify_marker_bound(-1),
-    lambda: verify_cutter_bound(-1),
-    lambda: exact_value(-1),
-    lambda: play_game(-1),
-    lambda: verify_refined(0),
-    lambda: play_game(0, refined=True),
-], ids=["marker", "cutter", "exact", "play", "refined", "play-refined"])
-def test_bad_genus_raises(call):
-    with pytest.raises(ValueError, match="genus"):
+@pytest.mark.parametrize("call, match", [
+    (lambda: verify_marker_bound(-1), "genus"),
+    (lambda: verify_cutter_bound(-1), "genus"),
+    (lambda: exact_value(-1), "genus"),
+    (lambda: play_game(-1), "genus"),
+    (lambda: verify_refined(0), "genus"),
+    (lambda: play_game(0, refined=True), "genus"),
+    (lambda: play_game(2, marker="randon"), "^unknown marker player 'randon'$"),
+    (lambda: play_game(2, cutter="atuo"), "^unknown cutter player 'atuo'$"),
+], ids=["marker", "cutter", "exact", "play", "refined", "play-refined", "play-marker-name", "play-cutter-name"])
+def test_bad_genus_raises(call, match):
+    """Bad input, a genus out of range or an unknown player name, is an
+    ``InputError`` that names it."""
+    with pytest.raises(InputError, match=match):
         call()
 
 

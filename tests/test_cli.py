@@ -8,6 +8,8 @@ from cutgame.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_SOFTWARE, 
 from cutgame.core import cutter_replies
 from cutgame.strategy import ActiveCycle, BoundingPhase, MarkerStrategy, StrategyError
 
+from conftest import switch_at_genus_two
+
 CORPUS_DIR = os.path.join(os.path.dirname(graphs.__file__), "bundled")
 
 
@@ -161,6 +163,17 @@ def test_auto_play_exits_0_at_every_genus(capsys, refined):
         captured = capsys.readouterr()
         assert code == EXIT_PASS, (g0, captured.err)
         assert json.loads(captured.out)["result"] in ("cutter_stuck", "switch_to_cops")
+
+
+def test_play_switch_audit_exits_70(monkeypatch, capsys):
+    """A switch to the cops at genus 2 is the strategy's failure in
+    ``play`` as in ``verify_refined``: the audit reads the state, not
+    the strategy's claim."""
+    switch_at_genus_two(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"^switch to cops at value 5, genus 2$"):
+        arena.play_game(5, refined=True)
+    assert (_internal_error(["play", "--g0", "5", "--refined"], capsys)
+            == "error: internal: switch to cops at value 5, genus 2")
 
 
 def test_mark_off_the_state_is_not_bad_input(monkeypatch, capsys):

@@ -379,6 +379,17 @@ def test_legal_replies_agree_with_reference_rule_at_every_node(monkeypatch):
     assert sum(n > 3 for n in plays) > 5_000
 
 
+def _assert_key_text_injective(states) -> None:
+    """Two states' key texts are equal exactly when their (genus,
+    canonical shape) pairs are."""
+    by_text: dict = {}
+    by_pair: dict = {}
+    for state in states:
+        text, pair = equivalence.canonical_key(state), (state.genus, equivalence._cached_shape(state.cycles))
+        assert by_text.setdefault(text, pair) == pair, text
+        assert by_pair.setdefault(pair, text) == text, pair
+
+
 @pytest.mark.usefixtures("unmerged")
 def test_canonical_shape_agrees_with_reference_on_marker_states(monkeypatch):
     # the states ply records key, and the states precedes compares (the
@@ -393,6 +404,7 @@ def test_canonical_shape_agrees_with_reference_on_marker_states(monkeypatch):
         shape, renaming = equivalence._canonical_shape(cycles)
         assert shape == reference_canonical_shape(cycles)[0], cycles
         assert _realises(cycles, renaming, shape), cycles
+    _assert_key_text_injective(state for pair in pairs for state in pair)
 
 
 def _loop_pairs(cycles) -> int:
@@ -419,11 +431,13 @@ def test_canonical_shape_agrees_with_reference_on_deep_marker_states(monkeypatch
 
 def test_canonical_shape_agrees_with_reference_on_random_states():
     rng = random.Random(29)
-    for _ in range(10_000):
-        cycles = random_state(rng, max_labels=8).cycles
+    states = [random_state(rng, max_labels=8) for _ in range(10_000)]
+    for state in states:
+        cycles = state.cycles
         shape, renaming = equivalence._canonical_shape(cycles)
         assert shape == reference_canonical_shape(cycles)[0], cycles
         assert _realises(cycles, renaming, shape), cycles
+    _assert_key_text_injective(states)
 
 
 def _loop_heavy_state(rng: random.Random) -> tuple[tuple[int, ...], ...]:

@@ -11,6 +11,7 @@ from cutgame.graphs import (
     petersen_graph,
     verify_guarding,
 )
+from cutgame.errors import InputError
 from cutgame.graphs.graph import Graph
 from cutgame.graphs.guarding import GeodesicGuard
 
@@ -38,8 +39,13 @@ def all_geodesics(g: Graph) -> list[tuple[int, ...]]:
 
 def test_rejects_non_geodesic():
     c6 = cycle_graph(6)
-    with pytest.raises(ValueError):
-        guard_geodesic(c6, (0, 1, 2, 3, 4))  # the long way round
+    # the long way round, no vertex at all, and a vertex off the graph
+    for path in ((0, 1, 2, 3, 4), (), (7,)):
+        assert not is_geodesic(c6, path)
+        with pytest.raises(InputError, match="shortest path"):
+            guard_geodesic(c6, path)
+        with pytest.raises(InputError, match="shortest path"):
+            verify_guarding(c6, path)
 
 
 def test_single_vertex_guard():

@@ -13,10 +13,10 @@ import functools
 import pytest
 
 from cutgame import arena, core, equivalence, potential, strategy
-from cutgame.arena import FAIL, PASS, SearchBudget, verify_cutter_bound, verify_marker_bound
+from cutgame.arena import FAIL, PASS, SearchBudget, verify_cutter_bound, verify_marker_bound, verify_refined
 from cutgame.core import MarkedState, value
 
-from conftest import clear_caches, swap_arcs
+from conftest import clear_caches, swap_arcs, switch_at_genus_two
 import test_arena
 import test_equivalence
 import test_solver
@@ -190,10 +190,11 @@ def validate_accepts_every_state(monkeypatch):
      "binding audit failed in configuration 3: atoms do not read cycle 0 in order"),
     (keep_every_reply, verify_marker_bound, 1, "value did not increase by one"),
     (swap_arcs, verify_cutter_sampled, 3, "cutter had no potential-non-increasing reply"),
+    (switch_at_genus_two, verify_refined, 5, "switch to cops at value 5, genus 2"),
 ], ids=["rich-poor-threshold-cutter-1", "rich-poor-threshold-cutter-2", "empty-run-zero-cutter-1",
         "potential-sign-marker-2", "arrow-3A-sources-marker-2", "classifier-window-marker-3",
         "provenance-swapped-marker-1", "amalgam-late-marker-1", "legality-too-loose-marker-1",
-        "swapped-arcs-tabled-cutter-sampled-3"])
+        "swapped-arcs-tabled-cutter-sampled-3", "switch-at-genus-two-refined-5"])
 def test_a_planted_fault_fails_its_verifier(monkeypatch, plant, verify, g0, failure):
     assert verify(g0).verdict == PASS
     plant(monkeypatch)

@@ -185,9 +185,8 @@ def test_switch_to_cops_at_genus_one():
     marked = strat.mark(phase, state)
     legal = legal_replies(marked)
     assert {r.kind for r in legal} == {"A"}
-    nxt = strat.advance(phase, state, legal[0])
-    assert isinstance(nxt, SwitchToCops)
-    assert nxt.genus == 1 and nxt.value == value(state) + 1
+    assert isinstance(strat.advance(phase, state, legal[0]), SwitchToCops)
+    assert legal[0].next.genus == 1 and value(legal[0].next) == value(state) + 1
 
 
 def test_pseudo_rebind_at_genus_four():
