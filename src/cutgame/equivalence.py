@@ -14,11 +14,11 @@ the marked state alone.
 
 Equivalence compares canonical keys, the text of the genus and of the
 lexicographically least encoding of the cycles under rotation,
-reordering and first-occurrence renaming (``_canonical_shape``).  Its
-search runs once per normal form of the input (relabelled and
-reordered copies share it), places the loop pairs (a)(a) in closed
-form, and merges or defers tied partial orderings instead of expanding
-each one.  ``precedes``
+reordering and first-occurrence renaming (``_canonical_shape``).  The
+loop pairs (a)(a) are split off before the normal form and lead in
+closed form, so one search serves each normal form of the rest at
+every pair count; it merges or defers tied partial orderings instead
+of expanding each one.  ``precedes``
 decides the reduction relation: by the genus, then by a kept-label
 witness on the concrete labels, which settles every reply a
 value-monotone play refuses, then on canonical cycles by a
@@ -186,13 +186,32 @@ def _canonical_shape(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int
     rotation, reordering and first-occurrence label renaming.  Also
     returns one renaming that realizes the minimum.
 
-    Relabelled or reordered copies of one input often share a normal
-    form (``_normal_form``), and ``_normal_shape`` searches each form
-    once; its renaming is composed back onto the input's labels here.
+    The loop pairs, two loops (a)(a) whose label appears nowhere else,
+    are split off before the normal form when no other label is on two
+    loops, so ``_normal_shape`` searches the rest, the core, once for
+    every pair count; ``_after_pairs`` puts the pairs back in front.
     """
-    normal, names = _normal_form(cycles)
-    shape, renaming = _normal_shape(normal)
-    return shape, {lab: renaming[x] for lab, x in names.items()}
+    loops = [c[0] for c in cycles if len(c) == 1]
+    pairs = dict.fromkeys(lab for lab, k in Counter(loops).items() if k > 1) if len(set(loops)) < len(loops) else {}
+    if pairs and sum(lab in pairs for c in cycles for lab in c) > 2 * len(pairs):
+        pairs = {}  # a label on two loops and elsewhere, or on three: no closed form
+    normal, names = _normal_form([c for c in cycles if len(c) > 1 or c[0] not in pairs] if pairs else cycles)
+    return _after_pairs(list(pairs), *_normal_shape(normal), names)
+
+
+def _after_pairs(pairs: list[int], shape: tuple, renaming: tuple, names: dict[int, int]) -> tuple[tuple, dict[int, int]]:
+    """A core's shape led by its loop ``pairs`` in closed form,
+    (1,0),(1,0),(1,1),(1,1),..., every core index moved past them, and
+    its renaming onto the input's ``names``.  Pairs lead, as (1,i),(1,i)
+    is below a single loop's (1,i),(1,i+1); exchanging two pairs fixes
+    all else, and a uniform shift changes no comparison of the search."""
+    p = len(pairs)
+    renamed = {lab: renaming[x] + p for lab, x in names.items()}
+    if p:
+        shape = tuple((1, i) for i in range(p) for _ in (0, 1)) + tuple(
+            (piece[0],) + tuple(x + p for x in piece[1:]) for piece in shape)
+        renamed.update(zip(pairs, range(p)))
+    return shape, renamed
 
 
 def _normal_form(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
@@ -209,17 +228,8 @@ def _normal_form(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int, ..
 # sampled run), so a small cache keeps nearly every hit
 @lru_cache(maxsize=1 << 12)
 def _normal_shape(cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The canonical shape of cycles in ``_canonical_shape``'s normal
-    form, and its renaming as a tuple indexed by label.
-
-    *Loop pairs* lead, in closed form.  A loop pair is two loops (a)(a)
-    whose label appears nowhere else (the deep marker states carry many).
-    When no other label is on two loops, the least length-1 block starts
-    (1,0),(1,0),(1,1),(1,1),... with every pair, since a single loop
-    first gives (1,i),(1,i+1) instead of (1,i),(1,i); and exchanging two
-    pairs fixes everything else.  So the pairs are stripped, and the
-    search below runs on the other cycles with indices starting after
-    them.
+    """The canonical shape of a normal-form core, its loop pairs split
+    off, and its renaming by label: one search serves every pair count.
 
     The search appends, level by level, the least piece any tied partial
     ordering can produce.  A piece starts with its cycle's length, so
@@ -244,19 +254,10 @@ def _normal_shape(cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int,
       its labels (``_place``); those still unread at the end fill the
       remaining blocks in any order, which changes no piece.
     """
-    pairs: list[int] = []
-    rest = cycles
-    if len(cycles) > 1 and len(cycles[1]) == 1:
-        loops = Counter([c[0] for c in cycles if len(c) == 1])
-        counts = Counter([lab for c in cycles for lab in c])
-        pairs = [lab for lab, k in loops.items() if k == 2 and counts[lab] == 2]
-        if len(pairs) < sum(k > 1 for k in loops.values()):
-            pairs = []  # a label on two loops and elsewhere, or on three: no closed form
-        rest = tuple([c for c in cycles if len(c) > 1 or c[0] not in pairs])
-    encoding = [(1, i) for i in range(len(pairs)) for _ in (0, 1)]
-    partials = [(rest, {}, len(pairs), {}, {})]
+    encoding: list[tuple[int, ...]] = []
+    partials = [(cycles, {}, 0, {}, {})]
     n = 0  # the current block's length
-    for _ in range(len(rest)):
+    for _ in range(len(cycles)):
         rest0, _, _, pool0, _ = partials[0]
         # every tied partial has the same lengths left to place, and a
         # class with a free block always has the current block's length
@@ -315,7 +316,6 @@ def _normal_shape(cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int,
             best = list(merged.values())
         partials = best
     _, renaming, _, pool, _ = partials[0]
-    renaming = {**renaming, **{lab: i for i, lab in enumerate(pairs)}}
     for cs, bl in pool.values():
         for cyc, start in zip(cs, bl):
             for lab, i in _cycle_class(cyc)[1][0].items():

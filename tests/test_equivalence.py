@@ -492,3 +492,25 @@ def test_relabelled_copies_share_one_shape():
             assert shape == expected, copy
             assert sorted(renaming) == sorted(mapping.values()), copy
             assert _realises(copy, renaming, shape), copy
+
+
+def test_pair_counts_share_one_core_search():
+    # one core carrying 0..8 loop pairs (a)(a), each copy relabelled,
+    # shuffled and rotated.  The core's normal form depends on none of
+    # the three (its cycles share no label, and each cycle reads the
+    # same pattern from every rotation), and the pairs are split off
+    # before the normal form, so the nine copies make one search
+    core = [(0,), (1, 2), (3, 4), (5, 6, 5, 6), (7, 8, 7, 8), (9, 10, 11, 9, 10, 11)]
+    rng = random.Random(43)
+    before = equivalence._normal_shape.cache_info().misses
+    for pairs in range(9):
+        cycles = core + [(12 + i,) for i in range(pairs) for _ in (0, 1)]
+        labels = sorted({lab for cyc in cycles for lab in cyc})
+        mapping = dict(zip(labels, rng.sample(range(100), len(labels))))
+        copy = [tuple(mapping[lab] for lab in cyc) for cyc in cycles]
+        copy = [cyc[r:] + cyc[:r] for cyc in copy for r in [rng.randrange(len(cyc))]]
+        rng.shuffle(copy)
+        shape, renaming = equivalence._canonical_shape(tuple(copy))
+        assert shape == reference_canonical_shape(copy)[0], copy
+        assert _realises(copy, renaming, shape), copy
+    assert equivalence._normal_shape.cache_info().misses - before == 1

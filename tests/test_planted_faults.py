@@ -77,34 +77,39 @@ def merge_signature_without_pool(monkeypatch):
 
 
 def singles_before_loop_pairs(monkeypatch):
-    """The canonical form's closed form puts the loop pairs after the
-    single loops: the loop block reads (1,0), ..., (1,s-1) for the s
-    single loops and then each pair twice, and every index of the block
-    is renumbered to match."""
-    real = equivalence._normal_shape
+    """The loop pairs' closed form puts them after the core's single
+    loops: the loop block reads (1,0), ..., (1,s-1) for the s single
+    loops and then each pair twice, and every core index past the single
+    loops moves past the pairs."""
+    def singles_first(pairs, shape, renaming, names):
+        s, p = sum(piece[0] == 1 for piece in shape), len(pairs)
+        move = lambda i: i if i < s else i + p  # noqa: E731
+        loops = list(shape[:s]) + [(1, s + i) for i in range(p) for _ in (0, 1)]
+        rest = [(piece[0],) + tuple(map(move, piece[1:])) for piece in shape[s:]]
+        return tuple(loops + rest), {**{lab: s + i for i, lab in enumerate(pairs)},
+                                     **{lab: move(renaming[x]) for lab, x in names.items()}}
 
-    def singles_first(cycles):
-        shape, renaming = real(cycles)
-        block = [piece[1] for piece in shape if piece[0] == 1]
-        m = len(block) - len(set(block))
-        s = len(block) - 2 * m
-        move = lambda i: s + i if i < m else i - m if i < m + s else i  # noqa: E731
-        loops = [(1, i) for i in range(s)] + [(1, s + i) for i in range(m) for _ in (0, 1)]
-        rest = [(piece[0],) + tuple(map(move, piece[1:])) for piece in shape[len(block):]]
-        return tuple(loops + rest), tuple(map(move, renaming))
+    monkeypatch.setattr(equivalence, "_after_pairs", singles_first)
 
-    monkeypatch.setattr(equivalence, "_normal_shape", singles_first)
+
+def core_not_shifted(monkeypatch):
+    """The loop pairs lead the shape, but the core's indices are not
+    moved past them: the core's first labels take the pairs' indices."""
+    def unshifted(pairs, shape, renaming, names):
+        lead = tuple((1, i) for i in range(len(pairs)) for _ in (0, 1))
+        return lead + shape, {**{lab: i for i, lab in enumerate(pairs)},
+                              **{lab: renaming[x] for lab, x in names.items()}}
+
+    monkeypatch.setattr(equivalence, "_after_pairs", unshifted)
 
 
 def renaming_not_composed(monkeypatch):
-    """The canonical form returns the memoised renaming of the input's
+    """The canonical form returns the memoised renaming of the core's
     normal form as it is, keyed by the normal form's labels, instead of
     composing it onto the input's labels."""
-    def uncomposed(cycles):
-        shape, renaming = equivalence._normal_shape(equivalence._normal_form(cycles)[0])
-        return shape, dict(enumerate(renaming))
-
-    monkeypatch.setattr(equivalence, "_canonical_shape", uncomposed)
+    real = equivalence._after_pairs
+    monkeypatch.setattr(equivalence, "_after_pairs", lambda pairs, shape, renaming, names: real(
+        pairs, shape, renaming, {x: x for x in names.values()}))
 
 
 def keep_every_reply(monkeypatch):
@@ -213,13 +218,15 @@ def test_a_planted_fault_fails_its_verifier(monkeypatch, plant, verify, g0, fail
     (floor_off_by_one, test_solver.test_exact_value_four, []),
     (singles_before_loop_pairs,
      test_equivalence.test_canonical_shape_agrees_with_reference_on_loop_pairs_and_single_loops, []),
+    (core_not_shifted,
+     test_equivalence.test_canonical_shape_agrees_with_reference_on_loop_pairs_and_single_loops, []),
     (renaming_not_composed, test_equivalence.test_relabelled_copies_share_one_shape, []),
     (refuse_amalgams, test_equivalence.test_label_loss_equals_restricted_legality_exhaustive, []),
     (hosts_taken_twice, test_equivalence.test_matcher_agrees_with_reference_on_random_pairs, []),
     (precedes_by_witness_alone, test_equivalence.test_precedes_against_bruteforce, []),
     (validate_accepts_every_state, test_arena.test_explored_states_are_validated, ["monkeypatch"]),
 ], ids=["classifier-given-order", "tie-merge-without-pool", "amalgam-late-replies", "floor-off-by-one-reference",
-        "floor-off-by-one-value-four", "singles-before-loop-pairs", "renaming-not-composed",
+        "floor-off-by-one-value-four", "singles-before-loop-pairs", "core-not-shifted", "renaming-not-composed",
         "legality-too-strict", "matcher-hosts-taken-twice", "precedes-by-witness-alone", "validate-off"])
 def test_a_planted_fault_fails_its_cross_check(request, monkeypatch, plant, cross_check, needs):
     # the cross-check's fixtures are built before the fault is planted

@@ -36,6 +36,8 @@ families are
   ``verify_marker_bound`` 0..13, the ``sampled`` run and
   ``verify_refined`` 1..11, every cache emptied first, so that no input
   is missed;
+- ``deep-kernels``: the same canonical shapes in ``verify_marker_bound``
+  14..17, where the states carry up to seventeen loop pairs (a)(a);
 - ``cli``: ``cli.dispatch`` over ``CLI_ARGV``, each run's exit code,
   stdout, stderr and the files it wrote.  The runs are the README's
   examples (but ``exact-value --g0 4``, which takes 23 s on commits
@@ -56,7 +58,7 @@ families are
   kept apart so that a change that prunes only the solver's search
   leaves the verifiers' digest alone.
 
-Each line reads ``family outputs sha256``.  A full run takes about 23 s
+Each line reads ``family outputs sha256``.  A full run takes about 18 s
 on a 2-core x86-64 VM with Python 3.11.
 """
 
@@ -173,6 +175,7 @@ def families(root: str):
     yield "auto-plays", auto_plays
 
     yield "kernels", kernel_outputs(arena, equivalence, sampled)
+    yield "deep-kernels", shape_outputs(equivalence, lambda: [arena.verify_marker_bound(g0) for g0 in range(14, 18)])
 
     corpus = os.path.join(root, "src", "cutgame", "graphs", "bundled")
     if not os.path.isdir(corpus):
@@ -197,38 +200,53 @@ def families(root: str):
     yield "solver-replies", solver
 
 
-def kernel_outputs(arena, equivalence, sampled) -> list[str]:
-    """The two search kernels under each marker node, read at their call
-    sites: every distinct input of ``_canonical_shape`` with the shape it
-    gave (the caches cleared first, so none is missed), sorted, then every
-    ``classify_configuration`` call in call order with its answer."""
+def shape_outputs(equivalence, run) -> list[str]:
+    """Every distinct input of ``_canonical_shape`` during ``run()``, read
+    at its call site, with the shape it gave, sorted; every cache is
+    emptied first, so that none is missed."""
     shapes: dict = {}
-    real_shape = equivalence._canonical_shape
+    real = equivalence._canonical_shape
 
     def shape(cycles):
-        shapes[tuple(cycles)] = out = real_shape(cycles)
+        shapes[tuple(cycles)] = out = real(cycles)
         return out
 
+    clear_caches()
+    equivalence._canonical_shape = shape
+    try:
+        run()
+    finally:
+        equivalence._canonical_shape = real
+        clear_caches()
+    return sorted(f"{cycles!r} {out[0]!r}" for cycles, out in shapes.items())
+
+
+def kernel_outputs(arena, equivalence, sampled) -> list[str]:
+    """The two search kernels under each marker node, read at their call
+    sites: the canonical shapes (``shape_outputs``) of marker 0..13, the
+    sampled run and refined 1..11, then every ``classify_configuration``
+    call in call order with its answer."""
     calls = []
-    real_classify = arena.classify_configuration
+    real = arena.classify_configuration
 
     def classify(active, state, allow_pseudo=False):
-        got = real_classify(active, state, allow_pseudo=allow_pseudo)
+        got = real(active, state, allow_pseudo=allow_pseudo)
         calls.append(repr((active, state.cycles, state.genus, allow_pseudo, got)))
         return got
 
-    clear_caches()
-    equivalence._canonical_shape, arena.classify_configuration = shape, classify
-    try:
+    def run():
         for g0 in range(14):
             arena.verify_marker_bound(g0)
         arena.verify_cutter_bound(3, sampled)
         for g0 in range(1, 12):
             arena.verify_refined(g0)
+
+    arena.classify_configuration = classify
+    try:
+        shapes = shape_outputs(equivalence, run)
     finally:
-        equivalence._canonical_shape, arena.classify_configuration = real_shape, real_classify
-        clear_caches()
-    return sorted(f"{cycles!r} {out[0]!r}" for cycles, out in shapes.items()) + calls
+        arena.classify_configuration = real
+    return shapes + calls
 
 
 def reply_outputs(arena, equivalence, sampled) -> tuple[list[str], list[str], list[str]]:
