@@ -14,14 +14,14 @@ the marked state alone.
 
 Equivalence compares canonical keys, the text of the genus and of the
 lexicographically least encoding of the cycles under rotation,
-reordering and first-occurrence renaming (``_canonical_shape``).  The
-loop pairs (a)(a) are split off before the normal form and lead in
-closed form, so one search serves each normal form of the rest at
-every pair count; it merges or defers tied partial orderings instead
-of expanding each one.  ``precedes``
-decides the reduction relation: by the genus, then by a kept-label
-witness on the concrete labels, which settles every reply a
-value-monotone play refuses, then on canonical cycles by a
+reordering and first-occurrence renaming (``_canonical_shape``; a key
+reads the shape alone).  The loop pairs (a)(a) are split off before the
+normal form and lead in closed form, so one search serves each normal
+form of the rest at every pair count; it merges or defers tied partial
+orderings, where they arise, instead of expanding each one.
+``precedes`` decides the reduction relation: by the genus, then by a
+kept-label witness on the concrete labels, which settles every reply
+a value-monotone play refuses, then on canonical cycles by a
 backtracking match (``_shape_precedes``) instead of enumerating
 contractions.  The enumerating versions of both stay in the tests as
 the reference.
@@ -45,10 +45,11 @@ def _shape_text(shape: tuple[tuple[int, ...], ...]) -> str:
 #   (rest, renaming, next_index, pool, owner):
 # ``rest`` holds the cycles still to place, ``renaming`` the indices given
 # so far and ``next_index`` the next unused index.  ``pool`` maps the
-# pattern of a class of deferred cycles (see ``_canonical_shape``) to its
+# pattern of a class of deferred cycles (see ``_normal_shape``) to its
 # unplaced cycles and the starts of its reserved, still free index
 # blocks; ``owner`` maps each label of an unplaced deferred cycle to
-# (pattern, cycle, renamings of the rotations that realise the pattern).
+# (pattern, cycle, the renamings of the rotations that realise the
+# pattern and give that label its least index).
 
 
 def _cycle_class(cyc: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[dict[int, int], ...]]:
@@ -80,18 +81,13 @@ def _free_label_signature(rest: tuple[tuple[int, ...], ...], renaming: dict[int,
         out = []
         for lab in cyc:
             x = get(lab)
-            if x is None:
-                x = free.get(lab)
-                if x is None:
-                    x = free[lab] = -1 - len(free)
-            out.append(x)
+            out.append(free.setdefault(lab, -1 - len(free)) if x is None else x)
         return tuple(out)
 
-    ordered = sorted(rest, key=lambda c: (len(c), [get(lab, -1) for lab in c]))
-    return (
-        tuple([encode(c) for c in ordered]),
-        tuple([(k, blocks, tuple(sorted([encode(c) for c in cycles]))) for k, (cycles, blocks) in sorted(pool.items())]),
-    )
+    ordered = sorted(rest, key=lambda c: (len(c), [get(lab, -1) for lab in c])) if len(rest) > 1 else rest
+    remaining = tuple([encode(c) for c in ordered])
+    return remaining, tuple([(k, blocks, tuple(sorted([encode(c) for c in cycles])))
+                             for k, (cycles, blocks) in sorted(pool.items())])
 
 
 def _defer(partial: tuple, n: int) -> tuple:
@@ -101,8 +97,6 @@ def _defer(partial: tuple, n: int) -> tuple:
     branching.)"""
     rest, renaming, next_index, pool, owner = partial
     same = [c for c in rest if len(c) == n]
-    if len(same) < 2:
-        return partial
     counts = Counter(lab for c in same for lab in c)
     classes: dict[tuple[int, ...], list] = {}
     for c in same:
@@ -118,25 +112,25 @@ def _defer(partial: tuple, n: int) -> tuple:
             pool[k] = (tuple(c for c, _ in members), ())
             for c, renamings in members:
                 for lab in c:
-                    owner[lab] = (k, c, renamings)
+                    rank = min(ren[lab] for ren in renamings)
+                    owner[lab] = (k, c, tuple(ren for ren in renamings if ren[lab] == rank))
     return tuple(c for c in rest if c not in moved), renaming, next_index, pool, owner
 
 
-def _place(
-    rot: tuple[int, ...], renaming: dict[int, int], next_index: int, pool: dict, owner: dict
-) -> tuple[tuple[int, ...], list[tuple]]:
+def _place(rot: tuple[int, ...], renaming: dict[int, int], next_index: int, pool: dict, owner: dict,
+           bound: Optional[tuple[int, ...]]) -> Optional[tuple[tuple[int, ...], list[tuple]]]:
     """The least piece for this rotation of a cycle that reads labels of
-    deferred cycles, and every way to reach it.  Each deferred cycle is
-    put into the first free block of its class, with the rotations that
-    give the label read the least index: any other block or rotation
-    gives that label a larger index, every earlier element of the piece
-    being the same, so it cannot give the least piece.
-
-    Returns the piece and a list of (renaming, next index, pool, owner).
-    """
+    deferred cycles and every way to reach it, a list of (renaming, next
+    index, pool, owner), or None once an entry exceeds ``bound``'s (the
+    best piece so far).  Each deferred cycle is put into the first free
+    block of its class, with the rotations that give the label read the
+    least index: any other block or rotation gives that label a larger
+    index, every earlier element of the piece being the same, so it
+    cannot give the least piece."""
     # per way: new indices, blocks taken per class, new labels, placed cycles
     ways: list[tuple[dict, dict, int, tuple]] = [({}, {}, 0, ())]
     out = [len(rot)]
+    less = bound is None
     for lab in rot:
         least = None
         kept: list[tuple[dict, dict, int, tuple]] = []
@@ -148,13 +142,9 @@ def _place(
                 k, cyc, renamings = owner[lab]
                 used = taken.get(k, 0)
                 start = pool[k][1][used]
-                rank = min(ren[lab] for ren in renamings)
-                x = start + rank
-                options = [
-                    ({**given, **{l: start + i for l, i in ren.items()}}, {**taken, k: used + 1}, fresh, placed + (cyc,))
-                    for ren in renamings
-                    if ren[lab] == rank
-                ]
+                x = start + renamings[0][lab]
+                options = [({**given, **{l: start + i for l, i in ren.items()}}, {**taken, k: used + 1}, fresh,
+                            placed + (cyc,)) for ren in renamings]
             else:
                 x = next_index + fresh
                 options = [({**given, lab: x}, taken, fresh + 1, placed)]
@@ -163,6 +153,10 @@ def _place(
                 kept = []
             if x == least:
                 kept.extend(options)
+        if not less:
+            if least > bound[len(out)]:
+                return None
+            less = least < bound[len(out)]
         ways = kept
         out.append(least)
     results = []
@@ -183,87 +177,94 @@ def _place(
 
 def _canonical_shape(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
     """Lexicographically minimal encoding of a cycle multiset under
-    rotation, reordering and first-occurrence label renaming.  Also
-    returns one renaming that realizes the minimum.
+    rotation, reordering and first-occurrence label renaming, as the key
+    path gives it (``_cached_shape``), and one renaming that realizes it:
+    the core's final partial ordering composed onto the input's labels,
+    which only this function, called by the tests, builds."""
+    pairs, normal, names = _normal_form(cycles)
+    shape, (_, renaming, _, pool, _) = _normal_shape(normal)
+    renaming = dict(renaming)
+    for cs, bl in pool.values():  # unread deferred cycles fill their blocks in any order
+        for cyc, start in zip(cs, bl):
+            for lab, i in _cycle_class(cyc)[1][0].items():
+                renaming[lab] = start + i
+    p = len(pairs)
+    return _after_pairs(p, shape), {**dict(zip(pairs, range(p))), **{lab: renaming[x] + p for lab, x in names.items()}}
 
-    The loop pairs, two loops (a)(a) whose label appears nowhere else,
-    are split off before the normal form when no other label is on two
-    loops, so ``_normal_shape`` searches the rest, the core, once for
-    every pair count; ``_after_pairs`` puts the pairs back in front.
-    """
+
+def _after_pairs(p: int, shape: tuple) -> tuple:
+    """A core's shape led by its ``p`` loop pairs in closed form,
+    (1,0),(1,0),(1,1),(1,1),..., every core index moved past them.  Pairs
+    lead, as (1,i),(1,i) is below a single loop's (1,i),(1,i+1);
+    exchanging two pairs fixes all else, and a uniform shift changes no
+    comparison of the search."""
+    return tuple((1, i) for i in range(p) for _ in (0, 1)) + tuple(
+        (piece[0],) + tuple(x + p for x in piece[1:]) for piece in shape) if p else shape
+
+
+def _normal_form(cycles: Sequence[tuple[int, ...]]) -> tuple[list[int], tuple[tuple[int, ...], ...], dict[int, int]]:
+    """The labels of the loop pairs (a)(a), split off when no other label
+    is on two loops, and the normal form of the rest, the core, with its
+    renaming: the cycles sorted by length (a stable sort), their labels
+    renamed 0, 1, ... by first occurrence, then sorted by length and
+    content, so that equal cycles sit side by side."""
     loops = [c[0] for c in cycles if len(c) == 1]
     pairs = dict.fromkeys(lab for lab, k in Counter(loops).items() if k > 1) if len(set(loops)) < len(loops) else {}
     if pairs and sum(lab in pairs for c in cycles for lab in c) > 2 * len(pairs):
         pairs = {}  # a label on two loops and elsewhere, or on three: no closed form
-    normal, names = _normal_form([c for c in cycles if len(c) > 1 or c[0] not in pairs] if pairs else cycles)
-    return _after_pairs(list(pairs), *_normal_shape(normal), names)
-
-
-def _after_pairs(pairs: list[int], shape: tuple, renaming: tuple, names: dict[int, int]) -> tuple[tuple, dict[int, int]]:
-    """A core's shape led by its loop ``pairs`` in closed form,
-    (1,0),(1,0),(1,1),(1,1),..., every core index moved past them, and
-    its renaming onto the input's ``names``.  Pairs lead, as (1,i),(1,i)
-    is below a single loop's (1,i),(1,i+1); exchanging two pairs fixes
-    all else, and a uniform shift changes no comparison of the search."""
-    p = len(pairs)
-    renamed = {lab: renaming[x] + p for lab, x in names.items()}
-    if p:
-        shape = tuple((1, i) for i in range(p) for _ in (0, 1)) + tuple(
-            (piece[0],) + tuple(x + p for x in piece[1:]) for piece in shape)
-        renamed.update(zip(pairs, range(p)))
-    return shape, renamed
-
-
-def _normal_form(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-    """The cycles sorted by length (a stable sort), their labels renamed
-    0, 1, ... by first occurrence, then sorted by length and content, so
-    that equal cycles sit side by side; and that renaming."""
     names: dict[int, int] = {}
-    normal = sorted([tuple([names.setdefault(lab, len(names)) for lab in c]) for c in sorted(cycles, key=len)])
+    core = sorted([c for c in cycles if len(c) > 1 or c[0] not in pairs] if pairs else cycles, key=len)
+    normal = sorted([tuple([names.setdefault(lab, len(names)) for lab in c]) for c in core])
     normal.sort(key=len)
-    return tuple(normal), names
+    return list(pairs), tuple(normal), names
 
 
 # copies of one state come close together (within 1 000 plays of a
 # sampled run), so a small cache keeps nearly every hit
 @lru_cache(maxsize=1 << 12)
-def _normal_shape(cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The canonical shape of a normal-form core, its loop pairs split
-    off, and its renaming by label: one search serves every pair count.
+def _normal_shape(cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """The canonical shape of a normal-form core and a partial ordering
+    that reaches it, which only ``_canonical_shape`` reads a renaming
+    off: one search serves every loop-pair count.
 
     The search appends, level by level, the least piece any tied partial
     ordering can produce.  A piece starts with its cycle's length, so
     the pieces come in blocks of equal length; the remaining cycles stay
     sorted by length, so a level scans the prefix of its length, tries
-    each distinct cycle once, and gives up a rotation at the first entry
-    above the best piece so far.  Two devices keep the tie set small:
+    each distinct cycle once, skips a rotation whose first entry is
+    above the best piece's and gives up one at the first larger entry.
+    Two devices keep the tie set small, each only where it applies:
 
     - *Merged ties.*  Tied partials with equal free-label signatures are
       merged.  Sound: equal signatures give a bijection of the free
       labels that carries one remaining collection onto the other while
       fixing every renamed index, so both produce the same
-      continuations.
+      continuations.  Ties are signed once a run of them survives a
+      level, and never at the last: one partial's ties mostly differ in
+      the indices their remaining cycles read, and one level ends them.
     - *Deferred cycles.*  When a block of length n starts, the cycles of
       length n whose labels are all new and appear in no other cycle of
       that length are deferred, where two or more share a class pattern
-      (``_defer``).  Such a cycle's piece is its pattern shifted to the
-      next index wherever the block places it, and no other piece of the
-      block reads its labels, so a level reserves an index block for
-      *some* deferred cycle of a class instead of branching on which
-      one.  The cycle is placed when a later piece first reads one of
-      its labels (``_place``); those still unread at the end fill the
-      remaining blocks in any order, which changes no piece.
+      (``_defer``, called only on a block of two cycles or more).  Such
+      a cycle's piece is its pattern shifted to the next index wherever
+      the block places it, and no other piece of the block reads its
+      labels, so a level reserves an index block for *some* deferred
+      cycle of a class instead of branching on which one.  The cycle is
+      placed when a later piece first reads one of its labels
+      (``_place``); those still unread at the end fill the remaining
+      blocks in any order, which changes no piece.
     """
     encoding: list[tuple[int, ...]] = []
     partials = [(cycles, {}, 0, {}, {})]
     n = 0  # the current block's length
-    for _ in range(len(cycles)):
+    for left in range(len(cycles) - 1, -1, -1):
         rest0, _, _, pool0, _ = partials[0]
         # every tied partial has the same lengths left to place, and a
         # class with a free block always has the current block's length
-        if not any(len(cs) > len(bl) for cs, bl in pool0.values()) and len(rest0[0]) != n:
+        if rest0 and len(rest0[0]) != n and not (pool0 and any(len(cs) > len(bl) for cs, bl in pool0.values())):
             n = len(rest0[0])
-            partials = [_defer(p, n) for p in partials]
+            if len(rest0) > 1 and len(rest0[1]) == n:
+                partials = [_defer(p, n) for p in partials]
         best_piece: Optional[tuple[int, ...]] = None
         best: list[tuple] = []
         for rest, renaming, next_index, pool, owner in partials:
@@ -283,13 +284,15 @@ def _normal_shape(cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int,
                 prev = cyc
                 if owner and any(lab in owner for lab in cyc):
                     for r in range(n):
-                        piece, results = _place(cyc[r:] + cyc[:r], renaming, next_index, pool, owner)
-                        if best_piece is None or piece < best_piece:
-                            best_piece, best = piece, []
-                        if piece == best_piece:
-                            best.extend((rest[:i] + rest[i + 1 :],) + res for res in results)
+                        placed = _place(cyc[r:] + cyc[:r], renaming, next_index, pool, owner, best_piece)
+                        if placed is not None:
+                            if best_piece is None or placed[0] < best_piece:
+                                best_piece, best = placed[0], []
+                            best.extend((rest[:i] + rest[i + 1 :],) + res for res in placed[1])
                     continue
                 for r in range(n):
+                    if best_piece is not None and renaming.get(cyc[r], next_index) > best_piece[1]:
+                        continue
                     fresh: dict[int, int] = {}
                     out = [n]
                     less = best_piece is None
@@ -309,23 +312,19 @@ def _normal_shape(cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int,
                         best.append((rest[:i] + rest[i + 1 :], {**renaming, **fresh}, next_index + len(fresh), pool, owner))
         assert best_piece is not None
         encoding.append(best_piece)
-        if len(best) > 1:
+        if left and len(best) > 1 and len(partials) > 1:
             merged: dict[tuple, tuple] = {}
             for p in best:
                 merged.setdefault(_free_label_signature(p[0], p[1], p[3]), p)
             best = list(merged.values())
         partials = best
-    _, renaming, _, pool, _ = partials[0]
-    for cs, bl in pool.values():
-        for cyc, start in zip(cs, bl):
-            for lab, i in _cycle_class(cyc)[1][0].items():
-                renaming[lab] = start + i
-    return tuple(encoding), tuple([renaming[lab] for lab in range(len(renaming))])
+    return tuple(encoding), partials[0]
 
 
 @lru_cache(maxsize=1 << 18)
 def _cached_shape(cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    return _canonical_shape(cycles)[0]
+    pairs, normal, _ = _normal_form(cycles)
+    return _after_pairs(len(pairs), _normal_shape(normal)[0])
 
 
 def canonical_key(state: GameState) -> str:

@@ -5,7 +5,7 @@ from typing import Optional
 import pytest
 
 from cutgame import arena, equivalence
-from cutgame.arena import exact_value, verify_cutter_bound, verify_marker_bound, verify_refined
+from cutgame.arena import SearchBudget, exact_value, verify_cutter_bound, verify_marker_bound, verify_refined
 from cutgame.core import GameState, MarkedState, cutter_replies, empty_state, enumerate_marker_moves, value
 
 import reference_solver
@@ -395,15 +395,16 @@ def test_canonical_shape_agrees_with_reference_on_marker_states(monkeypatch):
     # the states ply records key, and the states precedes compares (the
     # kept-label witness asks for no canonical form of them)
     equivalence._cached_shape.cache_clear()
-    inputs = _record_calls(monkeypatch, "_canonical_shape")
+    inputs = _record_calls(monkeypatch, "_cached_shape")
     pairs = _record_calls(monkeypatch, "precedes")
     assert verify_marker_bound(9).verdict == "pass"
     inputs |= {(state.cycles,) for pair in pairs for state in pair}
     assert len(inputs) > 1_000
-    for (cycles,) in inputs:
+    for (cycles,) in sorted(inputs):
         shape, renaming = equivalence._canonical_shape(cycles)
         assert shape == reference_canonical_shape(cycles)[0], cycles
         assert _realises(cycles, renaming, shape), cycles
+        assert equivalence._cached_shape(cycles) == shape, cycles
     _assert_key_text_injective(state for pair in pairs for state in pair)
 
 
@@ -416,7 +417,7 @@ def test_canonical_shape_agrees_with_reference_on_deep_marker_states(monkeypatch
     # tied partial orderings are heaviest: a seeded sample of 60 of them,
     # 20 with four loop pairs or more
     equivalence._cached_shape.cache_clear()
-    inputs = _record_calls(monkeypatch, "_canonical_shape")
+    inputs = _record_calls(monkeypatch, "_cached_shape")
     assert verify_marker_bound(13).verdict == "pass"
     states = sorted(cycles for (cycles,) in inputs)
     heavy = [cycles for cycles in states if _loop_pairs(cycles) >= 4]
@@ -427,6 +428,23 @@ def test_canonical_shape_agrees_with_reference_on_deep_marker_states(monkeypatch
         shape, renaming = equivalence._canonical_shape(cycles)
         assert shape == reference_canonical_shape(cycles)[0], cycles
         assert _realises(cycles, renaming, shape), cycles
+        assert equivalence._cached_shape(cycles) == shape, cycles
+
+
+def test_canonical_shape_agrees_with_reference_on_sampled_cutter_states(monkeypatch):
+    # sampled cutter plays key mostly cores of one to three cycles, where
+    # the search's deferral and tie merging rarely apply: every input of
+    # seeded runs at g0=2 and g0=3 (conftest empties every cache first)
+    inputs = _record_calls(monkeypatch, "_cached_shape")
+    for g0 in (2, 3):
+        budget = SearchBudget(marker_sampling="random", sample_plays=300, seed=g0)
+        assert verify_cutter_bound(g0, budget).verdict == "pass"
+    assert len(inputs) > 1_000
+    for (cycles,) in sorted(inputs):
+        shape, renaming = equivalence._canonical_shape(cycles)
+        assert shape == reference_canonical_shape(cycles)[0], cycles
+        assert _realises(cycles, renaming, shape), cycles
+        assert equivalence._cached_shape(cycles) == shape, cycles
 
 
 def test_canonical_shape_agrees_with_reference_on_random_states():
@@ -437,7 +455,35 @@ def test_canonical_shape_agrees_with_reference_on_random_states():
         shape, renaming = equivalence._canonical_shape(cycles)
         assert shape == reference_canonical_shape(cycles)[0], cycles
         assert _realises(cycles, renaming, shape), cycles
+        assert equivalence._cached_shape(cycles) == shape, cycles
     _assert_key_text_injective(states)
+
+
+# random states on which tied partial orderings merged by their remaining
+# cycles alone, whatever their deferred classes and reserved blocks, give
+# a shape above the least: the states among 20 000 ``random_state`` draws
+# (seed 29) at each of eight, ten and twelve labels that reach such a
+# merge, now that ties are signed only once a run of them survives a level
+POOL_SENSITIVE_STATES = [
+    ((1, 4, 0), (3, 5), (5, 2, 6), (3, 1), (0,), (7,)),
+    ((4, 5), (3, 4, 1), (2, 8, 0), (8, 5), (0,), (7,), (6, 7)),
+    ((6,), (5, 5), (0, 3, 2), (1, 8, 7), (3, 4), (8, 4), (7,)),
+    ((0, 7, 6), (2, 3), (5,), (4, 3, 5), (6,), (2, 7), (1,), (0,)),
+    ((9, 9, 2), (10,), (7,), (5,), (7, 6), (6, 4, 3), (1,), (8, 11, 0), (5, 8), (11,)),
+    ((9, 4, 2), (10, 4), (0, 6, 8), (3,), (11, 1), (8, 5), (7, 0), (5, 2), (6, 10)),
+    ((3, 6), (0, 1, 8), (2, 8), (4, 5, 7), (3,), (7, 2), (4,), (6,), (5,)),
+    ((0, 8, 2), (4, 3, 9, 5), (10, 5, 8), (1, 6, 7, 0), (1,), (2,), (10,)),
+    ((6, 2, 4), (11, 0), (1, 4), (0,), (10, 8, 1), (9, 7), (3, 7), (3, 5, 11), (2,)),
+    ((2, 0, 3), (1, 6, 5), (2,), (3,), (4, 6), (5,), (0, 4)),
+]
+
+
+def test_canonical_shape_agrees_with_reference_where_merges_read_deferred_classes():
+    for cycles in POOL_SENSITIVE_STATES:
+        shape, renaming = equivalence._canonical_shape(cycles)
+        assert shape == reference_canonical_shape(cycles)[0], cycles
+        assert _realises(cycles, renaming, shape), cycles
+        assert equivalence._cached_shape(cycles) == shape, cycles
 
 
 def _loop_heavy_state(rng: random.Random) -> tuple[tuple[int, ...], ...]:

@@ -8,6 +8,7 @@ the fault is planted, as well as before and after each test (conftest's
 ``cold_caches``): a run must not read answers memoised before the fault,
 and later tests must not read answers memoised under it."""
 
+import collections
 import functools
 
 import pytest
@@ -76,18 +77,46 @@ def merge_signature_without_pool(monkeypatch):
     monkeypatch.setattr(equivalence, "_free_label_signature", lambda rest, renaming, pool: real(rest, renaming, {}))
 
 
+def defer_despite_recurring_label(monkeypatch):
+    """The canonical form defers a class of cycles although one of their
+    labels recurs on another cycle of the block: ``_defer`` counts each
+    label of the block once."""
+    real = equivalence._defer
+
+    def once_each(partial, n):
+        equivalence.Counter = lambda labels: collections.Counter(set(labels))
+        try:
+            return real(partial, n)
+        finally:
+            equivalence.Counter = collections.Counter
+
+    monkeypatch.setattr(equivalence, "_defer", once_each)
+
+
+def deferred_into_last_block(monkeypatch):
+    """A deferred cycle that a piece reads goes into the last free block
+    of its class instead of the first: ``_place`` sees every class's free
+    blocks in reverse order."""
+    real = equivalence._place
+    flip = lambda pool: {k: (cycles, blocks[::-1]) for k, (cycles, blocks) in pool.items()}  # noqa: E731
+
+    def last_block(rot, renaming, next_index, pool, owner, bound):
+        placed = real(rot, renaming, next_index, flip(pool), owner, bound)
+        return placed and (placed[0], [(ren, nxt, flip(p), own) for ren, nxt, p, own in placed[1]])
+
+    monkeypatch.setattr(equivalence, "_place", last_block)
+
+
 def singles_before_loop_pairs(monkeypatch):
     """The loop pairs' closed form puts them after the core's single
     loops: the loop block reads (1,0), ..., (1,s-1) for the s single
     loops and then each pair twice, and every core index past the single
     loops moves past the pairs."""
-    def singles_first(pairs, shape, renaming, names):
-        s, p = sum(piece[0] == 1 for piece in shape), len(pairs)
+    def singles_first(p, shape):
+        s = sum(piece[0] == 1 for piece in shape)
         move = lambda i: i if i < s else i + p  # noqa: E731
         loops = list(shape[:s]) + [(1, s + i) for i in range(p) for _ in (0, 1)]
-        rest = [(piece[0],) + tuple(map(move, piece[1:])) for piece in shape[s:]]
-        return tuple(loops + rest), {**{lab: s + i for i, lab in enumerate(pairs)},
-                                     **{lab: move(renaming[x]) for lab, x in names.items()}}
+        return tuple(loops + [(piece[0],) + tuple(map(move, piece[1:])) for piece in shape[s:]])
 
     monkeypatch.setattr(equivalence, "_after_pairs", singles_first)
 
@@ -95,21 +124,21 @@ def singles_before_loop_pairs(monkeypatch):
 def core_not_shifted(monkeypatch):
     """The loop pairs lead the shape, but the core's indices are not
     moved past them: the core's first labels take the pairs' indices."""
-    def unshifted(pairs, shape, renaming, names):
-        lead = tuple((1, i) for i in range(len(pairs)) for _ in (0, 1))
-        return lead + shape, {**{lab: i for i, lab in enumerate(pairs)},
-                              **{lab: renaming[x] for lab, x in names.items()}}
-
-    monkeypatch.setattr(equivalence, "_after_pairs", unshifted)
+    monkeypatch.setattr(equivalence, "_after_pairs", lambda p, shape: tuple(
+        (1, i) for i in range(p) for _ in (0, 1)) + shape)
 
 
 def renaming_not_composed(monkeypatch):
     """The canonical form returns the memoised renaming of the core's
     normal form as it is, keyed by the normal form's labels, instead of
     composing it onto the input's labels."""
-    real = equivalence._after_pairs
-    monkeypatch.setattr(equivalence, "_after_pairs", lambda pairs, shape, renaming, names: real(
-        pairs, shape, renaming, {x: x for x in names.values()}))
+    real = equivalence._normal_form
+
+    def own_names(cycles):
+        pairs, normal, names = real(cycles)
+        return pairs, normal, {x: x for x in names.values()}
+
+    monkeypatch.setattr(equivalence, "_normal_form", own_names)
 
 
 def keep_every_reply(monkeypatch):
@@ -212,7 +241,11 @@ def test_a_planted_fault_fails_its_verifier(monkeypatch, plant, verify, g0, fail
 
 @pytest.mark.parametrize("plant, cross_check, needs", [
     (classify_in_given_order, test_strategy.test_classifier_matches_reference_matcher, ["monkeypatch"]),
-    (merge_signature_without_pool, test_equivalence.test_canonical_shape_agrees_with_reference_on_random_states, []),
+    (merge_signature_without_pool,
+     test_equivalence.test_canonical_shape_agrees_with_reference_where_merges_read_deferred_classes, []),
+    (defer_despite_recurring_label, test_equivalence.test_canonical_shape_agrees_with_reference_on_random_states, []),
+    (deferred_into_last_block,
+     test_equivalence.test_canonical_shape_agrees_with_reference_on_loop_pairs_and_single_loops, []),
     (amalgam_opens_one_vertex_late, test_successors.test_replies_match_the_eager_builder, ["reached"]),
     (floor_off_by_one, functools.partial(test_solver.test_solver_agrees_with_reference, True), []),
     (floor_off_by_one, test_solver.test_exact_value_four, []),
@@ -225,7 +258,8 @@ def test_a_planted_fault_fails_its_verifier(monkeypatch, plant, verify, g0, fail
     (hosts_taken_twice, test_equivalence.test_matcher_agrees_with_reference_on_random_pairs, []),
     (precedes_by_witness_alone, test_equivalence.test_precedes_against_bruteforce, []),
     (validate_accepts_every_state, test_arena.test_explored_states_are_validated, ["monkeypatch"]),
-], ids=["classifier-given-order", "tie-merge-without-pool", "amalgam-late-replies", "floor-off-by-one-reference",
+], ids=["classifier-given-order", "tie-merge-without-pool", "defer-despite-recurring-label",
+        "deferred-into-last-block", "amalgam-late-replies", "floor-off-by-one-reference",
         "floor-off-by-one-value-four", "singles-before-loop-pairs", "core-not-shifted", "renaming-not-composed",
         "legality-too-strict", "matcher-hosts-taken-twice", "precedes-by-witness-alone", "validate-off"])
 def test_a_planted_fault_fails_its_cross_check(request, monkeypatch, plant, cross_check, needs):

@@ -31,13 +31,18 @@ families are
   1..30 seeded, each play's records and outcome, or the text of the
   ``RuntimeError`` it raised;
 - ``kernels``: the canonical shape (a canonical key less its genus)
-  of every cycle tuple ``equivalence._canonical_shape`` sees, and the
+  of every cycle tuple the canonical form is asked for, read where the
+  key path ``equivalence._cached_shape`` is called (on older commits it
+  calls ``_canonical_shape``, which nothing else calls, so the two read
+  the same inputs), and the
   answer of every ``classify_configuration`` call, in
   ``verify_marker_bound`` 0..13, the ``sampled`` run and
   ``verify_refined`` 1..11, every cache emptied first, so that no input
   is missed;
 - ``deep-kernels``: the same canonical shapes in ``verify_marker_bound``
   14..17, where the states carry up to seventeen loop pairs (a)(a);
+- ``solver-kernels``: the same canonical shapes in ``exact_value``
+  0..4, memo on, whose memo keys are canonical keys;
 - ``cli``: ``cli.dispatch`` over ``CLI_ARGV``, each run's exit code,
   stdout, stderr and the files it wrote.  The runs are the README's
   examples (but ``exact-value --g0 4``, which takes 23 s on commits
@@ -58,7 +63,7 @@ families are
   kept apart so that a change that prunes only the solver's search
   leaves the verifiers' digest alone.
 
-Each line reads ``family outputs sha256``.  A full run takes about 18 s
+Each line reads ``family outputs sha256``.  A full run takes about 23 s
 on a 2-core x86-64 VM with Python 3.11.
 """
 
@@ -176,6 +181,7 @@ def families(root: str):
 
     yield "kernels", kernel_outputs(arena, equivalence, sampled)
     yield "deep-kernels", shape_outputs(equivalence, lambda: [arena.verify_marker_bound(g0) for g0 in range(14, 18)])
+    yield "solver-kernels", shape_outputs(equivalence, lambda: [arena.exact_value(g0) for g0 in range(5)])
 
     corpus = os.path.join(root, "src", "cutgame", "graphs", "bundled")
     if not os.path.isdir(corpus):
@@ -201,24 +207,24 @@ def families(root: str):
 
 
 def shape_outputs(equivalence, run) -> list[str]:
-    """Every distinct input of ``_canonical_shape`` during ``run()``, read
-    at its call site, with the shape it gave, sorted; every cache is
-    emptied first, so that none is missed."""
+    """Every distinct input of the key path ``_cached_shape`` during
+    ``run()``, read at its call sites, with the shape it gave, sorted;
+    every cache is emptied first, so that none is missed."""
     shapes: dict = {}
-    real = equivalence._canonical_shape
+    real = equivalence._cached_shape
 
     def shape(cycles):
         shapes[tuple(cycles)] = out = real(cycles)
         return out
 
     clear_caches()
-    equivalence._canonical_shape = shape
+    equivalence._cached_shape = shape
     try:
         run()
     finally:
-        equivalence._canonical_shape = real
+        equivalence._cached_shape = real
         clear_caches()
-    return sorted(f"{cycles!r} {out[0]!r}" for cycles, out in shapes.items())
+    return sorted(f"{cycles!r} {out!r}" for cycles, out in shapes.items())
 
 
 def kernel_outputs(arena, equivalence, sampled) -> list[str]:
